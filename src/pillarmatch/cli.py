@@ -145,6 +145,19 @@ def _echo_config(directory: Path, command: str, args) -> None:
     (directory / "config.json").write_text(json.dumps(payload, sort_keys=True, indent=2) + "\n")
 
 
+def _preprocess(frame: FramePair, hyper: HyperParams, args, meta: dict | None = None):
+    """Preprocess one frame pair with the labeling flags of ``args``."""
+    return pairio.preprocess_pair(
+        frame,
+        hyper,
+        match_radius=args.match_radius,
+        unmatch_radius=args.unmatch_radius,
+        neighborhood_size=args.neighborhood_size,
+        min_separation=args.min_separation,
+        meta=meta,
+    )
+
+
 # ---------------------------------------------------------------------------
 # commands
 # ---------------------------------------------------------------------------
@@ -162,17 +175,8 @@ def cmd_synth(args) -> int:
     pairs = []
     for k in range(args.num_pairs):
         frame = generate_synthetic_pair(args.seed + k, scene)
-        pairs.append(
-            pairio.preprocess_pair(
-                frame,
-                hyper,
-                match_radius=args.match_radius,
-                unmatch_radius=args.unmatch_radius,
-                neighborhood_size=args.neighborhood_size,
-                min_separation=args.min_separation,
-                meta={"seed": args.seed + k, "generator": "synthetic"},
-            )
-        )
+        meta = {"seed": args.seed + k, "generator": "synthetic"}
+        pairs.append(_preprocess(frame, hyper, args, meta))
     pairio.write_dataset(out, pairs, _args_echo(args))
     _echo_config(out, "synth", args)
     print(f"wrote {len(pairs)} pairs to {out}")
@@ -202,16 +206,7 @@ def cmd_preprocess(args) -> int:
             frame = FramePair(
                 source=clouds[i], target=clouds[j], gt_transform=gt, frame_distance=distance
             )
-            pairs.append(
-                pairio.preprocess_pair(
-                    frame,
-                    hyper,
-                    match_radius=args.match_radius,
-                    unmatch_radius=args.unmatch_radius,
-                    neighborhood_size=args.neighborhood_size,
-                    min_separation=args.min_separation,
-                )
-            )
+            pairs.append(_preprocess(frame, hyper, args))
         if len(pairs) == count_before:
             print(f"warning: distance {distance} produced 0 pairs", file=sys.stderr)
     pairio.write_dataset(out, pairs, _args_echo(args))

@@ -18,6 +18,7 @@ from .errors import (
     InsufficientPointsError,
 )
 from .transforms import RigidTransform, random_rotation
+from .transport import mutual_argmax
 
 SCAN_RECORD_BYTES = 16  # 4 little-endian float32 per point: x, y, z, reflectance
 ORIGIN_EPS = 1e-6       # smoothness is singular at the sensor origin
@@ -217,35 +218,48 @@ def save_kitti_poses(poses, path) -> None:
 # smoothness and key-points
 # ---------------------------------------------------------------------------
 
-def smoothness(cloud: PointCloud, index: int, neighborhood_size: int = DEFAULT_NEIGHBORHOOD) -> float:
-    """Normalized magnitude of the summed offsets to the nearest neighbors.
+def _smoothness_at(cloud: PointCloud, indices: np.ndarray, k: int):
+    """Normalized magnitude of the summed offsets from each indexed point to
+    its ``k`` nearest neighbors: ``|k p - sum(q)| / (k |p|)``.
 
     Near zero on locally symmetric (planar) neighborhoods, large on edges.
+    Returns ``(values, valid)``; points within ORIGIN_EPS of the origin are
+    invalid and get value 0.
+    """
+    if len(cloud) <= k:
+        raise InsufficientPointsError(f"cloud has {len(cloud)} points, need > {k}")
+    points = cloud.points[indices]
+    norms = np.linalg.norm(points, axis=1)
+    valid = norms > ORIGIN_EPS
+    sums = k * points - cloud.points[_neighbor_indices(cloud, indices, k)].sum(axis=1)
+    values = np.zeros(len(indices))
+    values[valid] = np.linalg.norm(sums[valid], axis=1) / (k * norms[valid])
+    return values, valid
+
+
+def smoothness(cloud: PointCloud, index: int, neighborhood_size: int = DEFAULT_NEIGHBORHOOD) -> float:
+    """Smoothness of one point; see :func:`smoothness_field`.
+
     Raises DegeneratePointError for points within ORIGIN_EPS of the origin.
     """
-    if len(cloud) <= neighborhood_size:
-        raise InsufficientPointsError(
-            f"cloud has {len(cloud)} points, need > {neighborhood_size}"
-        )
-    point = cloud.points[index]
-    norm = np.linalg.norm(point)
-    if norm <= ORIGIN_EPS:
+    values, valid = _smoothness_at(cloud, np.array([index]), neighborhood_size)
+    if not valid[0]:
         raise DegeneratePointError(f"point {index} is within {ORIGIN_EPS} m of the origin")
-    neighbors = _neighbor_indices(cloud, np.array([index]), neighborhood_size)[0]
-    diff_sum = neighborhood_size * point - cloud.points[neighbors].sum(axis=0)
-    return float(np.linalg.norm(diff_sum) / (neighborhood_size * norm))
+    return float(values[0])
 
 
 def _neighbor_indices(cloud: PointCloud, indices: np.ndarray, k: int) -> np.ndarray:
-    """k nearest neighbors per query point, excluding the point's own index."""
+    """k nearest neighbors per query point, excluding the point's own index.
+
+    Exact duplicates can push a point's own index out of its k+1 nearest
+    results; the first k are then kept as they are.
+    """
     _, idx = cloud.tree.query(cloud.points[indices], k=k + 1)
     idx = np.atleast_2d(idx)
-    out = np.empty((len(indices), k), dtype=np.intp)
-    for row, own in enumerate(indices):
-        cand = idx[row]
-        keep = cand[cand != own]
-        out[row] = keep[:k] if len(keep) >= k else cand[:k]
-    return out
+    # a stable sort on "is the query itself" moves the own index last and
+    # keeps every other neighbor in distance order
+    own_last = np.argsort(idx == np.asarray(indices)[:, None], axis=1, kind="stable")
+    return np.take_along_axis(idx, own_last, axis=1)[:, :k]
 
 
 def smoothness_field(cloud: PointCloud, neighborhood_size: int = DEFAULT_NEIGHBORHOOD):
@@ -254,18 +268,7 @@ def smoothness_field(cloud: PointCloud, neighborhood_size: int = DEFAULT_NEIGHBO
     Returns ``(values, valid)``; points within ORIGIN_EPS of the origin are
     flagged invalid and skipped by key-point selection.
     """
-    n = len(cloud)
-    if n <= neighborhood_size:
-        raise InsufficientPointsError(
-            f"cloud has {n} points, need > {neighborhood_size}"
-        )
-    norms = np.linalg.norm(cloud.points, axis=1)
-    valid = norms > ORIGIN_EPS
-    neighbors = _neighbor_indices(cloud, np.arange(n), neighborhood_size)
-    sums = neighborhood_size * cloud.points - cloud.points[neighbors].sum(axis=1)
-    values = np.zeros(n)
-    values[valid] = np.linalg.norm(sums[valid], axis=1) / (neighborhood_size * norms[valid])
-    return values, valid
+    return _smoothness_at(cloud, np.arange(len(cloud)), neighborhood_size)
 
 
 def select_keypoints(
@@ -390,35 +393,19 @@ def label_correspondences(
     if len(src) == 0 or len(tgt) == 0:
         raise ArgumentError("both key-point sets must be nonempty")
 
-    # brute-force distances keep tie-breaking exact (argmin picks lowest index)
-    delta = src[:, None, :] - tgt[None, :, :]
-    dists = np.linalg.norm(delta, axis=2)
-    nn_of_src = dists.argmin(axis=1)
-    nn_of_tgt = dists.argmin(axis=0)
-    d_src = dists[np.arange(len(src)), nn_of_src]
-    d_tgt = dists[nn_of_tgt, np.arange(len(tgt))]
-
-    matched = set()
-    for i in range(len(src)):
-        j = nn_of_src[i]
-        if nn_of_tgt[j] == i and dists[i, j] < match_radius:
-            matched.add((i, int(j)))
-    matched_rows = {i for i, _ in matched}
-    matched_cols = {j for _, j in matched}
-    unmatched_rows = {
-        i for i in range(len(src)) if i not in matched_rows and d_src[i] > unmatch_radius
-    }
-    unmatched_cols = {
-        j for j in range(len(tgt)) if j not in matched_cols and d_tgt[j] > unmatch_radius
-    }
-    ignored_rows = set(range(len(src))) - matched_rows - unmatched_rows
-    ignored_cols = set(range(len(tgt))) - matched_cols - unmatched_cols
+    # brute-force distances keep tie-breaking exact (lowest index wins)
+    dists = np.linalg.norm(src[:, None, :] - tgt[None, :, :], axis=2)
+    rows, cols = mutual_argmax(-dists)
+    close = dists[rows, cols] < match_radius
+    matched_rows, matched_cols = rows[close].tolist(), cols[close].tolist()
+    unmatched_rows = np.flatnonzero(dists.min(axis=1) > unmatch_radius).tolist()
+    unmatched_cols = np.flatnonzero(dists.min(axis=0) > unmatch_radius).tolist()
     return CorrespondenceLabels(
-        matched=frozenset(matched),
+        matched=frozenset(zip(matched_rows, matched_cols)),
         unmatched_rows=frozenset(unmatched_rows),
         unmatched_cols=frozenset(unmatched_cols),
-        ignored_rows=frozenset(ignored_rows),
-        ignored_cols=frozenset(ignored_cols),
+        ignored_rows=frozenset(range(len(src))) - set(matched_rows) - set(unmatched_rows),
+        ignored_cols=frozenset(range(len(tgt))) - set(matched_cols) - set(unmatched_cols),
     )
 
 

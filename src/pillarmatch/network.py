@@ -8,7 +8,7 @@ shared between the two clouds within a layer.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field, asdict
+from dataclasses import dataclass, field, fields, asdict
 
 import numpy as np
 
@@ -72,9 +72,18 @@ class HyperParams:
 
     @classmethod
     def from_manifest(cls, manifest: dict) -> "HyperParams":
-        fields = dict(manifest)
-        fields["positional_hidden"] = tuple(fields.get("positional_hidden", ()))
-        return cls(**fields)
+        """Inverse of :meth:`to_manifest`; every field must be present."""
+        if not isinstance(manifest, dict):
+            raise ConfigError("hyper manifest must be a JSON object")
+        expected = {f.name for f in fields(cls)}
+        unknown, missing = set(manifest) - expected, expected - set(manifest)
+        if unknown or missing:
+            raise ConfigError(
+                f"hyper manifest has unknown fields {sorted(unknown)} "
+                f"and lacks fields {sorted(missing)}"
+            )
+        values = dict(manifest, positional_hidden=tuple(manifest["positional_hidden"]))
+        return cls(**values)
 
 
 # Xavier gains: residual attention outputs and the score-producing projection
@@ -322,6 +331,33 @@ def final_projection(nodes: Tensor, params: ModelParameters) -> Tensor:
     return ad.linear(nodes, params.project_weight)
 
 
+def batch_descriptors(
+    params: ModelParameters, stacks: list, coords: list, train: bool = False
+) -> list[tuple[Tensor, Tensor]]:
+    """Descriptor pipeline for a batch of pairs: ``(desc_src, desc_tgt)`` per pair.
+
+    ``stacks`` and ``coords`` list the clouds in order source, target, source,
+    target, ... Pillar and positional encodings run jointly over every pillar
+    of every cloud so batch-norm statistics pool across the whole batch; the
+    attention graph then runs per pair.
+    """
+    dtype = params.pillar_weight.dtype
+    all_stacks = ad.as_tensor(np.concatenate(stacks), dtype=dtype)
+    all_coords = ad.as_tensor(np.concatenate(coords), dtype=dtype)
+    encoded = encode_pillars(all_stacks, params, train)
+    positional = encode_positions(all_coords, params, train)
+    nodes = init_nodes(encoded, positional)
+    out, start = [], 0
+    for n_src, n_tgt in zip(map(len, stacks[0::2]), map(len, stacks[1::2])):
+        nodes_src = nodes.narrow(0, start, n_src)
+        nodes_tgt = nodes.narrow(0, start + n_src, n_tgt)
+        start += n_src + n_tgt
+        for index, layer in enumerate(params.layers):
+            nodes_src, nodes_tgt = gnn_layer(nodes_src, nodes_tgt, layer, index, params.hyper)
+        out.append((final_projection(nodes_src, params), final_projection(nodes_tgt, params)))
+    return out
+
+
 def forward_descriptors(
     params: ModelParameters,
     stacks_src: np.ndarray,
@@ -330,24 +366,10 @@ def forward_descriptors(
     coords_tgt: np.ndarray,
     train: bool = False,
 ) -> tuple[Tensor, Tensor]:
-    """Full descriptor pipeline for one pair.
-
-    Pillar and positional encodings run jointly over both clouds so batch-norm
-    statistics pool across every pillar in the forward pass.
-    """
-    hyper = params.hyper
-    dtype = params.pillar_weight.dtype
-    n = len(stacks_src)
-    stacks = ad.as_tensor(np.concatenate([stacks_src, stacks_tgt]), dtype=dtype)
-    coords = ad.as_tensor(np.concatenate([coords_src, coords_tgt]), dtype=dtype)
-    encoded = encode_pillars(stacks, params, train)
-    positional = encode_positions(coords, params, train)
-    nodes = init_nodes(encoded, positional)
-    nodes_src = nodes.narrow(0, 0, n)
-    nodes_tgt = nodes.narrow(0, n, len(stacks_tgt))
-    for index, layer in enumerate(params.layers):
-        nodes_src, nodes_tgt = gnn_layer(nodes_src, nodes_tgt, layer, index, hyper)
-    return final_projection(nodes_src, params), final_projection(nodes_tgt, params)
+    """Full descriptor pipeline for one pair; see :func:`batch_descriptors`."""
+    return batch_descriptors(
+        params, [stacks_src, stacks_tgt], [coords_src, coords_tgt], train
+    )[0]
 
 
 # ---------------------------------------------------------------------------
@@ -370,7 +392,7 @@ def save_checkpoint(path, params: ModelParameters, extra_meta: dict | None = Non
 def load_checkpoint(path, dtype=np.float32):
     """Return ``(params, meta, extra_arrays)`` for a checkpoint file."""
     meta, arrays = read_container(path, expect_kind="checkpoint")
-    hyper = HyperParams.from_manifest(meta["hyper"])
+    hyper = HyperParams.from_manifest(meta.get("hyper"))
     params = ModelParameters.initialize(hyper, seed=0, dtype=dtype)
     named = params.named_parameters()
     for name, tensor in named.items():
@@ -384,11 +406,16 @@ def load_checkpoint(path, dtype=np.float32):
                 f"expected {tensor.data.shape}"
             )
         tensor.data = value
-    stats = params.running_stats()
-    for name in stats:
+    for name, stat in params.running_stats().items():
         key = f"stat.{name}"
-        if key in arrays:
-            stats[name][...] = arrays[key].astype(stats[name].dtype)
+        if key not in arrays:
+            raise ConfigError(f"checkpoint missing running statistic {name!r}")
+        if arrays[key].shape != stat.shape:
+            raise ConfigError(
+                f"checkpoint running statistic {name!r} has shape {arrays[key].shape}, "
+                f"expected {stat.shape}"
+            )
+        stat[...] = arrays[key].astype(stat.dtype)
     extras = {
         name[len("extra.") :]: arr
         for name, arr in arrays.items()

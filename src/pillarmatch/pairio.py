@@ -20,6 +20,7 @@ from .cloud import (
     KeyPoint,
     KeyPointKind,
     Pillar,
+    keypoint_positions,
     label_correspondences,
     sample_pillars,
     select_keypoints,
@@ -55,10 +56,7 @@ class PreprocessedPair:
 
     @property
     def coords(self) -> tuple[np.ndarray, np.ndarray]:
-        return (
-            np.array([kp.position for kp in self.src_keypoints]),
-            np.array([kp.position for kp in self.tgt_keypoints]),
-        )
+        return keypoint_positions(self.src_keypoints), keypoint_positions(self.tgt_keypoints)
 
 
 def preprocess_pair(
@@ -101,7 +99,7 @@ def preprocess_pair(
 
 def _keypoint_arrays(prefix: str, kps: list[KeyPoint]) -> dict:
     return {
-        f"{prefix}.kp.position": np.array([k.position for k in kps]).reshape(-1, 3),
+        f"{prefix}.kp.position": keypoint_positions(kps),
         f"{prefix}.kp.smoothness": np.array([k.smoothness for k in kps]),
         f"{prefix}.kp.kind": np.array(
             [1 if k.kind is KeyPointKind.SHARP else 0 for k in kps], dtype=np.uint8
@@ -166,25 +164,31 @@ def _read_pillars(prefix: str, arrays: dict, kps: list[KeyPoint]) -> list[Pillar
 
 def read_pair(path) -> PreprocessedPair:
     meta, arrays = read_container(path, expect_kind="pair")
-    src_kps = _read_keypoints("src", arrays)
-    tgt_kps = _read_keypoints("tgt", arrays)
-    matched = arrays["labels.matched"]
-    labels = CorrespondenceLabels(
-        matched=frozenset((int(i), int(j)) for i, j in matched),
-        unmatched_rows=frozenset(int(v) for v in arrays["labels.unmatched_rows"]),
-        unmatched_cols=frozenset(int(v) for v in arrays["labels.unmatched_cols"]),
-        ignored_rows=frozenset(int(v) for v in arrays["labels.ignored_rows"]),
-        ignored_cols=frozenset(int(v) for v in arrays["labels.ignored_cols"]),
-    )
+    try:
+        src_kps = _read_keypoints("src", arrays)
+        tgt_kps = _read_keypoints("tgt", arrays)
+        matched = arrays["labels.matched"]
+        labels = CorrespondenceLabels(
+            matched=frozenset((int(i), int(j)) for i, j in matched),
+            unmatched_rows=frozenset(int(v) for v in arrays["labels.unmatched_rows"]),
+            unmatched_cols=frozenset(int(v) for v in arrays["labels.unmatched_cols"]),
+            ignored_rows=frozenset(int(v) for v in arrays["labels.ignored_rows"]),
+            ignored_cols=frozenset(int(v) for v in arrays["labels.ignored_cols"]),
+        )
+        src_pillars = _read_pillars("src", arrays, src_kps)
+        tgt_pillars = _read_pillars("tgt", arrays, tgt_kps)
+        gt_transform = RigidTransform(arrays["gt_transform"])
+    except KeyError as exc:
+        raise FormatError(f"{path}: pair file lacks array {exc}") from None
     meta = dict(meta)
     distance = int(meta.pop("frame_distance", 1))
     return PreprocessedPair(
         src_keypoints=src_kps,
         tgt_keypoints=tgt_kps,
-        src_pillars=_read_pillars("src", arrays, src_kps),
-        tgt_pillars=_read_pillars("tgt", arrays, tgt_kps),
+        src_pillars=src_pillars,
+        tgt_pillars=tgt_pillars,
         labels=labels,
-        gt_transform=RigidTransform(arrays["gt_transform"]),
+        gt_transform=gt_transform,
         frame_distance=distance,
         meta=meta,
     )
@@ -210,7 +214,13 @@ def load_dataset(directory) -> list[PreprocessedPair]:
     manifest_path = directory / "manifest.json"
     if not manifest_path.exists():
         raise FormatError(f"{directory}: missing manifest.json")
-    manifest = json.loads(manifest_path.read_text())
-    if manifest.get("kind") != "pair-dataset":
+    try:
+        manifest = json.loads(manifest_path.read_text())
+    except json.JSONDecodeError as exc:
+        raise FormatError(f"{manifest_path}: invalid json: {exc}") from None
+    if not isinstance(manifest, dict) or manifest.get("kind") != "pair-dataset":
         raise FormatError(f"{directory}: not a pair dataset")
-    return [read_pair(directory / name) for name in manifest["pairs"]]
+    names = manifest.get("pairs")
+    if not isinstance(names, list) or not all(isinstance(n, str) for n in names):
+        raise FormatError(f"{manifest_path}: 'pairs' must be a list of file names")
+    return [read_pair(directory / name) for name in names]

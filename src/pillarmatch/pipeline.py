@@ -8,9 +8,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
-from . import autodiff as ad
 from . import network as net
 from . import transport
 from .network import ModelParameters
@@ -32,34 +29,10 @@ def batch_assignments(
 ) -> list[AssignmentMatrix]:
     hyper = params.hyper
     iters = hyper.sinkhorn_iterations if sinkhorn_iterations is None else sinkhorn_iterations
-    dtype = params.pillar_weight.dtype
-
-    stacks, coords, offsets = [], [], [0]
-    for pair in pairs:
-        s_src, s_tgt = pair.stacks
-        c_src, c_tgt = pair.coords
-        stacks.extend([s_src, s_tgt])
-        coords.extend([c_src, c_tgt])
-        offsets.append(offsets[-1] + len(s_src))
-        offsets.append(offsets[-1] + len(s_tgt))
-
-    all_stacks = ad.as_tensor(np.concatenate(stacks), dtype=dtype)
-    all_coords = ad.as_tensor(np.concatenate(coords), dtype=dtype)
-    encoded = net.encode_pillars(all_stacks, params, train)
-    positional = net.encode_positions(all_coords, params, train)
-    nodes_all = net.init_nodes(encoded, positional)
-
+    stacks = [s for pair in pairs for s in pair.stacks]
+    coords = [c for pair in pairs for c in pair.coords]
     assignments = []
-    for index, pair in enumerate(pairs):
-        lo = offsets[2 * index]
-        mid = offsets[2 * index + 1]
-        hi = offsets[2 * index + 2]
-        nodes_src = nodes_all.narrow(0, lo, mid - lo)
-        nodes_tgt = nodes_all.narrow(0, mid, hi - mid)
-        for li, layer in enumerate(params.layers):
-            nodes_src, nodes_tgt = net.gnn_layer(nodes_src, nodes_tgt, layer, li, hyper)
-        desc_src = net.final_projection(nodes_src, params)
-        desc_tgt = net.final_projection(nodes_tgt, params)
+    for desc_src, desc_tgt in net.batch_descriptors(params, stacks, coords, train):
         raw = transport.score_matrix(desc_src, desc_tgt)
         augmented = transport.augment_dustbin(raw, params.dustbin_score)
         assignments.append(

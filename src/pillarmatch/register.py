@@ -12,8 +12,8 @@ from .errors import (
     DegenerateGeometryError,
     InsufficientCorrespondencesError,
 )
-from .transforms import RigidTransform
-from .transport import MatchSet
+from .transforms import RigidTransform, rotation_angle
+from .transport import MatchSet, mutual_argmax
 
 # Published full-scale results for this architecture (KITTI, 300-epoch GPU
 # training). They require that setup and are recorded here as reference
@@ -89,18 +89,9 @@ def nn_matcher(src_positions, tgt_positions) -> MatchSet:
     if len(src) == 0 or len(tgt) == 0:
         raise ArgumentError("both key-point sets must be nonempty")
     dists = np.linalg.norm(src[:, None, :] - tgt[None, :, :], axis=2)
-    nn_src = dists.argmin(axis=1)
-    nn_tgt = dists.argmin(axis=0)
-    pairs = tuple(
-        (i, int(nn_src[i]), 1.0) for i in range(len(src)) if nn_tgt[nn_src[i]] == i
-    )
-    matched_rows = {i for i, _, _ in pairs}
-    matched_cols = {j for _, j, _ in pairs}
-    return MatchSet(
-        pairs=pairs,
-        unmatched_rows=tuple(i for i in range(len(src)) if i not in matched_rows),
-        unmatched_cols=tuple(j for j in range(len(tgt)) if j not in matched_cols),
-    )
+    rows, cols = mutual_argmax(-dists)
+    pairs = ((i, j, 1.0) for i, j in zip(rows.tolist(), cols.tolist()))
+    return MatchSet.from_pairs(pairs, len(src), len(tgt))
 
 
 @dataclass
@@ -173,10 +164,7 @@ def transform_errors(t_pred: RigidTransform, t_gt: RigidTransform) -> tuple[floa
     if not isinstance(t_pred, RigidTransform) or not isinstance(t_gt, RigidTransform):
         raise ArgumentError("transform_errors expects RigidTransform inputs")
     relative = t_pred.inverse().compose(t_gt)
-    translational = float(np.linalg.norm(relative.translation))
-    cos = 0.5 * (np.trace(relative.rotation) - 1.0)
-    rotational = float(np.arccos(np.clip(cos, -1.0, 1.0)))
-    return translational, rotational
+    return float(np.linalg.norm(relative.translation)), rotation_angle(relative.rotation)
 
 
 # ---------------------------------------------------------------------------
@@ -258,18 +246,8 @@ def _predicted_matchset(matcher: str, pair, params, threshold):
         src, tgt = pair.coords
         return nn_matcher(src, tgt)
     if matcher == "vm":
-        matched = sorted(pair.labels.matched)
-        rows = {i for i, _ in matched}
-        cols = {j for _, j in matched}
-        return MatchSet(
-            pairs=tuple((i, j, 1.0) for i, j in matched),
-            unmatched_rows=tuple(
-                i for i in range(len(pair.src_keypoints)) if i not in rows
-            ),
-            unmatched_cols=tuple(
-                j for j in range(len(pair.tgt_keypoints)) if j not in cols
-            ),
-        )
+        pairs = ((i, j, 1.0) for i, j in sorted(pair.labels.matched))
+        return MatchSet.from_pairs(pairs, len(pair.src_keypoints), len(pair.tgt_keypoints))
     raise ArgumentError(f"unknown matcher {matcher!r}")
 
 

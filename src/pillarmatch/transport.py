@@ -37,6 +37,19 @@ class MatchSet:
     unmatched_rows: tuple  # row indices with no accepted match
     unmatched_cols: tuple
 
+    @classmethod
+    def from_pairs(cls, pairs, n: int, m: int) -> "MatchSet":
+        """Matches plus every row of ``range(n)`` and column of ``range(m)``
+        they leave unmatched."""
+        pairs = tuple(pairs)
+        rows = {i for i, _, _ in pairs}
+        cols = {j for _, j, _ in pairs}
+        return cls(
+            pairs=pairs,
+            unmatched_rows=tuple(i for i in range(n) if i not in rows),
+            unmatched_cols=tuple(j for j in range(m) if j not in cols),
+        )
+
     @property
     def index_pairs(self) -> set[tuple[int, int]]:
         return {(i, j) for i, j, _ in self.pairs}
@@ -142,6 +155,17 @@ def marginal_deviation(log_p: np.ndarray, log_mu=None, log_nu=None) -> float:
     return float(max(row_err, col_err))
 
 
+def mutual_argmax(scores: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Index pairs ``(rows[k], cols[k])`` where each is the other's argmax:
+    column j is row i's largest score and row i is column j's. The lowest
+    index wins ties; nearest-neighbour callers pass ``-dists``.
+    """
+    row_best = scores.argmax(axis=1)
+    col_best = scores.argmax(axis=0)
+    rows = np.flatnonzero(col_best[row_best] == np.arange(len(row_best)))
+    return rows, row_best[rows]
+
+
 def extract_matches(assign: AssignmentMatrix, threshold: float = 0.2) -> MatchSet:
     """Mutual-argmax readout of the soft assignment.
 
@@ -153,26 +177,11 @@ def extract_matches(assign: AssignmentMatrix, threshold: float = 0.2) -> MatchSe
         raise ArgumentError("threshold must be in [0, 1]")
     probs = assign.probabilities
     n, m = probs.shape[0] - 1, probs.shape[1] - 1
-    row_best = probs.argmax(axis=1)
-    col_best = probs.argmax(axis=0)
-    pairs = []
-    matched_rows, matched_cols = set(), set()
-    for i in range(n):
-        j = int(row_best[i])
-        if j == m:  # dustbin column
-            continue
-        if int(col_best[j]) != i:
-            continue
-        conf = float(probs[i, j])
-        if conf >= threshold:
-            pairs.append((i, j, conf))
-            matched_rows.add(i)
-            matched_cols.add(j)
-    return MatchSet(
-        pairs=tuple(pairs),
-        unmatched_rows=tuple(i for i in range(n) if i not in matched_rows),
-        unmatched_cols=tuple(j for j in range(m) if j not in matched_cols),
-    )
+    rows, cols = mutual_argmax(probs)
+    conf = probs[rows, cols]
+    keep = (rows < n) & (cols < m) & (conf >= threshold)
+    pairs = zip(rows[keep].tolist(), cols[keep].tolist(), conf[keep].tolist())
+    return MatchSet.from_pairs(pairs, n, m)
 
 
 def write_assignment_csv(path, assign: AssignmentMatrix) -> None:

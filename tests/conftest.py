@@ -9,6 +9,7 @@ from pillarmatch.cloud import (
     SceneConfig,
     generate_synthetic_pair,
 )
+from pillarmatch.container import read_container, write_container
 from pillarmatch.network import HyperParams
 from pillarmatch.pairio import PreprocessedPair, preprocess_pair
 
@@ -57,6 +58,13 @@ def toy_pair(seed=0, hyper=None, scene=None) -> PreprocessedPair:
     )
     frame = generate_synthetic_pair(seed, scene)
     return preprocess_pair(frame, hyper)
+
+
+def rewrite_container(path, kind, edit):
+    """Read a container, let ``edit(meta, arrays)`` change it in place, write it back."""
+    meta, arrays = read_container(path, expect_kind=kind)
+    edit(meta, arrays)
+    write_container(path, kind, meta, arrays)
 
 
 def synthetic_labels(n, m, matched, unmatched_rows=(), unmatched_cols=()):

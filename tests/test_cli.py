@@ -4,9 +4,12 @@ import os
 import numpy as np
 import pytest
 
+from conftest import rewrite_container
+
 from pillarmatch.cli import main
 from pillarmatch.cloud import load_kitti_poses, save_kitti_poses, save_kitti_scan
 from pillarmatch.cloud import PointCloud, SceneConfig, generate_synthetic_pair
+from pillarmatch.network import HyperParams, ModelParameters, save_checkpoint
 from pillarmatch.pairio import load_dataset
 from pillarmatch.transforms import RigidTransform, rotation_about_axis
 
@@ -317,3 +320,41 @@ def test_run_root_env_var(tmp_path, monkeypatch):
     ])
     assert code == 0
     assert (tmp_path / "rooted" / "manifest.json").exists()
+
+
+def untrained_checkpoint(tmp_path):
+    """Freshly initialized weights whose hyperparameters match TOY_FLAGS."""
+    hyper = HyperParams(src_keypoints=8, tgt_keypoints=8, pillar_points=6, feature_depth=8,
+                        attention_heads=2, attention_layers=2, sinkhorn_iterations=10,
+                        positional_hidden=(8, 16))
+    path = tmp_path / "model.pmc"
+    save_checkpoint(path, ModelParameters.initialize(hyper, seed=0))
+    return path
+
+
+@pytest.mark.parametrize("edit", [
+    lambda meta, arrays: meta["hyper"].update(attention_dropout=0.1),
+    lambda meta, arrays: meta["hyper"].pop("dustbin_init"),
+    lambda meta, arrays: arrays.pop("stat.pillar.norm.running_mean"),
+], ids=["unknown-hyper", "missing-hyper", "missing-stat"])
+def test_malformed_checkpoint_is_config_error(tmp_path, capsys, edit):
+    data = run_synth(tmp_path, "data", num_pairs=1, seed=5)
+    checkpoint = untrained_checkpoint(tmp_path)
+    args = ["match", "--checkpoint", str(checkpoint), "--pair", str(data / "pair_00000.ppair")]
+    assert main(args) == 0
+    rewrite_container(checkpoint, "checkpoint", edit)
+    capsys.readouterr()
+    assert main(args) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+
+
+def test_malformed_pair_and_dataset_are_data_errors(tmp_path, capsys):
+    data = run_synth(tmp_path, "data", num_pairs=1, seed=5)
+    checkpoint = untrained_checkpoint(tmp_path)
+    pair = data / "pair_00000.ppair"
+    rewrite_container(pair, "pair", lambda meta, arrays: arrays.pop("labels.matched"))
+    assert main(["match", "--checkpoint", str(checkpoint), "--pair", str(pair)]) == 3
+    (data / "manifest.json").write_text("{not json")
+    assert main(["eval", "--data", str(data), "--matchers", "nn"]) == 3
+    (data / "manifest.json").write_text('{"kind": "pair-dataset", "version": 1}')
+    assert main(["eval", "--data", str(data), "--matchers", "nn"]) == 3

@@ -8,6 +8,7 @@ from pillarmatch.cloud import (
     KeyPointKind,
     PointCloud,
     SceneConfig,
+    _neighbor_indices,
     generate_synthetic_pair,
     label_correspondences,
     load_kitti_poses,
@@ -154,6 +155,30 @@ def test_smoothness_rotation_invariant(rng):
         rot_values, rot_valid = smoothness_field(rotated, neighborhood_size=10)
         np.testing.assert_array_equal(valid, rot_valid)
         np.testing.assert_allclose(rot_values[valid], values[valid], rtol=1e-9)
+
+
+def test_smoothness_scalar_equals_field_with_duplicate_points(rng):
+    # 15 exact copies of one point: a copy's k+1 nearest results can all be
+    # other copies, so its own index falls outside them
+    pts = np.vstack([
+        rng.normal(size=(60, 3)) + np.array([5.0, 0.0, 0.0]),
+        np.repeat([[5.5, 0.2, -0.3]], 15, axis=0),
+        [[0.0, 0.0, 0.0]],
+    ])
+    cloud = cloud_from(pts)
+    _, nearest = cloud.tree.query(pts, k=11)
+    assert any(i not in nearest[i] for i in range(60, 75))
+    # per-point reference: drop the own index if present, else keep the first k
+    expected = []
+    for own, cand in enumerate(nearest):
+        keep = cand[cand != own]
+        expected.append(keep[:10] if len(keep) >= 10 else cand[:10])
+    neighbors = _neighbor_indices(cloud, np.arange(len(pts)), 10)
+    np.testing.assert_array_equal(neighbors, np.array(expected))
+    values, valid = smoothness_field(cloud, neighborhood_size=10)
+    assert not valid[-1]
+    for i in np.flatnonzero(valid):
+        assert smoothness(cloud, i, neighborhood_size=10) == values[i]
 
 
 def test_smoothness_needs_enough_points():

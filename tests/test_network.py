@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from conftest import make_pillar, toy_hyper, toy_pair
+from conftest import make_pillar, rewrite_container, toy_hyper, toy_pair
 
 from pillarmatch import autodiff as ad
 from pillarmatch.autodiff import Tensor, grad_check
@@ -339,3 +339,37 @@ def test_checkpoint_manifest_records_flags(tmp_path):
     _, meta, _ = load_checkpoint(path)
     assert meta["hyper"]["attention_scale"] == "per-head"
     assert meta["hyper"]["sinkhorn_mode"] == "simultaneous"
+
+
+@pytest.mark.parametrize("edit", ["unknown", "missing"])
+def test_hyper_manifest_fields_must_match_exactly(tmp_path, edit):
+    manifest = toy_hyper().to_manifest()
+    assert HyperParams.from_manifest(manifest) == toy_hyper()
+    if edit == "unknown":
+        manifest["attention_dropout"] = 0.1
+    else:
+        del manifest["dustbin_init"]
+    with pytest.raises(ConfigError):
+        HyperParams.from_manifest(manifest)
+    path = tmp_path / "model.pmc"
+    save_checkpoint(path, ModelParameters.initialize(toy_hyper(), seed=0))
+    rewrite_container(path, "checkpoint", lambda meta, arrays: meta.update(hyper=manifest))
+    with pytest.raises(ConfigError):
+        load_checkpoint(path)
+
+
+@pytest.mark.parametrize("stat", ["pillar.norm.running_mean", "positional.1.norm.running_var"])
+@pytest.mark.parametrize("defect", ["missing", "misshapen"])
+def test_checkpoint_requires_every_running_stat(tmp_path, stat, defect):
+    path = tmp_path / "model.pmc"
+    save_checkpoint(path, ModelParameters.initialize(toy_hyper(), seed=0))
+
+    def edit(meta, arrays):
+        if defect == "missing":
+            del arrays[f"stat.{stat}"]
+        else:
+            arrays[f"stat.{stat}"] = arrays[f"stat.{stat}"][:1]
+
+    rewrite_container(path, "checkpoint", edit)
+    with pytest.raises(ConfigError, match="running statistic"):
+        load_checkpoint(path)

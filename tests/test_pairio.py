@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from conftest import toy_hyper, toy_pair
+from conftest import rewrite_container, toy_hyper, toy_pair
 
 from pillarmatch.cloud import SceneConfig, generate_synthetic_pair
 from pillarmatch.errors import FormatError
@@ -57,5 +57,42 @@ def test_dataset_round_trip_and_determinism(tmp_path):
 
 
 def test_load_dataset_requires_manifest(tmp_path):
+    with pytest.raises(FormatError):
+        load_dataset(tmp_path)
+
+
+PAIR_ARRAYS = [
+    f"{side}.{name}"
+    for side in ("src", "tgt")
+    for name in ("kp.position", "kp.smoothness", "kp.kind", "kp.index",
+                 "pillar.members", "pillar.centroid", "pillar.real_count")
+] + ["gt_transform"] + [
+    f"labels.{name}"
+    for name in ("matched", "unmatched_rows", "unmatched_cols", "ignored_rows", "ignored_cols")
+]
+
+
+@pytest.mark.parametrize("dropped", PAIR_ARRAYS)
+def test_read_pair_missing_array_is_format_error(tmp_path, dropped):
+    path = tmp_path / "pair.ppair"
+    write_pair(path, toy_pair(seed=31))
+
+    def drop(meta, arrays):
+        assert sorted(arrays) == sorted(PAIR_ARRAYS)
+        del arrays[dropped]
+
+    rewrite_container(path, "pair", drop)
+    with pytest.raises(FormatError, match=dropped):
+        read_pair(path)
+
+
+@pytest.mark.parametrize("manifest", [
+    "{not json",
+    '{"kind": "pair-dataset", "version": 1}',
+    '["pair_00000.ppair"]',
+    '{"kind": "pair-dataset", "version": 1, "pairs": "pair_00000.ppair"}',
+])
+def test_load_dataset_malformed_manifest_is_format_error(tmp_path, manifest):
+    (tmp_path / "manifest.json").write_text(manifest)
     with pytest.raises(FormatError):
         load_dataset(tmp_path)

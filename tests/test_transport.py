@@ -219,6 +219,11 @@ def test_extract_mutual_argmax_one_to_one(rng):
             if j < 4 and int(np.argmax(probs[:, j])) == i:
                 expected.add((i, j))
         assert matches.index_pairs == expected
+    # equal probabilities: the lowest index wins in row and column argmaxes
+    tie = np.array([[0.4, 0.4, 0.2], [0.4, 0.4, 0.2], [0.1, 0.1, 0.1]])
+    matches = extract_matches(assign_from_probs(tie), threshold=0.0)
+    assert matches.index_pairs == {(0, 0)}
+    assert matches.unmatched_rows == (1,) and matches.unmatched_cols == (1,)
 
 
 def test_extract_shift_invariant_structure(rng):
