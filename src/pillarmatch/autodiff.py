@@ -89,8 +89,9 @@ class Tensor:
             seed = np.ones_like(self.data)
         self._accumulate(np.asarray(seed, dtype=self.data.dtype))
 
-        # iterative DFS: long op chains (100 Sinkhorn iterations) would blow
-        # the recursion limit
+        # iterative DFS: a tape's depth grows with the work recorded on it
+        # (a loss summed over many pairs, a deep stack of layers), and
+        # recursion would hit Python's recursion limit
         topo: list[Tensor] = []
         visited: set[int] = set()
         stack: list[tuple[Tensor, bool]] = [(self, False)]
@@ -215,8 +216,7 @@ class Tensor:
 
     def logsumexp(self, axis: int, keepdims: bool = False) -> "Tensor":
         axis = _check_axis(axis, self.ndim, "logsumexp")
-        high = np.max(self.data, axis=axis, keepdims=True)
-        value = high + np.log(np.sum(np.exp(self.data - high), axis=axis, keepdims=True))
+        value = logsumexp_array(self.data, axis)
         out_data = value if keepdims else np.squeeze(value, axis=axis)
         out = _node(out_data, (self,), "logsumexp")
         if out.requires_grad:
@@ -302,6 +302,12 @@ class Tensor:
                 np.add.at(self.grad, (r, c), out.grad)
             out._backward = back
         return out
+
+
+def logsumexp_array(data: np.ndarray, axis: int) -> np.ndarray:
+    """Max-shifted log-sum-exp along ``axis``, keeping that axis."""
+    high = np.max(data, axis=axis, keepdims=True)
+    return high + np.log(np.sum(np.exp(data - high), axis=axis, keepdims=True))
 
 
 def _node(data: np.ndarray, parents: tuple, op: str) -> Tensor:

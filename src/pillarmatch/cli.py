@@ -224,7 +224,7 @@ def cmd_train(args) -> int:
     if args.resume:
         params, meta, extras = load_checkpoint(_resolve(args.resume))
         hyper = params.hyper
-        optimizer = learn.load_optimizer(meta, extras)
+        optimizer = learn.load_optimizer(meta, extras, params.named_parameters())
         start_epoch = int(meta.get("next_epoch", 0))
     else:
         hyper = _hyper_from_args(args)

@@ -15,7 +15,8 @@ import numpy as np
 
 from .autodiff import Tensor
 from .cloud import CorrespondenceLabels
-from .errors import ArgumentError, NumericError
+from .container import is_count, is_finite_real
+from .errors import ArgumentError, ConfigError, NumericError
 from .network import HyperParams, ModelParameters, save_checkpoint
 from .pairio import PreprocessedPair
 from .pipeline import batch_assignments
@@ -361,8 +362,15 @@ def write_training_checkpoint(path, params, run: TrainRun, optimizer: AdamState,
     save_checkpoint(path, params, extra_meta=meta, extra_arrays=arrays)
 
 
-def load_optimizer(meta: dict, extras: dict) -> AdamState:
+def load_optimizer(meta: dict, extras: dict, named_params: dict[str, Tensor]) -> AdamState:
+    """Adam state saved by :func:`write_training_checkpoint`.
+
+    Once a step has run, every named parameter needs both moments at its own
+    shape: a resume from zero-filled moments would not repeat the run.
+    """
     info = meta.get("optimizer", {})
+    if not isinstance(info, dict):
+        raise ConfigError("checkpoint optimizer section must be a JSON object")
     state = AdamState(
         learning_rate=info.get("learning_rate", 1e-4),
         beta1=info.get("beta1", 0.9),
@@ -370,9 +378,21 @@ def load_optimizer(meta: dict, extras: dict) -> AdamState:
         eps=info.get("eps", 1e-8),
         step=info.get("step", 0),
     )
-    for name, arr in extras.items():
-        if name.startswith("adam.m."):
-            state.first_moment[name[len("adam.m.") :]] = arr.astype(np.float32)
-        elif name.startswith("adam.v."):
-            state.second_moment[name[len("adam.v.") :]] = arr.astype(np.float32)
+    rates = (state.learning_rate, state.beta1, state.beta2, state.eps)
+    if not all(map(is_finite_real, rates)):
+        raise ConfigError(f"checkpoint optimizer settings must be numbers, got {rates}")
+    if not is_count(state.step):
+        raise ConfigError(f"checkpoint optimizer step must be a count, got {state.step!r}")
+    for name, tensor in named_params.items():
+        for key, moments in ((f"adam.m.{name}", state.first_moment),
+                             (f"adam.v.{name}", state.second_moment)):
+            arr = extras.get(key)
+            if arr is None and state.step == 0:
+                continue
+            if arr is None or arr.shape != tensor.shape:
+                raise ConfigError(
+                    f"checkpoint at optimizer step {state.step} needs {key} of shape "
+                    f"{tensor.shape}, found {None if arr is None else arr.shape}"
+                )
+            moments[name] = arr.astype(np.float32)
     return state

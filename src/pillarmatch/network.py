@@ -15,10 +15,20 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import BatchNormState, Tensor
 from .cloud import Pillar
-from .container import read_container, write_container
+from .container import is_count, is_finite_real, read_container, write_container
 from .errors import ConfigError, ShapeError
 
 POINT_FEATURE_DIM = 11  # coords(3) + intensity(1) + offset-to-centroid(3) + norm(1) + offset-to-keypoint(3)
+
+
+# value check per annotated HyperParams field type; counts and widths are positive
+_FIELD_CHECKS = {
+    "int": lambda v: is_count(v, 1),
+    "tuple[int, ...]": lambda v: isinstance(v, tuple) and all(is_count(w, 1) for w in v),
+    "float": is_finite_real,
+    "str": lambda v: isinstance(v, str),
+    "bool": lambda v: isinstance(v, bool),
+}
 
 
 @dataclass(frozen=True)
@@ -47,6 +57,12 @@ class HyperParams:
     dustbin_init: float = 1.0
 
     def __post_init__(self):
+        if isinstance(self.positional_hidden, list):
+            object.__setattr__(self, "positional_hidden", tuple(self.positional_hidden))
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if not _FIELD_CHECKS[f.type](value):
+                raise ConfigError(f"hyper field {f.name!r} must be a valid {f.type}, got {value!r}")
         if self.feature_depth % self.attention_heads != 0:
             raise ConfigError("feature_depth must be divisible by attention_heads")
         if self.attention_scale not in ("full", "per-head"):
@@ -55,7 +71,6 @@ class HyperParams:
             raise ConfigError(f"unknown sinkhorn_mode {self.sinkhorn_mode!r}")
         if self.sinkhorn_marginals not in ("uniform", "dustbin-weighted"):
             raise ConfigError(f"unknown sinkhorn_marginals {self.sinkhorn_marginals!r}")
-        object.__setattr__(self, "positional_hidden", tuple(self.positional_hidden))
 
     @property
     def stack_depth(self) -> int:
@@ -82,8 +97,7 @@ class HyperParams:
                 f"hyper manifest has unknown fields {sorted(unknown)} "
                 f"and lacks fields {sorted(missing)}"
             )
-        values = dict(manifest, positional_hidden=tuple(manifest["positional_hidden"]))
-        return cls(**values)
+        return cls(**manifest)
 
 
 # Xavier gains: residual attention outputs and the score-producing projection

@@ -26,7 +26,7 @@ from .cloud import (
     select_keypoints,
 )
 from .container import read_container, write_container
-from .errors import FormatError
+from .errors import ArgumentError, FormatError
 from .network import HyperParams, feature_stacks
 from .transforms import RigidTransform
 
@@ -162,31 +162,74 @@ def _read_pillars(prefix: str, arrays: dict, kps: list[KeyPoint]) -> list[Pillar
     ]
 
 
+# shape of each array of one cloud in a pair file; "n" is the key-point count
+# of that cloud and "z" the pillar capacity shared by both clouds
+_CLOUD_SHAPES = {
+    "kp.position": ("n", 3), "kp.smoothness": ("n",), "kp.kind": ("n",), "kp.index": ("n",),
+    "pillar.members": ("n", "z", 4), "pillar.centroid": ("n", 3), "pillar.real_count": ("n",),
+}
+_LABEL_SETS = {"unmatched_rows": "src", "unmatched_cols": "tgt",
+               "ignored_rows": "src", "ignored_cols": "tgt"}
+_INTEGER_ARRAYS = ("kp.kind", "kp.index", "pillar.real_count")
+
+
+def _check_pair_arrays(path, arrays: dict) -> None:
+    """Every array a pair file needs, with consistent shapes, finite values,
+    integer labels and counts, and label indices inside their cloud."""
+    expected = {"gt_transform": (4, 4), "labels.matched": ("matched", 2)}
+    for prefix in ("src", "tgt"):
+        for key, shape in _CLOUD_SHAPES.items():
+            expected[f"{prefix}.{key}"] = tuple(prefix if d == "n" else d for d in shape)
+    expected.update({f"labels.{name}": (name,) for name in _LABEL_SETS})
+    sizes = {}
+    for name, shape in expected.items():
+        if name not in arrays:
+            raise FormatError(f"{path}: pair file lacks array {name!r}")
+        arr = arrays[name]
+        if arr.ndim != len(shape) or any(
+            sizes.setdefault(d, g) != g if isinstance(d, str) else d != g
+            for d, g in zip(shape, arr.shape)
+        ):
+            raise FormatError(f"{path}: array {name!r} has shape {arr.shape}, expected {shape}")
+        integral = name.startswith("labels.") or name.endswith(_INTEGER_ARRAYS)
+        if integral and arr.dtype.kind not in "iu":
+            raise FormatError(f"{path}: array {name!r} must hold integers, found {arr.dtype}")
+        if not np.all(np.isfinite(arr)):
+            raise FormatError(f"{path}: array {name!r} holds non-finite values")
+    bounded = [(arrays["labels.matched"][:, 0], sizes["src"]),
+               (arrays["labels.matched"][:, 1], sizes["tgt"])]
+    bounded += [(arrays[f"labels.{name}"], sizes[cloud]) for name, cloud in _LABEL_SETS.items()]
+    bounded += [(arrays[f"{cloud}.pillar.real_count"], sizes["z"] + 1) for cloud in ("src", "tgt")]
+    for values, stop in bounded:
+        if np.any((values < 0) | (values >= stop)):
+            raise FormatError(f"{path}: a label index or pillar count is out of range")
+
+
 def read_pair(path) -> PreprocessedPair:
     meta, arrays = read_container(path, expect_kind="pair")
+    _check_pair_arrays(path, arrays)
     try:
         src_kps = _read_keypoints("src", arrays)
         tgt_kps = _read_keypoints("tgt", arrays)
-        matched = arrays["labels.matched"]
         labels = CorrespondenceLabels(
-            matched=frozenset((int(i), int(j)) for i, j in matched),
+            matched=frozenset((int(i), int(j)) for i, j in arrays["labels.matched"]),
             unmatched_rows=frozenset(int(v) for v in arrays["labels.unmatched_rows"]),
             unmatched_cols=frozenset(int(v) for v in arrays["labels.unmatched_cols"]),
             ignored_rows=frozenset(int(v) for v in arrays["labels.ignored_rows"]),
             ignored_cols=frozenset(int(v) for v in arrays["labels.ignored_cols"]),
         )
-        src_pillars = _read_pillars("src", arrays, src_kps)
-        tgt_pillars = _read_pillars("tgt", arrays, tgt_kps)
         gt_transform = RigidTransform(arrays["gt_transform"])
-    except KeyError as exc:
-        raise FormatError(f"{path}: pair file lacks array {exc}") from None
+    except ArgumentError as exc:
+        raise FormatError(f"{path}: {exc}") from None
     meta = dict(meta)
-    distance = int(meta.pop("frame_distance", 1))
+    distance = meta.pop("frame_distance", 1)
+    if not isinstance(distance, int) or isinstance(distance, bool):
+        raise FormatError(f"{path}: frame_distance must be an integer, got {distance!r}")
     return PreprocessedPair(
         src_keypoints=src_kps,
         tgt_keypoints=tgt_kps,
-        src_pillars=src_pillars,
-        tgt_pillars=tgt_pillars,
+        src_pillars=_read_pillars("src", arrays, src_kps),
+        tgt_pillars=_read_pillars("tgt", arrays, tgt_kps),
         labels=labels,
         gt_transform=gt_transform,
         frame_distance=distance,

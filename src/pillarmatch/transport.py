@@ -2,7 +2,8 @@
 
 All heavy lifting stays in the log domain: the assignment matrix holds log
 probabilities, normalization subtracts log-sum-exp corrections, and only the
-final readout or exports exponentiate.
+final readout or exports exponentiate. Sinkhorn is one tape node whose
+backward replays its iterations in reverse.
 """
 from __future__ import annotations
 
@@ -95,20 +96,15 @@ def _log_marginals(n_rows: int, n_cols: int, marginals: str, dtype):
     return row, col
 
 
-def sinkhorn(
-    augmented: Tensor,
-    iterations: int = 100,
-    mode: str = "alternating",
-    marginals: str = "uniform",
-    track_deviation: bool = False,
-) -> AssignmentMatrix:
-    """Iterative log-domain row/column normalization.
+def sinkhorn(augmented: Tensor, iterations: int = 100, mode: str = "alternating",
+             marginals: str = "uniform") -> AssignmentMatrix:
+    """Iterative log-domain row/column normalization, recorded as one tape node.
 
     Alternating mode applies the row correction, recomputes, then the column
     correction each iteration and converges to the doubly stochastic target.
     Simultaneous mode subtracts both corrections from the same iterate; it is
     kept for fidelity with the closed-form statement of the update but does
-    not converge in general.
+    not converge in general. The backward pass replays the iterations in reverse.
     """
     if iterations < 1:
         raise ArgumentError("sinkhorn needs at least one iteration")
@@ -116,33 +112,34 @@ def sinkhorn(
         raise ArgumentError(f"unknown sinkhorn mode {mode!r}")
     if not np.all(np.isfinite(augmented.data)):
         raise NumericError("sinkhorn input contains non-finite values")
-    n_rows, n_cols = augmented.shape
-    log_mu, log_nu = _log_marginals(n_rows, n_cols, marginals, augmented.data.dtype)
-    mu = ad.as_tensor(log_mu)
-    nu = ad.as_tensor(log_nu)
-
-    deviations = [] if track_deviation else None
-    current = augmented
+    log_mu, log_nu = _log_marginals(*augmented.shape, marginals, augmented.dtype)
+    simultaneous = mode == "simultaneous"
+    steps = []  # (row input, its log-sum-exp, column input, its log-sum-exp)
+    current = augmented.data
     for _ in range(iterations):
-        if mode == "alternating":
-            row_fix = current.logsumexp(axis=1, keepdims=True) - mu
-            current = current - row_fix.broadcast_to(current.shape)
-            col_fix = current.logsumexp(axis=0, keepdims=True) - nu
-            current = current - col_fix.broadcast_to(current.shape)
-        else:
-            row_fix = current.logsumexp(axis=1, keepdims=True) - mu
-            col_fix = current.logsumexp(axis=0, keepdims=True) - nu
-            current = (
-                current
-                - row_fix.broadcast_to(current.shape)
-                - col_fix.broadcast_to(current.shape)
-            )
-        if deviations is not None:
-            deviations.append(marginal_deviation(current.data, log_mu, log_nu))
-    result = AssignmentMatrix(log_p=current, iterations=iterations, mode=mode)
-    if track_deviation:
-        return result, deviations
-    return result
+        row_in = current
+        row_lse = ad.logsumexp_array(row_in, axis=1)
+        current = row_in - (row_lse - log_mu)
+        col_in = row_in if simultaneous else current
+        col_lse = ad.logsumexp_array(col_in, axis=0)
+        current = current - (col_lse - log_nu)
+        if augmented.requires_grad:
+            steps.append((row_in, row_lse, col_in, col_lse))
+    out = ad._node(current, (augmented,), "sinkhorn")
+    if out.requires_grad:
+        def back():
+            # each correction x - lse(x) maps g to g - softmax(x) * g.sum(axis)
+            g = out.grad.copy()
+            for row_in, row_lse, col_in, col_lse in reversed(steps):
+                col_term = np.exp(col_in - col_lse) * g.sum(axis=0, keepdims=True)
+                if not simultaneous:
+                    g -= col_term
+                g -= np.exp(row_in - row_lse) * g.sum(axis=1, keepdims=True)
+                if simultaneous:
+                    g -= col_term
+            augmented._accumulate(g)
+        out._backward = back
+    return AssignmentMatrix(log_p=out, iterations=iterations, mode=mode)
 
 
 def marginal_deviation(log_p: np.ndarray, log_mu=None, log_nu=None) -> float:

@@ -358,3 +358,50 @@ def test_malformed_pair_and_dataset_are_data_errors(tmp_path, capsys):
     assert main(["eval", "--data", str(data), "--matchers", "nn"]) == 3
     (data / "manifest.json").write_text('{"kind": "pair-dataset", "version": 1}')
     assert main(["eval", "--data", str(data), "--matchers", "nn"]) == 3
+
+
+def test_corrupt_container_is_data_error(tmp_path, capsys):
+    data = run_synth(tmp_path, "data", num_pairs=1, seed=5)
+    checkpoint = untrained_checkpoint(tmp_path)
+    pair = data / "pair_00000.ppair"
+    raw = pair.read_bytes()
+    # drop the first array entry's name: the manifest stays valid JSON of equal length
+    pair.write_bytes(raw.replace(b'"name":', b'"nome":', 1))
+    assert main(["match", "--checkpoint", str(checkpoint), "--pair", str(pair)]) == 3
+    assert capsys.readouterr().err.startswith("error: ")
+
+
+def test_wrong_hyper_type_is_config_error(tmp_path, capsys):
+    data = run_synth(tmp_path, "data", num_pairs=1, seed=5)
+    checkpoint = untrained_checkpoint(tmp_path)
+    rewrite_container(checkpoint, "checkpoint",
+                      lambda meta, arrays: meta["hyper"].update(feature_depth="8"))
+    args = ["match", "--checkpoint", str(checkpoint), "--pair", str(data / "pair_00000.ppair")]
+    assert main(args) == 2
+    assert "feature_depth" in capsys.readouterr().err
+
+
+def test_misshapen_pair_array_is_data_error(tmp_path, capsys):
+    data = run_synth(tmp_path, "data", num_pairs=1, seed=5)
+    checkpoint = untrained_checkpoint(tmp_path)
+    pair = data / "pair_00000.ppair"
+    rewrite_container(pair, "pair", lambda meta, arrays: arrays.update(
+        {"labels.matched": np.zeros((2, 3), dtype=np.int64)}))
+    assert main(["match", "--checkpoint", str(checkpoint), "--pair", str(pair)]) == 3
+    assert "labels.matched" in capsys.readouterr().err
+
+
+def test_resume_without_adam_moments_is_config_error(tmp_path, capsys):
+    data = run_synth(tmp_path, "data", num_pairs=2, seed=4)
+    part_dir = tmp_path / "part"
+    common = ["--data", str(data), "--loss", "nll", "--batch-size", "2", "--seed", "9",
+              "--learning-rate", "1e-3", *TOY_FLAGS]
+    assert main(["train", "--out", str(part_dir), "--epochs", "1", *common]) == 0
+    checkpoint = part_dir / "checkpoint_final.pmc"
+    rewrite_container(checkpoint, "checkpoint",
+                      lambda meta, arrays: arrays.pop("extra.adam.m.dustbin.score"))
+    capsys.readouterr()
+    code = main(["train", "--out", str(tmp_path / "resumed"), "--epochs", "2",
+                 "--resume", str(checkpoint), *common])
+    assert code == 2
+    assert "adam.m.dustbin.score" in capsys.readouterr().err

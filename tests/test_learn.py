@@ -4,19 +4,21 @@ import pytest
 from conftest import synthetic_labels, toy_hyper, toy_pair
 
 from pillarmatch.autodiff import Tensor, grad_check
-from pillarmatch.errors import ArgumentError, NumericError
+from pillarmatch.errors import ArgumentError, ConfigError, NumericError
 from pillarmatch.learn import (
     AdamState,
     TrainRun,
     adam_step,
     compute_loss,
+    load_optimizer,
     loss_dce,
     loss_nll,
     loss_nllp,
     match_metrics,
     train,
+    write_training_checkpoint,
 )
-from pillarmatch.network import ModelParameters
+from pillarmatch.network import ModelParameters, load_checkpoint
 from pillarmatch.pipeline import batch_assignments
 from pillarmatch.transport import AssignmentMatrix, MatchSet, extract_matches
 
@@ -352,3 +354,58 @@ def test_train_batch_order_invariant_loss():
         return total.item() / len(batch)
 
     assert batch_loss([0, 1, 2]) == pytest.approx(batch_loss([2, 0, 1]), rel=1e-9)
+
+
+# ---------------------------------------------------------------------------
+# optimizer resume
+# ---------------------------------------------------------------------------
+
+def trained_checkpoint(tmp_path):
+    hyper, pairs = small_dataset(count=2)
+    run = TrainRun(epochs=1, batch_size=2, seed=4, loss_kind="nll", learning_rate=1e-3)
+    result = train(pairs, run, hyper)
+    path = tmp_path / "checkpoint.pmc"
+    write_training_checkpoint(path, result.params, run, result.optimizer, 1)
+    return path, result.optimizer
+
+
+def test_load_optimizer_restores_every_moment(tmp_path):
+    path, saved = trained_checkpoint(tmp_path)
+    params, meta, extras = load_checkpoint(path)
+    state = load_optimizer(meta, extras, params.named_parameters())
+    assert state.step == saved.step == 1
+    assert state.first_moment.keys() == params.named_parameters().keys()
+    for name in saved.first_moment:
+        np.testing.assert_array_equal(state.first_moment[name], saved.first_moment[name])
+        np.testing.assert_array_equal(state.second_moment[name], saved.second_moment[name])
+
+
+@pytest.mark.parametrize("defect", ["missing-first", "missing-second", "misshapen"])
+def test_load_optimizer_requires_every_moment_after_a_step(tmp_path, defect):
+    path, _ = trained_checkpoint(tmp_path)
+    params, meta, extras = load_checkpoint(path)
+    if defect == "missing-first":
+        del extras["adam.m.pillar.weight"]
+    elif defect == "missing-second":
+        del extras["adam.v.dustbin.score"]
+    else:
+        extras["adam.v.project.weight"] = extras["adam.v.project.weight"][:2]
+    with pytest.raises(ConfigError, match="adam"):
+        load_optimizer(meta, extras, params.named_parameters())
+
+
+def test_load_optimizer_without_steps_needs_no_moments():
+    params = ModelParameters.initialize(toy_hyper(), seed=0)
+    state = load_optimizer({"optimizer": {"step": 0}}, {}, params.named_parameters())
+    assert state.step == 0 and state.first_moment == {} and state.second_moment == {}
+    fresh = load_optimizer({}, {}, params.named_parameters())
+    assert fresh == AdamState()
+
+
+@pytest.mark.parametrize("optimizer", [
+    {"step": "3"}, {"step": -1}, {"step": 1.5}, {"learning_rate": "fast"}, [1],
+])
+def test_load_optimizer_bad_settings_are_config_errors(optimizer):
+    params = ModelParameters.initialize(toy_hyper(), seed=0)
+    with pytest.raises(ConfigError):
+        load_optimizer({"optimizer": optimizer}, {}, params.named_parameters())

@@ -373,3 +373,23 @@ def test_checkpoint_requires_every_running_stat(tmp_path, stat, defect):
     rewrite_container(path, "checkpoint", edit)
     with pytest.raises(ConfigError, match="running statistic"):
         load_checkpoint(path)
+
+
+@pytest.mark.parametrize("field,value", [
+    ("feature_depth", "8"), ("src_keypoints", 4.0), ("attention_heads", 0),
+    ("pillar_points", -4), ("post_attention_mlp", 1), ("pillar_radius", "0.5"),
+    ("match_threshold", float("nan")), ("sinkhorn_mode", None),
+    ("positional_hidden", 8), ("positional_hidden", ["8", 16]), ("attention_layers", True),
+])
+def test_hyper_wrong_type_is_config_error(tmp_path, field, value):
+    with pytest.raises(ConfigError, match=field):
+        toy_hyper(**{field: value})
+    manifest = dict(toy_hyper().to_manifest(), **{field: value})
+    with pytest.raises(ConfigError, match=field):
+        HyperParams.from_manifest(manifest)
+
+
+def test_hyper_accepts_list_widths_and_integer_floats():
+    hyper = toy_hyper(positional_hidden=[8, 16], pillar_radius=1, dustbin_init=np.float32(0.5))
+    assert hyper.positional_hidden == (8, 16)
+    assert HyperParams.from_manifest(hyper.to_manifest()) == hyper

@@ -96,3 +96,59 @@ def test_load_dataset_malformed_manifest_is_format_error(tmp_path, manifest):
     (tmp_path / "manifest.json").write_text(manifest)
     with pytest.raises(FormatError):
         load_dataset(tmp_path)
+
+
+def set_array(name, value):
+    def edit(meta, arrays):
+        arrays[name] = np.asarray(value)
+    return edit
+
+
+@pytest.mark.parametrize("name,value", [
+    ("labels.matched", np.zeros((2, 3), dtype=np.int64)),
+    ("labels.matched", np.zeros(4, dtype=np.int64)),
+    ("labels.unmatched_rows", np.zeros((1, 1), dtype=np.int64)),
+    ("src.kp.position", np.zeros((4, 2))),
+    ("tgt.kp.index", np.zeros(3, dtype=np.int64)),
+    ("src.pillar.members", np.zeros((4, 5, 4))),
+    ("gt_transform", np.eye(3)),
+])
+def test_read_pair_misshapen_array_is_format_error(tmp_path, name, value):
+    path = tmp_path / "pair.ppair"
+    write_pair(path, toy_pair(seed=31))
+    rewrite_container(path, "pair", set_array(name, value))
+    with pytest.raises(FormatError, match="shape"):
+        read_pair(path)
+
+
+@pytest.mark.parametrize("name,value", [
+    ("labels.matched", [[0, 4]]),
+    ("labels.matched", [[-1, 0]]),
+    ("labels.ignored_rows", [4]),
+    ("src.pillar.real_count", [5, 0, 0, 0]),
+    ("tgt.pillar.real_count", [-1, 0, 0, 0]),
+])
+def test_read_pair_out_of_range_index_is_format_error(tmp_path, name, value):
+    path = tmp_path / "pair.ppair"
+    write_pair(path, toy_pair(seed=31))
+    rewrite_container(path, "pair", set_array(name, np.asarray(value, dtype=np.int64)))
+    with pytest.raises(FormatError, match="out of range"):
+        read_pair(path)
+
+
+@pytest.mark.parametrize("edit", [
+    set_array("gt_transform", np.diag([2.0, 1.0, 1.0, 1.0])),
+    set_array("labels.matched", np.array([[0, 0], [0, 1]], dtype=np.int64)),
+    lambda meta, arrays: meta.update(frame_distance="1"),
+    set_array("labels.unmatched_cols", np.array([1.0])),
+    set_array("src.pillar.real_count", np.array([1.0, 2.0, 3.0, 4.0])),
+    set_array("tgt.kp.position", np.full((4, 3), np.nan)),
+], ids=["non-rigid-transform", "not-one-to-one", "string-distance", "float-labels",
+        "float-counts", "nan-positions"])
+def test_read_pair_inconsistent_content_is_format_error(tmp_path, edit):
+    path = tmp_path / "pair.ppair"
+    write_pair(path, toy_pair(seed=31))
+    rewrite_container(path, "pair", edit)
+    with pytest.raises(FormatError):
+        read_pair(path)
+

@@ -7,6 +7,7 @@ from pillarmatch.autodiff import Tensor, grad_check
 from pillarmatch.errors import ArgumentError, NumericError, ShapeError
 from pillarmatch.transport import (
     AssignmentMatrix,
+    _log_marginals,
     augment_dustbin,
     extract_matches,
     marginal_deviation,
@@ -127,7 +128,10 @@ def test_sinkhorn_doubly_stochastic_101(rng):
 
 def test_sinkhorn_deviation_non_increasing(rng):
     matrix = rng.uniform(-10.0, 10.0, size=(33, 33))
-    _, deviations = sinkhorn(t(matrix), iterations=60, track_deviation=True)
+    deviations = [
+        marginal_deviation(sinkhorn(t(matrix), iterations=k).log_p.data)
+        for k in range(1, 61)
+    ]
     diffs = np.diff(deviations)
     assert np.all(diffs <= 1e-9)
 
@@ -148,6 +152,79 @@ def test_sinkhorn_differentiable(rng):
         return (sinkhorn(matrix, iterations=10).log_p * weights).sum()
 
     assert grad_check(objective, [matrix]) < 1e-4
+
+
+def unrolled_sinkhorn(augmented, iterations, mode="alternating", marginals="uniform"):
+    """Reference: the iterations as generic tape ops, one node per operation."""
+    log_mu, log_nu = _log_marginals(*augmented.shape, marginals, augmented.dtype)
+    mu, nu = Tensor(log_mu), Tensor(log_nu)
+    current = augmented
+    for _ in range(iterations):
+        row_fix = current.logsumexp(axis=1, keepdims=True) - mu
+        col_source = current
+        current = current - row_fix.broadcast_to(current.shape)
+        if mode == "alternating":
+            col_source = current
+        col_fix = col_source.logsumexp(axis=0, keepdims=True) - nu
+        current = current - col_fix.broadcast_to(current.shape)
+    return current
+
+
+def fused_and_unrolled(matrix, weights, iterations, **kwargs):
+    """``(log_p, input gradient)`` of the op and of the unrolled reference."""
+    out = []
+    for run in (lambda a: sinkhorn(a, iterations, **kwargs).log_p,
+                lambda a: unrolled_sinkhorn(a, iterations, **kwargs)):
+        augmented = Tensor(matrix.copy(), requires_grad=True)
+        log_p = run(augmented)
+        (log_p * Tensor(weights)).sum().backward()
+        out.append((log_p.data, augmented.grad))
+    return out
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("shape,marginals", [((33, 33), "uniform"), ((101, 101), "uniform"),
+                                             ((9, 14), "dustbin-weighted")])
+def test_sinkhorn_alternating_bit_identical_to_unrolled(rng, dtype, shape, marginals):
+    matrix = rng.uniform(-10.0, 10.0, size=shape).astype(dtype)
+    weights = rng.normal(size=shape).astype(dtype)
+    (fused, fused_grad), (ref, ref_grad) = fused_and_unrolled(
+        matrix, weights, 100, marginals=marginals)
+    assert fused.dtype == fused_grad.dtype == dtype
+    np.testing.assert_array_equal(fused, ref)
+    np.testing.assert_array_equal(fused_grad, ref_grad)
+
+
+@pytest.mark.parametrize("marginals", ["uniform", "dustbin-weighted"])
+def test_sinkhorn_simultaneous_matches_unrolled(rng, marginals):
+    matrix = rng.uniform(-4.0, 4.0, size=(12, 17))
+    weights = rng.normal(size=(12, 17))
+    (fused, fused_grad), (ref, ref_grad) = fused_and_unrolled(
+        matrix, weights, 7, mode="simultaneous", marginals=marginals)
+    np.testing.assert_allclose(fused, ref, rtol=0, atol=1e-12)
+    np.testing.assert_allclose(fused_grad, ref_grad, rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("mode,marginals", [("simultaneous", "uniform"),
+                                            ("alternating", "dustbin-weighted"),
+                                            ("simultaneous", "dustbin-weighted")])
+def test_sinkhorn_grad_check_modes_and_marginals(rng, mode, marginals):
+    matrix = t(rng.normal(size=(5, 6)), grad=True)
+    weights = t(rng.normal(size=(5, 6)))
+
+    def objective():
+        out = sinkhorn(matrix, iterations=6, mode=mode, marginals=marginals)
+        return (out.log_p * weights).sum()
+
+    assert grad_check(objective, [matrix]) < 1e-4
+
+
+def test_sinkhorn_is_one_tape_node(rng):
+    augmented = t(rng.normal(size=(4, 5)), grad=True)
+    log_p = sinkhorn(augmented, iterations=20).log_p
+    assert log_p._parents == (augmented,)
+    frozen = sinkhorn(t(rng.normal(size=(4, 5))), iterations=20).log_p
+    assert frozen._parents == () and not frozen.requires_grad
 
 
 def test_sinkhorn_rejects_bad_input():
