@@ -2,16 +2,20 @@
 
 Every operation returns a new :class:`Tensor` carrying a closure that routes
 the output gradient to the operation's inputs. ``backward()`` replays the
-closures in reverse topological order exactly once; a second call on the same
-root tensor raises. There is no broadcasting beyond the few explicit ops that
-need it (``broadcast_to``, bias addition inside ``linear``), which keeps the
-tape auditable.
+closures in reverse topological order exactly once, passing each its node's
+gradient; a second call on the same root tensor raises. No closure refers to
+the tensor it belongs to, so the tape holds no reference cycle and is freed
+by reference counting as soon as its last tensor goes. Inside
+:func:`no_grad` ops record nothing at all. There is no broadcasting beyond
+the few explicit ops that need it (``broadcast_to``, bias addition inside
+``linear``), which keeps the tape auditable.
 
 Training and inference run in 32-bit; gradient checking requires 64-bit
 tensors because central differences are unreliable in single precision.
 """
 from __future__ import annotations
 
+from contextlib import contextmanager
 from dataclasses import dataclass
 
 import numpy as np
@@ -22,6 +26,9 @@ from .errors import ArgumentError, NumericError, ShapeError
 # internal errors rather than being allowed to propagate.
 CHECK_FINITE = True
 
+# False inside ``no_grad``: op outputs then get no parents and no backward.
+_recording = True
+
 
 def _check_finite(data: np.ndarray, op: str) -> None:
     if CHECK_FINITE and not np.all(np.isfinite(data)):
@@ -31,7 +38,8 @@ def _check_finite(data: np.ndarray, op: str) -> None:
 class Tensor:
     """A numpy array plus the bookkeeping needed for reverse-mode gradients."""
 
-    __slots__ = ("data", "grad", "requires_grad", "_parents", "_backward", "_back_done")
+    __slots__ = ("data", "grad", "requires_grad", "_parents", "_backward", "_back_done",
+                 "__weakref__")
 
     def __init__(self, data, requires_grad: bool = False):
         arr = np.asarray(data)
@@ -110,7 +118,7 @@ class Tensor:
 
         for node in reversed(topo):
             if node._backward is not None:
-                node._backward()
+                node._backward(node.grad)
         self._back_done = True
 
     # -- arithmetic -----------------------------------------------------------
@@ -118,11 +126,11 @@ class Tensor:
         _same_shape(self, other, "add")
         out = _node(self.data + other.data, (self, other), "add")
         if out.requires_grad:
-            def back():
+            def back(grad):
                 if self.requires_grad:
-                    self._accumulate(out.grad)
+                    self._accumulate(grad)
                 if other.requires_grad:
-                    other._accumulate(out.grad)
+                    other._accumulate(grad)
             out._backward = back
         return out
 
@@ -130,19 +138,19 @@ class Tensor:
         _same_shape(self, other, "sub")
         out = _node(self.data - other.data, (self, other), "sub")
         if out.requires_grad:
-            def back():
+            def back(grad):
                 if self.requires_grad:
-                    self._accumulate(out.grad)
+                    self._accumulate(grad)
                 if other.requires_grad:
-                    other._accumulate(-out.grad)
+                    other._accumulate(-grad)
             out._backward = back
         return out
 
     def __neg__(self) -> "Tensor":
         out = _node(-self.data, (self,), "neg")
         if out.requires_grad:
-            def back():
-                self._accumulate(-out.grad)
+            def back(grad):
+                self._accumulate(-grad)
             out._backward = back
         return out
 
@@ -151,18 +159,18 @@ class Tensor:
             _same_shape(self, other, "mul")
             out = _node(self.data * other.data, (self, other), "mul")
             if out.requires_grad:
-                def back():
+                def back(grad):
                     if self.requires_grad:
-                        self._accumulate(out.grad * other.data)
+                        self._accumulate(grad * other.data)
                     if other.requires_grad:
-                        other._accumulate(out.grad * self.data)
+                        other._accumulate(grad * self.data)
                 out._backward = back
             return out
         scalar = float(other)
         out = _node(self.data * scalar, (self,), "scale")
         if out.requires_grad:
-            def back():
-                self._accumulate(out.grad * scalar)
+            def back(grad):
+                self._accumulate(grad * scalar)
             out._backward = back
         return out
 
@@ -173,11 +181,11 @@ class Tensor:
             raise ShapeError(f"matmul shapes {self.shape} and {other.shape} incompatible")
         out = _node(self.data @ other.data, (self, other), "matmul")
         if out.requires_grad:
-            def back():
+            def back(grad):
                 if self.requires_grad:
-                    self._accumulate(out.grad @ other.data.T)
+                    self._accumulate(grad @ other.data.T)
                 if other.requires_grad:
-                    other._accumulate(self.data.T @ out.grad)
+                    other._accumulate(self.data.T @ grad)
             out._backward = back
         return out
 
@@ -185,8 +193,8 @@ class Tensor:
     def T(self) -> "Tensor":
         out = _node(self.data.T, (self,), "transpose")
         if out.requires_grad:
-            def back():
-                self._accumulate(out.grad.T)
+            def back(grad):
+                self._accumulate(grad.T)
             out._backward = back
         return out
 
@@ -195,22 +203,8 @@ class Tensor:
         out = _node(np.maximum(self.data, 0.0), (self,), "relu")
         if out.requires_grad:
             mask = self.data > 0.0
-            def back():
-                self._accumulate(out.grad * mask)
-            out._backward = back
-        return out
-
-    def softmax(self, axis: int = -1) -> "Tensor":
-        axis = _check_axis(axis, self.ndim, "softmax")
-        shifted = self.data - np.max(self.data, axis=axis, keepdims=True)
-        exp = np.exp(shifted)
-        prob = exp / np.sum(exp, axis=axis, keepdims=True)
-        out = _node(prob, (self,), "softmax")
-        if out.requires_grad:
-            def back():
-                g = out.grad
-                inner = np.sum(g * prob, axis=axis, keepdims=True)
-                self._accumulate(prob * (g - inner))
+            def back(grad):
+                self._accumulate(grad * mask)
             out._backward = back
         return out
 
@@ -221,8 +215,8 @@ class Tensor:
         out = _node(out_data, (self,), "logsumexp")
         if out.requires_grad:
             weights = np.exp(self.data - value)  # softmax along axis
-            def back():
-                g = out.grad if keepdims else np.expand_dims(out.grad, axis)
+            def back(grad):
+                g = grad if keepdims else np.expand_dims(grad, axis)
                 self._accumulate(weights * g)
             out._backward = back
         return out
@@ -230,17 +224,13 @@ class Tensor:
     def sum(self, axis=None) -> "Tensor":
         out = _node(np.sum(self.data, axis=axis), (self,), "sum")
         if out.requires_grad:
-            def back():
+            def back(grad):
                 if axis is None:
-                    self._accumulate(np.full_like(self.data, out.grad))
+                    self._accumulate(np.full_like(self.data, grad))
                 else:
-                    self._accumulate(np.broadcast_to(np.expand_dims(out.grad, axis), self.shape).copy())
+                    self._accumulate(np.broadcast_to(np.expand_dims(grad, axis), self.shape).copy())
             out._backward = back
         return out
-
-    def mean(self, axis=None) -> "Tensor":
-        count = self.size if axis is None else self.shape[axis]
-        return self.sum(axis=axis) * (1.0 / count)
 
     # -- shape ops --------------------------------------------------------------
     def broadcast_to(self, shape) -> "Tensor":
@@ -252,8 +242,7 @@ class Tensor:
         out = _node(np.ascontiguousarray(data), (self,), "broadcast")
         if out.requires_grad:
             in_shape = self.shape
-            def back():
-                g = out.grad
+            def back(g):
                 extra = g.ndim - len(in_shape)
                 if extra:
                     g = g.sum(axis=tuple(range(extra)))
@@ -271,10 +260,10 @@ class Tensor:
         index = tuple(index)
         out = _node(self.data[index].copy(), (self,), "narrow")
         if out.requires_grad:
-            def back():
+            def back(grad):
                 if self.grad is None:
                     self.grad = np.zeros_like(self.data)
-                self.grad[index] += out.grad
+                self.grad[index] += grad
             out._backward = back
         return out
 
@@ -282,10 +271,10 @@ class Tensor:
         idx = np.asarray(indices, dtype=np.intp)
         out = _node(self.data[idx], (self,), "gather_rows")
         if out.requires_grad:
-            def back():
+            def back(grad):
                 if self.grad is None:
                     self.grad = np.zeros_like(self.data)
-                np.add.at(self.grad, idx, out.grad)
+                np.add.at(self.grad, idx, grad)
             out._backward = back
         return out
 
@@ -296,10 +285,10 @@ class Tensor:
         c = np.asarray(cols, dtype=np.intp)
         out = _node(self.data[r, c], (self,), "gather_pairs")
         if out.requires_grad:
-            def back():
+            def back(grad):
                 if self.grad is None:
                     self.grad = np.zeros_like(self.data)
-                np.add.at(self.grad, (r, c), out.grad)
+                np.add.at(self.grad, (r, c), grad)
             out._backward = back
         return out
 
@@ -310,12 +299,26 @@ def logsumexp_array(data: np.ndarray, axis: int) -> np.ndarray:
     return high + np.log(np.sum(np.exp(data - high), axis=axis, keepdims=True))
 
 
+@contextmanager
+def no_grad():
+    """Run ops without recording a tape, for forward passes that never run backward."""
+    global _recording
+    previous, _recording = _recording, False
+    try:
+        yield
+    finally:
+        _recording = previous
+
+
+# Output tensor of one op. An op that records attaches ``out._backward =
+# back``, where ``back(grad)`` routes ``grad`` to the parents. ``back`` must
+# not refer to ``out``: that would make every tape a reference cycle.
 def _node(data: np.ndarray, parents: tuple, op: str) -> Tensor:
     _check_finite(data, op)
     out = Tensor.__new__(Tensor)
     out.data = data
     out.grad = None
-    out.requires_grad = any(p.requires_grad for p in parents)
+    out.requires_grad = _recording and any(p.requires_grad for p in parents)
     out._parents = parents if out.requires_grad else ()
     out._backward = None
     out._back_done = False
@@ -353,12 +356,12 @@ def concat(tensors, axis: int = 0) -> Tensor:
     if out.requires_grad:
         sizes = [t.shape[axis] for t in tensors]
         offsets = np.cumsum([0] + sizes)
-        def back():
+        def back(grad):
             for t, lo, hi in zip(tensors, offsets[:-1], offsets[1:]):
                 if t.requires_grad:
-                    index = [slice(None)] * out.ndim
+                    index = [slice(None)] * grad.ndim
                     index[axis] = slice(lo, hi)
-                    t._accumulate(out.grad[tuple(index)])
+                    t._accumulate(grad[tuple(index)])
         out._backward = back
     return out
 
@@ -377,8 +380,7 @@ def linear(x: Tensor, weight: Tensor, bias: Tensor | None = None) -> Tensor:
     parents = (x, weight) if bias is None else (x, weight, bias)
     out = _node(data, parents, "linear")
     if out.requires_grad:
-        def back():
-            g = out.grad
+        def back(g):
             if x.requires_grad:
                 x._accumulate(g @ weight.data)
             if weight.requires_grad:
@@ -446,8 +448,7 @@ def batchnorm(x: Tensor, state: BatchNormState, train: bool) -> Tensor:
     out = _node(xhat * gamma.data + beta.data, (x, gamma, beta), "batchnorm")
     if out.requires_grad:
         n = x.shape[0]
-        def back():
-            g = out.grad
+        def back(g):
             if gamma.requires_grad:
                 gamma._accumulate((g * xhat).sum(axis=0))
             if beta.requires_grad:

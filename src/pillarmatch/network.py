@@ -4,10 +4,13 @@ Pillar stacks and key-point coordinates pass through a shared linear pillar
 encoder and a shared positional MLP, are summed into graph node states, then
 refined by alternating self/cross multi-head attention layers with residual
 connections, and finally projected into matching descriptors. All weights are
-shared between the two clouds within a layer.
+shared between the two clouds within a layer. Query, key and value weights
+are stored per head; a layer stacks them into one projection each and runs
+every head in a single :func:`attention` tape node.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, fields, asdict
 
 import numpy as np
@@ -278,41 +281,65 @@ def init_nodes(descriptors: Tensor, positions: Tensor) -> Tensor:
     return descriptors + positions
 
 
-def attention(q: Tensor, k: Tensor, v: Tensor, depth: int | None = None) -> Tensor:
-    """softmax(q k^T / sqrt(depth)) v, softmax over the key axis.
+# (rows, heads * d) <-> (heads, rows, d): head h is column block h
+def _split_heads(data: np.ndarray, heads: int) -> np.ndarray:
+    return data.reshape(len(data), heads, -1).transpose(1, 0, 2)
 
-    ``depth`` defaults to the query feature depth; multi-head callers pass the
-    full node depth so the scale stays 1/sqrt(feature_depth) inside heads.
+
+def _merge_heads(data: np.ndarray) -> np.ndarray:
+    return data.transpose(1, 0, 2).reshape(data.shape[1], -1)
+
+
+def attention(q: Tensor, k: Tensor, v: Tensor, depth: int | None = None,
+              heads: int = 1) -> Tensor:
+    """softmax(q_h k_h^T / sqrt(depth)) v_h per head h, softmax over the key axis.
+
+    Head h owns column block h of ``q``, ``k``, ``v`` and the output. ``depth``
+    defaults to the per-head query depth; multi-head callers pass the full
+    node depth so the scale stays 1/sqrt(feature_depth) inside heads. All
+    heads run batched in numpy and record one tape node.
     """
     if q.ndim != 2 or k.ndim != 2 or v.ndim != 2:
         raise ShapeError("attention expects 2-D q, k, v")
-    if q.shape[1] != k.shape[1] or k.shape[0] != v.shape[0]:
+    if (q.shape[1] != k.shape[1] or k.shape[0] != v.shape[0]
+            or q.shape[1] % heads or v.shape[1] % heads):
         raise ShapeError(
-            f"attention shapes incompatible: q{q.shape} k{k.shape} v{v.shape}"
+            f"attention shapes incompatible with {heads} heads: q{q.shape} k{k.shape} v{v.shape}"
         )
-    if depth is None:
-        depth = q.shape[1]
-    scores = (q @ k.T) * (1.0 / np.sqrt(float(depth)))
-    return scores.softmax(axis=1) @ v
+    # a Python float: a numpy scalar would promote float32 scores to float64
+    scale = 1.0 / math.sqrt(q.shape[1] // heads if depth is None else depth)
+    qh, kh, vh = (_split_heads(x.data, heads) for x in (q, k, v))
+    with np.errstate(over="ignore"):  # overflowing scores are reported just below
+        scores = (qh @ kh.transpose(0, 2, 1)) * scale
+    ad._check_finite(scores, "attention")
+    exp = np.exp(scores - np.max(scores, axis=2, keepdims=True))
+    prob = exp / np.sum(exp, axis=2, keepdims=True)
+    out = ad._node(_merge_heads(prob @ vh), (q, k, v), "attention")
+    if out.requires_grad:
+        def back(grad):
+            gh = _split_heads(grad, heads)
+            g_prob = gh @ vh.transpose(0, 2, 1)
+            g_scores = prob * (g_prob - np.sum(g_prob * prob, axis=2, keepdims=True)) * scale
+            for x, g in ((q, g_scores @ kh), (k, g_scores.transpose(0, 2, 1) @ qh),
+                         (v, prob.transpose(0, 2, 1) @ gh)):
+                if x.requires_grad:
+                    x._accumulate(_merge_heads(g))
+        out._backward = back
+    return out
 
 
 def multi_head_attention(
     layer: AttentionLayerParams, queries: Tensor, sources: Tensor, hyper: HyperParams
 ) -> Tensor:
+    # per-head weights stack into one projection each; one node runs every head
     scale_depth = hyper.feature_depth if hyper.attention_scale == "full" else hyper.head_depth
-    heads = []
-    for wq, wk, wv in zip(layer.query_weights, layer.key_weights, layer.value_weights):
-        heads.append(
-            attention(
-                ad.linear(queries, wq),
-                ad.linear(sources, wk),
-                ad.linear(sources, wv),
-                depth=scale_depth,
-            )
-        )
-    merged = ad.concat(heads, axis=1)
-    if merged.shape[1] != hyper.feature_depth:
-        raise ShapeError("concatenated heads do not reassemble the feature depth")
+    merged = attention(
+        ad.linear(queries, ad.concat(layer.query_weights)),
+        ad.linear(sources, ad.concat(layer.key_weights)),
+        ad.linear(sources, ad.concat(layer.value_weights)),
+        depth=scale_depth,
+        heads=hyper.attention_heads,
+    )
     out = ad.linear(merged, layer.output_weight)
     if layer.mlp_weights:
         hidden = ad.linear(out, layer.mlp_weights[0]).relu()

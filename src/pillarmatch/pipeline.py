@@ -2,12 +2,14 @@
 
 For mini-batches the pillar and positional encoders run jointly over every
 pillar of every pair so batch-norm statistics pool across the whole batch;
-the attention graph and transport layers then run per pair.
+the attention graph and transport layers then run per pair. Single-pair
+inference records no autodiff tape.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 
+from . import autodiff as ad
 from . import network as net
 from . import transport
 from .network import ModelParameters
@@ -52,10 +54,11 @@ def match_pair(
     threshold: float | None = None,
     sinkhorn_iterations: int | None = None,
 ) -> MatchResult:
-    """Inference for a single pair: assignment plus hard matches."""
-    assignment = batch_assignments(
-        params, [pair], train=False, sinkhorn_iterations=sinkhorn_iterations
-    )[0]
+    """Inference for a single pair: assignment plus hard matches, recording no tape."""
+    with ad.no_grad():
+        assignment = batch_assignments(
+            params, [pair], train=False, sinkhorn_iterations=sinkhorn_iterations
+        )[0]
     if threshold is None:
         threshold = params.hyper.match_threshold
     return MatchResult(

@@ -20,7 +20,10 @@ def _check_rigid(matrix: np.ndarray, atol: float) -> None:
     if not np.array_equal(matrix[3], [0.0, 0.0, 0.0, 1.0]):
         raise ArgumentError("transform bottom row must be (0, 0, 0, 1)")
     rot = matrix[:3, :3]
-    if not np.allclose(rot.T @ rot, np.eye(3), atol=atol):
+    # huge finite entries overflow rot.T @ rot to inf; that fails the test below
+    with np.errstate(over="ignore", invalid="ignore"):
+        orthonormal = np.allclose(rot.T @ rot, np.eye(3), atol=atol)
+    if not orthonormal:
         raise ArgumentError("rotation block is not orthonormal")
     if np.linalg.det(rot) < 0.0:
         raise ArgumentError("rotation block has negative determinant (reflection)")

@@ -127,9 +127,9 @@ def sinkhorn(augmented: Tensor, iterations: int = 100, mode: str = "alternating"
             steps.append((row_in, row_lse, col_in, col_lse))
     out = ad._node(current, (augmented,), "sinkhorn")
     if out.requires_grad:
-        def back():
+        def back(grad):
             # each correction x - lse(x) maps g to g - softmax(x) * g.sum(axis)
-            g = out.grad.copy()
+            g = grad.copy()
             for row_in, row_lse, col_in, col_lse in reversed(steps):
                 col_term = np.exp(col_in - col_lse) * g.sum(axis=0, keepdims=True)
                 if not simultaneous:

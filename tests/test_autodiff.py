@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 from pillarmatch import autodiff as ad
 from pillarmatch.autodiff import BatchNormState, Tensor, batchnorm, batchnorm_relu, grad_check, linear
 from pillarmatch.errors import ArgumentError, NumericError, ShapeError
+from pillarmatch.network import attention
 
 
 def t(values, grad=True):
@@ -36,24 +37,31 @@ def test_linear_shape_mismatch():
 
 
 # ---------------------------------------------------------------------------
-# softmax
+# softmax, as computed inside network.attention
 # ---------------------------------------------------------------------------
 
+def softmax_rows(x: Tensor) -> Tensor:
+    """Row softmax of a 2-D ``x`` read out of ``attention``: identity keys
+    make the scores ``x`` itself, identity values return the weights."""
+    eye = t(np.eye(x.shape[1]), grad=False)
+    return attention(x, eye, eye, depth=1)
+
+
 def test_softmax_symmetry():
-    out = t([0.0, 0.0]).softmax(axis=0)
-    np.testing.assert_allclose(out.data, [0.5, 0.5])
+    out = softmax_rows(t([[0.0, 0.0]]))
+    np.testing.assert_allclose(out.data[0], [0.5, 0.5])
 
 
 def test_softmax_overflow_stability():
-    out = t([1000.0, 0.0]).softmax(axis=0)
-    np.testing.assert_allclose(out.data, [1.0, 0.0])
+    out = softmax_rows(t([[1000.0, 0.0]]))
+    np.testing.assert_allclose(out.data[0], [1.0, 0.0])
 
 
 def test_softmax_matches_direct_formula(rng):
     x = rng.normal(size=5)
     expected = np.exp(x) / np.exp(x).sum()
-    out = t(x).softmax(axis=0)
-    np.testing.assert_allclose(out.data, expected, atol=1e-12)
+    out = softmax_rows(t(x[None, :]))
+    np.testing.assert_allclose(out.data[0], expected, atol=1e-12)
 
 
 @settings(max_examples=50, deadline=None)
@@ -61,7 +69,7 @@ def test_softmax_matches_direct_formula(rng):
     st.lists(st.floats(min_value=-1e4, max_value=1e4), min_size=2, max_size=8),
 )
 def test_softmax_rows_sum_to_one(values):
-    out = Tensor(np.array(values, dtype=np.float64)).softmax(axis=0)
+    out = softmax_rows(Tensor(np.array([values], dtype=np.float64)))
     assert abs(out.data.sum() - 1.0) < 1e-9
 
 
@@ -156,7 +164,7 @@ def test_grad_check_layers(op_name, rng):
         "matmul": (lambda: (a @ c).sum(), [a, c]),
         "linear": (lambda: linear(a, w, bias).sum(), [a, w, bias]),
         "relu": (lambda: scalarize(a.relu()), [a]),
-        "softmax": (lambda: scalarize(a.softmax(axis=1)), [a]),
+        "softmax": (lambda: scalarize(softmax_rows(a)), [a]),
         "logsumexp": (lambda: a.logsumexp(axis=1).sum() + a.logsumexp(axis=0).sum(), [a]),
         "concat": (lambda: ad.concat([a, b], axis=0).logsumexp(axis=0).sum(), [a, b]),
         "broadcast": (lambda: (a - a.logsumexp(axis=1, keepdims=True).broadcast_to(a.shape)).sum(), [a]),
@@ -208,6 +216,27 @@ def test_grad_check_requires_float64():
     x = Tensor(np.zeros(2, dtype=np.float32), requires_grad=True)
     with pytest.raises(ArgumentError):
         grad_check(lambda: (x * x).sum(), [x])
+
+
+def test_no_grad_records_no_tape():
+    x = t([1.0, 2.0])
+    with ad.no_grad():
+        out = (x * x).sum()
+    assert not out.requires_grad
+    assert out._parents == () and out._backward is None
+    np.testing.assert_array_equal(out.data, 5.0)
+
+
+def test_no_grad_recording_resumes_after_block_and_exception():
+    x = t([1.0, 2.0])
+    with ad.no_grad():
+        pass
+    assert (x * x)._parents == (x, x)
+    with pytest.raises(ValueError), ad.no_grad():
+        raise ValueError("inside the block")
+    out = (x * x).sum()
+    out.backward()
+    np.testing.assert_array_equal(x.grad, [2.0, 4.0])
 
 
 def test_deep_chain_backward_is_iterative():

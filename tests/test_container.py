@@ -1,11 +1,12 @@
 import json
+import warnings
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import toy_hyper, toy_pair
+from conftest import rewrite_container, toy_hyper, toy_pair
 
 from pillarmatch.container import read_container, write_container
 from pillarmatch.errors import ArgumentError, ConfigError, FormatError
@@ -192,6 +193,33 @@ def test_transform_rejects_bad_bottom_row():
     mat[3, 0] = 0.1
     with pytest.raises(ArgumentError):
         RigidTransform(mat)
+
+
+def huge_entry_transform():
+    mat = np.eye(4)
+    mat[0, 1] = 1e200  # finite, but rot.T @ rot overflows
+    return mat
+
+
+def test_transform_rejects_huge_entry_without_warning():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ArgumentError, match="orthonormal"):
+            RigidTransform(huge_entry_transform())
+
+
+def test_read_pair_huge_transform_is_format_error_without_warning(tmp_path):
+    path = tmp_path / "pair.ppair"
+    write_pair(path, toy_pair(seed=31))
+
+    def edit(meta, arrays):
+        arrays["gt_transform"] = huge_entry_transform()
+
+    rewrite_container(path, "pair", edit)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(FormatError):
+            read_pair(path)
 
 
 def test_rotation_angle_identity_and_known():

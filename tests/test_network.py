@@ -1,3 +1,7 @@
+import gc
+import warnings
+import weakref
+
 import numpy as np
 import pytest
 
@@ -5,7 +9,8 @@ from conftest import make_pillar, rewrite_container, toy_hyper, toy_pair
 
 from pillarmatch import autodiff as ad
 from pillarmatch.autodiff import Tensor, grad_check
-from pillarmatch.errors import ConfigError, ShapeError
+from pillarmatch.errors import ConfigError, NumericError, ShapeError
+from pillarmatch.learn import compute_loss
 from pillarmatch.network import (
     HyperParams,
     ModelParameters,
@@ -19,9 +24,10 @@ from pillarmatch.network import (
     gnn_layer,
     init_nodes,
     load_checkpoint,
+    multi_head_attention,
     save_checkpoint,
 )
-from pillarmatch.pipeline import batch_assignments
+from pillarmatch.pipeline import batch_assignments, match_pair
 from pillarmatch.transport import augment_dustbin, score_matrix, sinkhorn
 
 
@@ -199,6 +205,63 @@ def test_attention_scale_uses_full_depth(rng):
     np.testing.assert_allclose(full.data, weights @ v, atol=1e-10)
 
 
+def per_head_reference(q, k, v, depth, heads):
+    """The per-head formula attention replaced: each head's contiguous column
+    block through (q_h @ k_h.T) * scale, a max-shifted softmax, then @ v_h."""
+    scale = float(1.0 / np.sqrt(float(depth)))
+    outs = []
+    for qh, kh, vh in zip(*(np.split(x, heads, axis=1) for x in (q, k, v))):
+        qh, kh, vh = map(np.ascontiguousarray, (qh, kh, vh))
+        scores = (qh @ kh.T) * scale
+        exp = np.exp(scores - np.max(scores, axis=1, keepdims=True))
+        outs.append((exp / np.sum(exp, axis=1, keepdims=True)) @ vh)
+    return np.concatenate(outs, axis=1)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("heads", [1, 2, 3])
+def test_attention_heads_bit_identical_to_per_head_reference(rng, heads, dtype):
+    q = rng.normal(size=(5, 4 * heads)).astype(dtype)
+    k = rng.normal(size=(7, 4 * heads)).astype(dtype)
+    v = rng.normal(size=(7, 3 * heads)).astype(dtype)
+    out = attention(Tensor(q), Tensor(k), Tensor(v), depth=8, heads=heads)
+    assert out.dtype == dtype
+    np.testing.assert_array_equal(out.data, per_head_reference(q, k, v, 8, heads))
+
+
+@pytest.mark.parametrize("scale", ["full", "per-head"])
+def test_attention_multi_head_grad_check(rng, scale):
+    heads = 3
+    q, k = t(rng.normal(size=(4, 2 * heads))), t(rng.normal(size=(5, 2 * heads)))
+    v = t(rng.normal(size=(5, 3 * heads)))
+    weights = rng.normal(size=(4, 3 * heads))
+    depth = 2 * heads if scale == "full" else 2
+
+    def objective():
+        return (attention(q, k, v, depth=depth, heads=heads) * t(weights, grad=False)).sum()
+
+    assert grad_check(objective, [q, k, v]) < 1e-6
+
+
+def test_attention_is_one_tape_node(rng):
+    q, k, v = (t(rng.normal(size=(3, 4))) for _ in range(3))
+    out = attention(q, k, v, heads=2)
+    assert out._parents == (q, k, v)
+
+
+def test_attention_overflow_is_numeric_error_without_warning():
+    q = t(np.full((2, 4), 1e200))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NumericError):
+            attention(q, q, q, heads=2)
+
+
+def test_attention_heads_must_divide_depths():
+    with pytest.raises(ShapeError):
+        attention(t(np.zeros((2, 4))), t(np.zeros((3, 4))), t(np.zeros((3, 5))), heads=2)
+
+
 # ---------------------------------------------------------------------------
 # gnn layers
 # ---------------------------------------------------------------------------
@@ -308,6 +371,80 @@ def test_full_network_grad_check():
         "attention.0.head0.query", "attention.1.output", "project.weight",
     ]]
     assert grad_check(objective, subset, step=1e-4) < 1e-4
+
+
+# ---------------------------------------------------------------------------
+# tape budget and lifetime
+# ---------------------------------------------------------------------------
+
+def count_nodes(monkeypatch):
+    """Count ``ad._node`` calls from here on; returns the one-cell counter."""
+    counter = [0]
+    record = ad._node
+
+    def counting(*args):
+        counter[0] += 1
+        return record(*args)
+
+    monkeypatch.setattr(ad, "_node", counting)
+    return counter
+
+
+@pytest.mark.parametrize("mlp,expected", [(False, 8), (True, 11)])
+def test_multi_head_attention_node_budget(monkeypatch, rng, mlp, expected):
+    # three stacked-weight concats, three projections, attention, output
+    # projection; the optional MLP adds linear, relu, linear
+    hyper = toy_hyper(post_attention_mlp=mlp)
+    params = ModelParameters.initialize(hyper, seed=0)
+    nodes = Tensor(rng.normal(size=(4, hyper.feature_depth)).astype(np.float32))
+    counter = count_nodes(monkeypatch)
+    multi_head_attention(params.layers[0], nodes, nodes, hyper)
+    assert counter[0] == expected
+
+
+def test_batch_assignments_node_budget(monkeypatch):
+    # encoders 3 + 7 + init 1; per pair: narrow 2, two layers of two
+    # attention calls (8 each) and two residual adds, projections 2, scores
+    # 2, dustbin 5, sinkhorn 1
+    pair = toy_pair(seed=3)
+    params = ModelParameters.initialize(toy_hyper(), seed=0)
+    counter = count_nodes(monkeypatch)
+    batch_assignments(params, [pair], train=True)
+    assert counter[0] == 11 + 2 + 2 * (2 * 8 + 2) + 2 + 2 + 5 + 1
+
+
+def test_finished_tape_is_freed_without_the_cycle_collector():
+    pair = toy_pair(seed=3)
+    params = ModelParameters.initialize(toy_hyper(), seed=0)
+    was_enabled = gc.isenabled()
+    gc.disable()
+    try:
+        assignments = batch_assignments(params, [pair], train=True)
+        loss = compute_loss("nllp", assignments[0], pair.labels)
+        loss.backward()
+        # every op output on the tape, from the loss back to the first encoder
+        intermediates, stack, seen = [], [loss], set()
+        while stack:
+            node = stack.pop()
+            if node._parents and id(node) not in seen:
+                seen.add(id(node))
+                intermediates.append(weakref.ref(node))
+                stack.extend(node._parents)
+        assert len(intermediates) > 50
+        del loss, assignments, node, stack
+        assert [ref for ref in intermediates if ref() is not None] == []
+    finally:
+        if was_enabled:
+            gc.enable()
+
+
+def test_match_pair_records_no_tape():
+    pair = toy_pair(seed=3)
+    params = ModelParameters.initialize(toy_hyper(), seed=0)
+    log_p = match_pair(params, pair).assignment.log_p
+    assert not log_p.requires_grad
+    assert log_p._parents == () and log_p._backward is None
+    assert np.array_equal(log_p.data, batch_assignments(params, [pair])[0].log_p.data)
 
 
 # ---------------------------------------------------------------------------
