@@ -145,8 +145,10 @@ def _echo_config(directory: Path, command: str, args) -> None:
     (directory / "config.json").write_text(json.dumps(payload, sort_keys=True, indent=2) + "\n")
 
 
-def _preprocess(frame: FramePair, hyper: HyperParams, args, meta: dict | None = None):
-    """Preprocess one frame pair with the labeling flags of ``args``."""
+def _preprocess(frame: FramePair, hyper: HyperParams, args, meta: dict | None = None,
+                frames: dict | None = None):
+    """Preprocess one frame pair with the labeling flags of ``args``; ``frames``
+    is the per-frame memo of :func:`pairio.preprocess_pair`."""
     return pairio.preprocess_pair(
         frame,
         hyper,
@@ -155,7 +157,21 @@ def _preprocess(frame: FramePair, hyper: HyperParams, args, meta: dict | None = 
         neighborhood_size=args.neighborhood_size,
         min_separation=args.min_separation,
         meta=meta,
+        frames=frames,
     )
+
+
+def _parse_distances(text: str) -> list[int]:
+    """``--distances``: a non-empty comma list of frame distances >= 1."""
+    try:
+        distances = [int(v) for v in text.split(",") if v]
+    except ValueError:
+        distances = []
+    if not distances or min(distances) < 1:
+        raise ConfigError(
+            f"--distances must be a comma list of integers >= 1, got {text!r}"
+        )
+    return distances
 
 
 # ---------------------------------------------------------------------------
@@ -186,6 +202,7 @@ def cmd_synth(args) -> int:
 def cmd_preprocess(args) -> int:
     out = _resolve(args.out)
     hyper = _hyper_from_args(args)
+    distances = _parse_distances(args.distances)
     scan_dir = Path(args.scans)
     scan_files = sorted(scan_dir.glob("*.bin"))
     if not scan_files:
@@ -196,7 +213,8 @@ def cmd_preprocess(args) -> int:
             f"{len(scan_files)} scans but only {len(poses)} poses; every scan needs a pose"
         )
     clouds = [load_kitti_scan(p, frame_id=p.stem) for p in scan_files]
-    distances = [int(v) for v in args.distances.split(",") if v]
+    # each frame's key-points and pillars are built once across all distances
+    frames = {}
     pairs = []
     for distance in distances:
         count_before = len(pairs)
@@ -206,7 +224,7 @@ def cmd_preprocess(args) -> int:
             frame = FramePair(
                 source=clouds[i], target=clouds[j], gt_transform=gt, frame_distance=distance
             )
-            pairs.append(_preprocess(frame, hyper, args))
+            pairs.append(_preprocess(frame, hyper, args, frames=frames))
         if len(pairs) == count_before:
             print(f"warning: distance {distance} produced 0 pairs", file=sys.stderr)
     pairio.write_dataset(out, pairs, _args_echo(args))

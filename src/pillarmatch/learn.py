@@ -243,6 +243,26 @@ class TrainResult:
     steps: int
 
 
+def _train_step(batch, run: TrainRun, params: ModelParameters, named, optimizer: AdamState):
+    """One optimizer step on ``batch``; returns the batch loss and each pair's
+    match metrics as plain numbers, so the step's tape is freed when it
+    returns, before the next step builds its own."""
+    assignments = batch_assignments(params, batch, train=True)
+    loss = None
+    for pair, assign in zip(batch, assignments):
+        term = compute_loss(run.loss_kind, assign, pair.labels, run.nllp_penalty_excludes_dustbin)
+        loss = term if loss is None else loss + term
+    loss = loss * (1.0 / len(batch))
+    params.zero_grad()
+    loss.backward()
+    adam_step(named, optimizer)
+    metrics = [
+        match_metrics(extract_matches(assign, run.match_threshold), pair.labels)
+        for pair, assign in zip(batch, assignments)
+    ]
+    return loss.item(), metrics
+
+
 def train(
     pairs: list[PreprocessedPair],
     run: TrainRun,
@@ -282,26 +302,13 @@ def train(
         pair_count = 0
         for lo in range(0, len(order), run.batch_size):
             batch = [pairs[i] for i in order[lo : lo + run.batch_size]]
-            assignments = batch_assignments(params, batch, train=True)
-            loss = None
-            for pair, assign in zip(batch, assignments):
-                term = compute_loss(
-                    run.loss_kind, assign, pair.labels, run.nllp_penalty_excludes_dustbin
-                )
-                loss = term if loss is None else loss + term
-            loss = loss * (1.0 / len(batch))
-            params.zero_grad()
-            loss.backward()
-            adam_step(named, optimizer)
+            loss, metrics = _train_step(batch, run, params, named, optimizer)
             steps += 1
-            epoch_loss += loss.item()
+            epoch_loss += loss
             batches += 1
-            for pair, assign in zip(batch, assignments):
-                metrics = match_metrics(
-                    extract_matches(assign, run.match_threshold), pair.labels
-                )
-                stats["precision"] += metrics["precision"]
-                stats["accuracy"] += metrics["accuracy"]
+            for pair_metrics in metrics:
+                stats["precision"] += pair_metrics["precision"]
+                stats["accuracy"] += pair_metrics["accuracy"]
                 pair_count += 1
             if run.max_steps is not None and steps >= run.max_steps:
                 stop = True

@@ -67,14 +67,30 @@ def preprocess_pair(
     neighborhood_size: int = 10,
     min_separation: float | None = None,
     meta: dict | None = None,
+    frames: dict | None = None,
 ) -> PreprocessedPair:
-    """Key-points, pillars and labels for one frame pair."""
-    src_kps = select_keypoints(
-        pair.source, hyper.src_keypoints, neighborhood_size, min_separation
-    )
-    tgt_kps = select_keypoints(
-        pair.target, hyper.tgt_keypoints, neighborhood_size, min_separation
-    )
+    """Key-points, pillars and labels for one frame pair.
+
+    ``frames`` is an optional memo shared across calls, keyed by cloud
+    identity and by every setting that shapes key-points and pillars: each
+    cloud's key-points and pillars are then built once and reused by every
+    pair the cloud is part of. Labels are always per pair.
+    """
+    memo = {} if frames is None else frames
+
+    def per_frame(cloud, count):
+        key = (id(cloud), count, neighborhood_size, min_separation,
+               hyper.pillar_points, hyper.pillar_radius)
+        if key not in memo:
+            kps = select_keypoints(cloud, count, neighborhood_size, min_separation)
+            pillars = sample_pillars(cloud, kps, hyper.pillar_points, hyper.pillar_radius)
+            # the entry holds the cloud, so no other cloud can take its id
+            memo[key] = (cloud, kps, pillars)
+        _, kps, pillars = memo[key]
+        return list(kps), list(pillars)
+
+    src_kps, src_pillars = per_frame(pair.source, hyper.src_keypoints)
+    tgt_kps, tgt_pillars = per_frame(pair.target, hyper.tgt_keypoints)
     labels = label_correspondences(pair, src_kps, tgt_kps, match_radius, unmatch_radius)
     info = {
         "source_frame": pair.source.frame_id,
@@ -88,8 +104,8 @@ def preprocess_pair(
     return PreprocessedPair(
         src_keypoints=src_kps,
         tgt_keypoints=tgt_kps,
-        src_pillars=sample_pillars(pair.source, src_kps, hyper.pillar_points, hyper.pillar_radius),
-        tgt_pillars=sample_pillars(pair.target, tgt_kps, hyper.pillar_points, hyper.pillar_radius),
+        src_pillars=src_pillars,
+        tgt_pillars=tgt_pillars,
         labels=labels,
         gt_transform=pair.gt_transform,
         frame_distance=pair.frame_distance,

@@ -6,9 +6,10 @@ import pytest
 
 from conftest import rewrite_container
 
+from pillarmatch import pairio
 from pillarmatch.cli import main
-from pillarmatch.cloud import load_kitti_poses, save_kitti_poses, save_kitti_scan
-from pillarmatch.cloud import PointCloud, SceneConfig, generate_synthetic_pair
+from pillarmatch.cloud import load_kitti_poses, load_kitti_scan, save_kitti_poses, save_kitti_scan
+from pillarmatch.cloud import FramePair, PointCloud, SceneConfig, generate_synthetic_pair
 from pillarmatch.network import HyperParams, ModelParameters, save_checkpoint
 from pillarmatch.pairio import load_dataset
 from pillarmatch.transforms import RigidTransform, rotation_about_axis
@@ -170,6 +171,82 @@ def test_preprocess_kitti_fixtures(tmp_path, rng):
     pairs = load_dataset(out)
     assert len(pairs) == 2  # 3 scans at distance 1
     assert all(p.frame_distance == 1 for p in pairs)
+
+
+PREPROCESS_FLAGS = [
+    "--keypoints", "6", "--pillar-points", "4", "--feature-depth", "8",
+    "--heads", "2", "--layers", "2", "--positional-hidden", "8",
+    "--neighborhood-size", "6",
+]
+
+
+def write_scan_sequence(tmp_path, rng, frames=4):
+    """KITTI-format scans of the same world points from ``frames`` poses."""
+    scans = tmp_path / "scans"
+    scans.mkdir()
+    poses = []
+    base = rng.uniform(2.0, 6.0, size=(300, 3))
+    for k in range(frames):
+        pose = RigidTransform.from_rotation_translation(
+            rotation_about_axis([0, 0, 1], 0.01 * k), [0.2 * k, 0.0, 0.0])
+        poses.append(pose)
+        pts = pose.apply(base) + rng.normal(0.0, 0.01, base.shape)
+        save_kitti_scan(PointCloud(pts, rng.uniform(size=len(pts))), scans / f"{k:06d}.bin")
+    pose_file = tmp_path / "poses.txt"
+    save_kitti_poses(poses, pose_file)
+    return scans, pose_file
+
+
+def run_preprocess(scans, pose_file, out, distances):
+    return main(["preprocess", "--scans", str(scans), "--poses", str(pose_file),
+                 "--out", str(out), "--distances", distances, *PREPROCESS_FLAGS])
+
+
+def test_preprocess_reuses_frames_and_matches_per_pair_preprocessing(tmp_path, rng,
+                                                                      monkeypatch):
+    scans, pose_file = write_scan_sequence(tmp_path, rng)
+    selected = []
+    original = pairio.select_keypoints
+
+    def counted(cloud, *args, **kwargs):
+        selected.append(cloud.frame_id)
+        return original(cloud, *args, **kwargs)
+
+    monkeypatch.setattr(pairio, "select_keypoints", counted)
+    out = tmp_path / "pre"
+    assert run_preprocess(scans, pose_file, out, "1,2") == 0
+    # 4 frames in 5 pairs: each frame's key-points are selected once
+    assert sorted(selected) == ["000000", "000001", "000002", "000003"]
+    monkeypatch.undo()
+
+    # reference: every pair preprocessed on its own, without the memo
+    paths = sorted(scans.glob("*.bin"))
+    clouds = [load_kitti_scan(p, frame_id=p.stem) for p in paths]
+    poses = load_kitti_poses(pose_file)
+    hyper = HyperParams(src_keypoints=6, tgt_keypoints=6, pillar_points=4, feature_depth=8,
+                        attention_heads=2, attention_layers=2, positional_hidden=(8,))
+    names = sorted(p.name for p in out.glob("*.ppair"))
+    assert len(names) == 5
+    index = 0
+    for distance in (1, 2):
+        for i in range(len(clouds) - distance):
+            j = i + distance
+            frame = FramePair(clouds[i], clouds[j], poses[j].inverse().compose(poses[i]),
+                              frame_distance=distance)
+            reference = tmp_path / f"ref{index}.ppair"
+            pairio.write_pair(reference, pairio.preprocess_pair(frame, hyper,
+                                                                neighborhood_size=6))
+            assert (out / names[index]).read_bytes() == reference.read_bytes()
+            index += 1
+
+
+@pytest.mark.parametrize("distances", ["1,x", "-1", "", "0", ","])
+def test_preprocess_bad_distances_is_config_error(tmp_path, rng, capsys, distances):
+    scans, pose_file = write_scan_sequence(tmp_path, rng, frames=3)
+    out = tmp_path / "pre"
+    assert run_preprocess(scans, pose_file, out, distances) == 2
+    assert "--distances" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_preprocess_missing_pose_is_format_error(tmp_path, rng, capsys):

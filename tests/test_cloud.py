@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from pillarmatch.cloud import (
+    PARALLEL_QUERY_POINTS,
     CorrespondenceLabels,
     FramePair,
     KeyPoint,
@@ -179,6 +180,22 @@ def test_smoothness_scalar_equals_field_with_duplicate_points(rng):
     assert not valid[-1]
     for i in np.flatnonzero(valid):
         assert smoothness(cloud, i, neighborhood_size=10) == values[i]
+
+
+def test_neighbor_indices_threaded_query_matches_per_point_reference(rng):
+    # large enough for the query to run on every core; the reference queries
+    # on one thread and drops the own index per point
+    pts = np.vstack([rng.normal(size=(20_000, 3)) * 4.0 + 10.0,
+                     np.repeat([[9.0, 10.5, 11.0]], 30, axis=0)])
+    assert len(pts) >= PARALLEL_QUERY_POINTS
+    cloud = cloud_from(pts)
+    _, nearest = cloud.tree.query(pts, k=11, workers=1)
+    expected = []
+    for own, cand in enumerate(nearest):
+        keep = cand[cand != own]
+        expected.append(keep[:10] if len(keep) >= 10 else cand[:10])
+    neighbors = _neighbor_indices(cloud, np.arange(len(pts)), 10)
+    np.testing.assert_array_equal(neighbors, np.array(expected))
 
 
 def test_smoothness_needs_enough_points():

@@ -1,8 +1,12 @@
+import gc
+import weakref
+
 import numpy as np
 import pytest
 
 from conftest import synthetic_labels, toy_hyper, toy_pair
 
+from pillarmatch import learn
 from pillarmatch.autodiff import Tensor, grad_check
 from pillarmatch.errors import ArgumentError, ConfigError, NumericError
 from pillarmatch.learn import (
@@ -324,6 +328,30 @@ def test_train_single_step_decreases_batch_loss():
     adam_step(params.named_parameters(), state)
     after = batch_loss()
     assert after.item() < before.item()
+
+
+def test_train_frees_each_step_tape_before_the_next(monkeypatch):
+    # at the start of every forward pass, no earlier step's log_p may be alive:
+    # otherwise peak memory holds two tapes
+    hyper, pairs = small_dataset(count=6)
+    refs, alive_at_start = [], []
+
+    def watched(*args, **kwargs):
+        alive_at_start.append(sum(ref() is not None for ref in refs))
+        assignments = batch_assignments(*args, **kwargs)
+        refs.extend(weakref.ref(a.log_p) for a in assignments)
+        return assignments
+
+    monkeypatch.setattr(learn, "batch_assignments", watched)
+    run = TrainRun(epochs=1, batch_size=2, seed=4, loss_kind="nllp", learning_rate=1e-3)
+    was_enabled = gc.isenabled()
+    gc.disable()
+    try:
+        train(pairs, run, hyper)
+    finally:
+        if was_enabled:
+            gc.enable()
+    assert alive_at_start == [0, 0, 0]
 
 
 def test_train_rejects_empty_dataset():

@@ -3,9 +3,10 @@ import pytest
 
 from conftest import rewrite_container, toy_hyper, toy_pair
 
-from pillarmatch.cloud import SceneConfig, generate_synthetic_pair
+from pillarmatch.cloud import FramePair, SceneConfig, generate_synthetic_pair
 from pillarmatch.errors import FormatError
 from pillarmatch.pairio import load_dataset, preprocess_pair, read_pair, write_dataset, write_pair
+from pillarmatch.transforms import RigidTransform
 
 
 def test_pair_round_trip(tmp_path):
@@ -36,6 +37,30 @@ def test_preprocess_counts_match_hyper():
     assert len(pre.tgt_pillars) == 10
     assert pre.src_pillars[0].capacity == 6
     assert pre.stacks[0].shape == (10, hyper.stack_depth)
+
+
+def test_preprocess_shared_frame_memo_matches_fresh_preprocessing(tmp_path):
+    # the memo is shared by pairs that reuse clouds in both roles and with
+    # different key-point counts and neighborhoods; every pair must equal
+    # its preprocessing without the memo
+    hyper = toy_hyper(src_keypoints=10, tgt_keypoints=6, pillar_points=5)
+    scene = SceneConfig(point_count=400, overlap=0.9, rotation_bound=0.02,
+                        translation_bound=0.1, noise_sigma=0.001, window=6.0,
+                        width=4.0, pole_count=6)
+    frame = generate_synthetic_pair(8, scene)
+    reverse = FramePair(frame.target, frame.source, frame.gt_transform.inverse())
+    itself = FramePair(frame.source, frame.source, RigidTransform.identity())
+    memo = {}
+    calls = [(frame, 10), (reverse, 10), (itself, 10), (frame, 10), (frame, 8)]
+    for k, (pair, neighborhood) in enumerate(calls):
+        shared = preprocess_pair(pair, hyper, neighborhood_size=neighborhood, frames=memo)
+        fresh = preprocess_pair(pair, hyper, neighborhood_size=neighborhood)
+        write_pair(tmp_path / f"shared{k}.ppair", shared)
+        write_pair(tmp_path / f"fresh{k}.ppair", fresh)
+        assert (tmp_path / f"shared{k}.ppair").read_bytes() == (
+            tmp_path / f"fresh{k}.ppair").read_bytes()
+    # one entry per (cloud, key-point count, neighborhood) the calls used
+    assert len(memo) == 6
 
 
 def test_preprocess_labels_nonempty_on_overlapping_scene():
