@@ -8,7 +8,9 @@ the tensor it belongs to, so the tape holds no reference cycle and is freed
 by reference counting as soon as its last tensor goes. Inside
 :func:`no_grad` ops record nothing at all. There is no broadcasting beyond
 the few explicit ops that need it (``broadcast_to``, bias addition inside
-``linear``), which keeps the tape auditable.
+``linear``), which keeps the tape auditable. ``@``, ``.T`` and ``linear``
+work on stacks: leading axes index independent matrices (one per pair of a
+batch), so a whole batch records one node per op.
 
 Training and inference run in 32-bit; gradient checking requires 64-bit
 tensors because central differences are unreliable in single precision.
@@ -177,24 +179,29 @@ class Tensor:
     __rmul__ = __mul__
 
     def __matmul__(self, other: "Tensor") -> "Tensor":
-        if self.ndim != 2 or other.ndim != 2 or self.shape[1] != other.shape[0]:
+        """Matrix product over the last two axes; any leading axes must match."""
+        if (self.ndim < 2 or self.ndim != other.ndim or self.shape[:-2] != other.shape[:-2]
+                or self.shape[-1] != other.shape[-2]):
             raise ShapeError(f"matmul shapes {self.shape} and {other.shape} incompatible")
         out = _node(self.data @ other.data, (self, other), "matmul")
         if out.requires_grad:
             def back(grad):
                 if self.requires_grad:
-                    self._accumulate(grad @ other.data.T)
+                    self._accumulate(grad @ _swap_last(other.data))
                 if other.requires_grad:
-                    other._accumulate(self.data.T @ grad)
+                    other._accumulate(_swap_last(self.data) @ grad)
             out._backward = back
         return out
 
     @property
     def T(self) -> "Tensor":
-        out = _node(self.data.T, (self,), "transpose")
+        """Transpose of the last two axes (of each matrix in a stack)."""
+        if self.ndim < 2:
+            raise ShapeError("transpose needs at least 2 axes")
+        out = _node(_swap_last(self.data), (self,), "transpose")
         if out.requires_grad:
             def back(grad):
-                self._accumulate(grad.T)
+                self._accumulate(_swap_last(grad))
             out._backward = back
         return out
 
@@ -268,6 +275,8 @@ class Tensor:
         return out
 
     def gather_rows(self, indices) -> "Tensor":
+        """``data[indices]`` along the leading axis: an index array of shape
+        ``s`` gives ``s + shape[1:]``, a single index drops the axis."""
         idx = np.asarray(indices, dtype=np.intp)
         out = _node(self.data[idx], (self,), "gather_rows")
         if out.requires_grad:
@@ -325,6 +334,15 @@ def _node(data: np.ndarray, parents: tuple, op: str) -> Tensor:
     return out
 
 
+def _swap_last(data: np.ndarray) -> np.ndarray:
+    return np.swapaxes(data, -1, -2)
+
+
+def _rows(data: np.ndarray) -> np.ndarray:
+    """``data`` as a 2-D (rows, last axis) array; a view for contiguous input."""
+    return data.reshape(-1, data.shape[-1])
+
+
 def _same_shape(a: Tensor, b: Tensor, op: str) -> None:
     if a.shape != b.shape:
         raise ShapeError(f"{op}: shapes {a.shape} and {b.shape} differ")
@@ -367,29 +385,32 @@ def concat(tensors, axis: int = 0) -> Tensor:
 
 
 def linear(x: Tensor, weight: Tensor, bias: Tensor | None = None) -> Tensor:
-    """``x @ weight.T + bias`` for 1-D or 2-D ``x``; weight is (out, in)."""
+    """``x @ weight.T + bias`` over the last axis of ``x``; weight is (out, in).
+
+    Leading axes of ``x`` are flattened into rows, so a ``(B, n, in)`` stack
+    runs as one ``(B * n, in)`` product.
+    """
     if weight.ndim != 2:
         raise ShapeError("linear weight must be 2-D (out, in)")
     if x.shape[-1] != weight.shape[1]:
         raise ShapeError(f"linear: input depth {x.shape[-1]} != weight depth {weight.shape[1]}")
     if bias is not None and bias.shape != (weight.shape[0],):
         raise ShapeError("linear: bias shape must be (out,)")
-    data = x.data @ weight.data.T
+    out_shape = x.shape[:-1] + weight.shape[:1]
+    data = (_rows(x.data) @ weight.data.T).reshape(out_shape)
     if bias is not None:
         data = data + bias.data
     parents = (x, weight) if bias is None else (x, weight, bias)
     out = _node(data, parents, "linear")
     if out.requires_grad:
         def back(g):
+            rows = _rows(g)
             if x.requires_grad:
-                x._accumulate(g @ weight.data)
+                x._accumulate((rows @ weight.data).reshape(x.shape))
             if weight.requires_grad:
-                if x.ndim == 1:
-                    weight._accumulate(np.outer(g, x.data))
-                else:
-                    weight._accumulate(g.T @ x.data)
+                weight._accumulate(rows.T @ _rows(x.data))
             if bias is not None and bias.requires_grad:
-                bias._accumulate(g if g.ndim == 1 else g.sum(axis=0))
+                bias._accumulate(rows.sum(axis=0))
         out._backward = back
     return out
 

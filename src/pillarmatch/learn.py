@@ -233,6 +233,14 @@ class TrainRun:
             raise ArgumentError(f"unknown loss kind {self.loss_kind!r}")
         if self.epochs < 0 or self.batch_size < 1:
             raise ArgumentError("epochs must be >= 0 and batch_size >= 1")
+        if not (is_finite_real(self.learning_rate) and self.learning_rate > 0):
+            raise ArgumentError(f"learning_rate must be finite and > 0: {self.learning_rate!r}")
+        if not (self.max_steps is None or is_count(self.max_steps, 1)):
+            raise ArgumentError(f"max_steps must be None or >= 1: {self.max_steps!r}")
+        if not is_count(self.checkpoint_every):
+            raise ArgumentError(f"checkpoint_every must be >= 0: {self.checkpoint_every!r}")
+        if not (is_finite_real(self.match_threshold) and 0.0 <= self.match_threshold <= 1.0):
+            raise ArgumentError(f"match_threshold must be in [0, 1]: {self.match_threshold!r}")
 
 
 @dataclass

@@ -6,7 +6,10 @@ refined by alternating self/cross multi-head attention layers with residual
 connections, and finally projected into matching descriptors. All weights are
 shared between the two clouds within a layer. Query, key and value weights
 are stored per head; a layer stacks them into one projection each and runs
-every head in a single :func:`attention` tape node.
+every head in a single :func:`attention` tape node. The graph runs on
+``(B, n, d)`` stacks: the pairs of a batch that share key-point counts go
+through every layer together, so a layer records the same nodes for one pair
+as for a whole batch.
 """
 from __future__ import annotations
 
@@ -281,47 +284,50 @@ def init_nodes(descriptors: Tensor, positions: Tensor) -> Tensor:
     return descriptors + positions
 
 
-# (rows, heads * d) <-> (heads, rows, d): head h is column block h
+# (..., rows, heads * d) <-> (..., heads, rows, d): head h is column block h
 def _split_heads(data: np.ndarray, heads: int) -> np.ndarray:
-    return data.reshape(len(data), heads, -1).transpose(1, 0, 2)
+    return data.reshape(data.shape[:-1] + (heads, -1)).swapaxes(-2, -3)
 
 
 def _merge_heads(data: np.ndarray) -> np.ndarray:
-    return data.transpose(1, 0, 2).reshape(data.shape[1], -1)
+    merged = data.swapaxes(-2, -3)
+    return merged.reshape(merged.shape[:-2] + (-1,))
 
 
 def attention(q: Tensor, k: Tensor, v: Tensor, depth: int | None = None,
               heads: int = 1) -> Tensor:
     """softmax(q_h k_h^T / sqrt(depth)) v_h per head h, softmax over the key axis.
 
-    Head h owns column block h of ``q``, ``k``, ``v`` and the output. ``depth``
-    defaults to the per-head query depth; multi-head callers pass the full
-    node depth so the scale stays 1/sqrt(feature_depth) inside heads. All
-    heads run batched in numpy and record one tape node.
+    ``q`` is (..., n, d) and ``k``, ``v`` are (..., m, d) with the same
+    leading axes, one independent graph per leading index. Head h owns column
+    block h of ``q``, ``k``, ``v`` and the output. ``depth`` defaults to the
+    per-head query depth; multi-head callers pass the full node depth so the
+    scale stays 1/sqrt(feature_depth) inside heads. Every graph and head runs
+    as one (..., heads, n, d/heads) numpy stack and records one tape node.
     """
-    if q.ndim != 2 or k.ndim != 2 or v.ndim != 2:
-        raise ShapeError("attention expects 2-D q, k, v")
-    if (q.shape[1] != k.shape[1] or k.shape[0] != v.shape[0]
-            or q.shape[1] % heads or v.shape[1] % heads):
+    if (q.ndim < 2 or not q.ndim == k.ndim == v.ndim
+            or not q.shape[:-2] == k.shape[:-2] == v.shape[:-2]
+            or q.shape[-1] != k.shape[-1] or k.shape[-2] != v.shape[-2]
+            or q.shape[-1] % heads or v.shape[-1] % heads):
         raise ShapeError(
             f"attention shapes incompatible with {heads} heads: q{q.shape} k{k.shape} v{v.shape}"
         )
     # a Python float: a numpy scalar would promote float32 scores to float64
-    scale = 1.0 / math.sqrt(q.shape[1] // heads if depth is None else depth)
+    scale = 1.0 / math.sqrt(q.shape[-1] // heads if depth is None else depth)
     qh, kh, vh = (_split_heads(x.data, heads) for x in (q, k, v))
     with np.errstate(over="ignore"):  # overflowing scores are reported just below
-        scores = (qh @ kh.transpose(0, 2, 1)) * scale
+        scores = (qh @ kh.swapaxes(-1, -2)) * scale
     ad._check_finite(scores, "attention")
-    exp = np.exp(scores - np.max(scores, axis=2, keepdims=True))
-    prob = exp / np.sum(exp, axis=2, keepdims=True)
+    exp = np.exp(scores - np.max(scores, axis=-1, keepdims=True))
+    prob = exp / np.sum(exp, axis=-1, keepdims=True)
     out = ad._node(_merge_heads(prob @ vh), (q, k, v), "attention")
     if out.requires_grad:
         def back(grad):
             gh = _split_heads(grad, heads)
-            g_prob = gh @ vh.transpose(0, 2, 1)
-            g_scores = prob * (g_prob - np.sum(g_prob * prob, axis=2, keepdims=True)) * scale
-            for x, g in ((q, g_scores @ kh), (k, g_scores.transpose(0, 2, 1) @ qh),
-                         (v, prob.transpose(0, 2, 1) @ gh)):
+            g_prob = gh @ vh.swapaxes(-1, -2)
+            g_scores = prob * (g_prob - np.sum(g_prob * prob, axis=-1, keepdims=True)) * scale
+            for x, g in ((q, g_scores @ kh), (k, g_scores.swapaxes(-1, -2) @ qh),
+                         (v, prob.swapaxes(-1, -2) @ gh)):
                 if x.requires_grad:
                     x._accumulate(_merge_heads(g))
         out._backward = back
@@ -374,13 +380,17 @@ def final_projection(nodes: Tensor, params: ModelParameters) -> Tensor:
 
 def batch_descriptors(
     params: ModelParameters, stacks: list, coords: list, train: bool = False
-) -> list[tuple[Tensor, Tensor]]:
-    """Descriptor pipeline for a batch of pairs: ``(desc_src, desc_tgt)`` per pair.
+) -> list[tuple[list[int], Tensor, Tensor]]:
+    """Descriptor pipeline for a batch of pairs, run once per pair shape.
 
     ``stacks`` and ``coords`` list the clouds in order source, target, source,
     target, ... Pillar and positional encodings run jointly over every pillar
-    of every cloud so batch-norm statistics pool across the whole batch; the
-    attention graph then runs per pair.
+    of every cloud so batch-norm statistics pool across the whole batch. The
+    pairs are then grouped by key-point counts ``(n, m)`` in first-seen
+    order, and each group's attention graph runs once on a ``(B, n, d)``
+    source and a ``(B, m, d)`` target stack. Returns one ``(pair indices,
+    desc_src, desc_tgt)`` per group; slice b of both stacks belongs to the
+    pair at ``indices[b]`` of the input.
     """
     dtype = params.pillar_weight.dtype
     all_stacks = ad.as_tensor(np.concatenate(stacks), dtype=dtype)
@@ -388,14 +398,20 @@ def batch_descriptors(
     encoded = encode_pillars(all_stacks, params, train)
     positional = encode_positions(all_coords, params, train)
     nodes = init_nodes(encoded, positional)
-    out, start = [], 0
-    for n_src, n_tgt in zip(map(len, stacks[0::2]), map(len, stacks[1::2])):
-        nodes_src = nodes.narrow(0, start, n_src)
-        nodes_tgt = nodes.narrow(0, start + n_src, n_tgt)
-        start += n_src + n_tgt
+    starts = np.cumsum([0] + [len(s) for s in stacks])
+    groups: dict[tuple[int, int], list[int]] = {}
+    for index, shape in enumerate(zip(map(len, stacks[0::2]), map(len, stacks[1::2]))):
+        groups.setdefault(shape, []).append(index)
+    out = []
+    for (n_src, n_tgt), members in groups.items():
+        # (B, n) rows of each member's source and target cloud in ``nodes``
+        clouds = 2 * np.asarray(members)
+        nodes_src = nodes.gather_rows(starts[clouds, None] + np.arange(n_src))
+        nodes_tgt = nodes.gather_rows(starts[clouds + 1, None] + np.arange(n_tgt))
         for index, layer in enumerate(params.layers):
             nodes_src, nodes_tgt = gnn_layer(nodes_src, nodes_tgt, layer, index, params.hyper)
-        out.append((final_projection(nodes_src, params), final_projection(nodes_tgt, params)))
+        out.append((members, final_projection(nodes_src, params),
+                    final_projection(nodes_tgt, params)))
     return out
 
 
@@ -407,10 +423,11 @@ def forward_descriptors(
     coords_tgt: np.ndarray,
     train: bool = False,
 ) -> tuple[Tensor, Tensor]:
-    """Full descriptor pipeline for one pair; see :func:`batch_descriptors`."""
-    return batch_descriptors(
+    """``(desc_src, desc_tgt)`` of one pair; see :func:`batch_descriptors`."""
+    (_, desc_src, desc_tgt), = batch_descriptors(
         params, [stacks_src, stacks_tgt], [coords_src, coords_tgt], train
-    )[0]
+    )
+    return desc_src.gather_rows(0), desc_tgt.gather_rows(0)
 
 
 # ---------------------------------------------------------------------------

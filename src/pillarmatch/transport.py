@@ -3,7 +3,9 @@
 All heavy lifting stays in the log domain: the assignment matrix holds log
 probabilities, normalization subtracts log-sum-exp corrections, and only the
 final readout or exports exponentiate. Sinkhorn is one tape node whose
-backward replays its iterations in reverse.
+backward replays its iterations in reverse. Score, dustbin and Sinkhorn take
+stacks with leading batch axes, one independent matrix per leading index, so
+a batch of same-sized pairs is normalised as one array.
 """
 from __future__ import annotations
 
@@ -21,7 +23,7 @@ from .errors import ArgumentError, NumericError, ShapeError
 class AssignmentMatrix:
     """Log-domain soft assignment with one dustbin row and column."""
 
-    log_p: Tensor          # (n+1, m+1)
+    log_p: Tensor          # (n+1, m+1), or (..., n+1, m+1) for a batched Sinkhorn
     iterations: int
     mode: str = "alternating"
 
@@ -57,24 +59,27 @@ class MatchSet:
 
 
 def score_matrix(desc_src: Tensor, desc_tgt: Tensor) -> Tensor:
-    """Pairwise descriptor dot products, (n, m); no scaling."""
-    if desc_src.ndim != 2 or desc_tgt.ndim != 2 or desc_src.shape[1] != desc_tgt.shape[1]:
+    """Pairwise descriptor dot products, (..., n, m) from (..., n, d) and
+    (..., m, d); no scaling."""
+    if (desc_src.ndim < 2 or desc_src.shape[:-2] != desc_tgt.shape[:-2]
+            or desc_src.shape[-1] != desc_tgt.shape[-1]):
         raise ShapeError(
-            f"descriptor depths differ: {desc_src.shape} vs {desc_tgt.shape}"
+            f"descriptor stacks differ: {desc_src.shape} vs {desc_tgt.shape}"
         )
     return desc_src @ desc_tgt.T
 
 
 def augment_dustbin(raw: Tensor, dustbin: Tensor) -> Tensor:
-    """Append one dustbin column and row holding the shared learnable scalar."""
-    if raw.ndim != 2:
-        raise ShapeError("raw score matrix must be 2-D")
+    """Append one dustbin column and row holding the shared learnable scalar
+    to each (n, m) matrix of a (..., n, m) stack."""
+    if raw.ndim < 2:
+        raise ShapeError("raw score matrix must be at least 2-D")
     if dustbin.size != 1:
         raise ShapeError("dustbin score must be a scalar")
-    n, m = raw.shape
+    *lead, n, m = raw.shape
     flat = dustbin if dustbin.ndim == 1 else dustbin.broadcast_to((1,))
-    with_col = ad.concat([raw, flat.broadcast_to((n, 1))], axis=1)
-    return ad.concat([with_col, flat.broadcast_to((1, m + 1))], axis=0)
+    with_col = ad.concat([raw, flat.broadcast_to((*lead, n, 1))], axis=-1)
+    return ad.concat([with_col, flat.broadcast_to((*lead, 1, m + 1))], axis=-2)
 
 
 def _log_marginals(n_rows: int, n_cols: int, marginals: str, dtype):
@@ -100,6 +105,8 @@ def sinkhorn(augmented: Tensor, iterations: int = 100, mode: str = "alternating"
              marginals: str = "uniform") -> AssignmentMatrix:
     """Iterative log-domain row/column normalization, recorded as one tape node.
 
+    ``augmented`` is one (n+1, m+1) matrix or a (..., n+1, m+1) stack whose
+    matrices are normalised independently, each exactly as it would be alone.
     Alternating mode applies the row correction, recomputes, then the column
     correction each iteration and converges to the doubly stochastic target.
     Simultaneous mode subtracts both corrections from the same iterate; it is
@@ -110,18 +117,20 @@ def sinkhorn(augmented: Tensor, iterations: int = 100, mode: str = "alternating"
         raise ArgumentError("sinkhorn needs at least one iteration")
     if mode not in ("alternating", "simultaneous"):
         raise ArgumentError(f"unknown sinkhorn mode {mode!r}")
+    if augmented.ndim < 2:
+        raise ShapeError("sinkhorn needs a matrix or a stack of matrices")
     if not np.all(np.isfinite(augmented.data)):
         raise NumericError("sinkhorn input contains non-finite values")
-    log_mu, log_nu = _log_marginals(*augmented.shape, marginals, augmented.dtype)
+    log_mu, log_nu = _log_marginals(*augmented.shape[-2:], marginals, augmented.dtype)
     simultaneous = mode == "simultaneous"
     steps = []  # (row input, its log-sum-exp, column input, its log-sum-exp)
     current = augmented.data
     for _ in range(iterations):
         row_in = current
-        row_lse = ad.logsumexp_array(row_in, axis=1)
+        row_lse = ad.logsumexp_array(row_in, axis=-1)
         current = row_in - (row_lse - log_mu)
         col_in = row_in if simultaneous else current
-        col_lse = ad.logsumexp_array(col_in, axis=0)
+        col_lse = ad.logsumexp_array(col_in, axis=-2)
         current = current - (col_lse - log_nu)
         if augmented.requires_grad:
             steps.append((row_in, row_lse, col_in, col_lse))
@@ -131,10 +140,10 @@ def sinkhorn(augmented: Tensor, iterations: int = 100, mode: str = "alternating"
             # each correction x - lse(x) maps g to g - softmax(x) * g.sum(axis)
             g = grad.copy()
             for row_in, row_lse, col_in, col_lse in reversed(steps):
-                col_term = np.exp(col_in - col_lse) * g.sum(axis=0, keepdims=True)
+                col_term = np.exp(col_in - col_lse) * g.sum(axis=-2, keepdims=True)
                 if not simultaneous:
                     g -= col_term
-                g -= np.exp(row_in - row_lse) * g.sum(axis=1, keepdims=True)
+                g -= np.exp(row_in - row_lse) * g.sum(axis=-1, keepdims=True)
                 if simultaneous:
                     g -= col_term
             augmented._accumulate(g)

@@ -36,6 +36,28 @@ def test_linear_shape_mismatch():
         linear(t(np.zeros((5, 3))), t(np.zeros((2, 4))))
 
 
+def test_linear_batched_grad_check_and_rows(rng):
+    x = t(rng.normal(size=(2, 3, 5)))
+    w = t(rng.normal(size=(4, 5)))
+    bias = t(rng.normal(size=4))
+    weights = t(rng.normal(size=(2, 3, 4)), grad=False)
+    assert grad_check(lambda: (linear(x, w, bias) * weights).sum(), [x, w, bias]) < 1e-6
+    # each leading index is the 2-D op on its own rows
+    out = linear(x, w, bias)
+    for b in range(2):
+        np.testing.assert_allclose(out.data[b], linear(t(x.data[b]), w, bias).data,
+                                   rtol=0, atol=1e-14)
+
+
+def test_matmul_and_transpose_act_per_matrix_of_a_stack(rng):
+    a, b = t(rng.normal(size=(3, 4, 5))), t(rng.normal(size=(3, 6, 5)))
+    weights = t(rng.normal(size=(3, 4, 6)), grad=False)
+    assert grad_check(lambda: ((a @ b.T) * weights).sum(), [a, b]) < 1e-6
+    np.testing.assert_array_equal((a @ b.T).data[1], a.data[1] @ b.data[1].T)
+    with pytest.raises(ShapeError):
+        a @ t(rng.normal(size=(2, 5, 6)))
+
+
 # ---------------------------------------------------------------------------
 # softmax, as computed inside network.attention
 # ---------------------------------------------------------------------------

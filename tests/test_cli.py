@@ -287,6 +287,22 @@ def test_numeric_blowup_is_numeric_error(tmp_path):
     assert code == 4
 
 
+@pytest.mark.parametrize("flag,value", [
+    ("--learning-rate", "nan"), ("--learning-rate", "-1"), ("--max-steps", "0"),
+    ("--checkpoint-every", "-1"), ("--match-threshold", "1.5"),
+])
+def test_bad_train_setting_is_usage_error_and_writes_nothing(tmp_path, capsys, flag, value):
+    data = run_synth(tmp_path, "data", num_pairs=1, seed=8)
+    run_dir = tmp_path / "run"
+    code = main([
+        "train", "--data", str(data), "--out", str(run_dir), "--epochs", "1",
+        "--batch-size", "1", *TOY_FLAGS, flag, value,
+    ])
+    assert code == 2
+    assert "error:" in capsys.readouterr().err
+    assert not run_dir.exists()
+
+
 def test_checkpoint_pair_mismatch_is_config_error(tmp_path):
     data = run_synth(tmp_path, "data", num_pairs=1, seed=5)
     run_dir = tmp_path / "run"

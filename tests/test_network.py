@@ -8,6 +8,7 @@ import pytest
 from conftest import make_pillar, rewrite_container, toy_hyper, toy_pair
 
 from pillarmatch import autodiff as ad
+from pillarmatch import learn
 from pillarmatch.autodiff import Tensor, grad_check
 from pillarmatch.errors import ConfigError, NumericError, ShapeError
 from pillarmatch.learn import compute_loss
@@ -243,6 +244,24 @@ def test_attention_multi_head_grad_check(rng, scale):
     assert grad_check(objective, [q, k, v]) < 1e-6
 
 
+def test_attention_batched_grad_check_and_per_slice_identity(rng):
+    heads = 3
+    q, k = t(rng.normal(size=(2, 4, 2 * heads))), t(rng.normal(size=(2, 5, 2 * heads)))
+    v = t(rng.normal(size=(2, 5, 3 * heads)))
+    weights = t(rng.normal(size=(2, 4, 3 * heads)), grad=False)
+
+    def objective():
+        return (attention(q, k, v, depth=2 * heads, heads=heads) * weights).sum()
+
+    assert grad_check(objective, [q, k, v]) < 1e-6
+    out = attention(q, k, v, depth=2 * heads, heads=heads)
+    for b in range(2):
+        single = attention(t(q.data[b]), t(k.data[b]), t(v.data[b]), depth=2 * heads, heads=heads)
+        np.testing.assert_array_equal(out.data[b], single.data)
+    with pytest.raises(ShapeError):
+        attention(q, t(k.data[:1]), t(v.data[:1]), heads=heads)
+
+
 def test_attention_is_one_tape_node(rng):
     q, k, v = (t(rng.normal(size=(3, 4))) for _ in range(3))
     out = attention(q, k, v, heads=2)
@@ -403,14 +422,49 @@ def test_multi_head_attention_node_budget(monkeypatch, rng, mlp, expected):
 
 
 def test_batch_assignments_node_budget(monkeypatch):
-    # encoders 3 + 7 + init 1; per pair: narrow 2, two layers of two
-    # attention calls (8 each) and two residual adds, projections 2, scores
-    # 2, dustbin 5, sinkhorn 1
+    # encoders 3 + 7 + init 1; per (n, m) group: stack gathers 2, two layers
+    # of two attention calls (8 each) and two residual adds, projections 2,
+    # scores 2, dustbin 5, sinkhorn 1; per pair: the log_p view 1
     pair = toy_pair(seed=3)
     params = ModelParameters.initialize(toy_hyper(), seed=0)
     counter = count_nodes(monkeypatch)
     batch_assignments(params, [pair], train=True)
-    assert counter[0] == 11 + 2 + 2 * (2 * 8 + 2) + 2 + 2 + 5 + 1
+    assert counter[0] == 11 + 2 + 2 * (2 * 8 + 2) + 2 + 2 + 5 + 1 + 1
+
+
+def test_batch_assignments_mixed_shapes_equal_per_pair_calls_in_input_order():
+    # three (n, m) groups interleaved; eval mode, so batch-norm uses running
+    # statistics and a pair's result does not depend on its batch
+    shapes = [(4, 4), (3, 5), (4, 4), (5, 3), (3, 5)]
+    pairs = [toy_pair(seed=10 + i, hyper=toy_hyper(src_keypoints=n, tgt_keypoints=m))
+             for i, (n, m) in enumerate(shapes)]
+    params = ModelParameters.initialize(toy_hyper(), seed=2, dtype=np.float64)
+    batched = batch_assignments(params, pairs)
+    assert [a.log_p.shape for a in batched] == [(n + 1, m + 1) for n, m in shapes]
+    for pair, assign in zip(pairs, batched):
+        single = batch_assignments(params, [pair])[0]
+        np.testing.assert_allclose(assign.log_p.data, single.log_p.data, rtol=0, atol=1e-12)
+
+
+def test_train_step_nodes_grow_only_by_per_pair_views_and_losses(monkeypatch):
+    # the graph and transport record once per (n, m) group whatever the batch
+    # size; each pair adds its log_p view, its nll loss (gather, sum, neg)
+    # and one add into the batch loss
+    pairs = [toy_pair(seed=s) for s in range(8)]
+    assert len({(len(p.src_keypoints), len(p.tgt_keypoints)) for p in pairs}) == 1
+    params = ModelParameters.initialize(toy_hyper(), seed=0)
+    named = params.named_parameters()
+    optimizer = learn.AdamState()
+
+    def step_nodes(batch_size):
+        run = learn.TrainRun(batch_size=batch_size, loss_kind="nll")
+        counter = count_nodes(monkeypatch)
+        learn._train_step(pairs[:batch_size], run, params, named, optimizer)
+        monkeypatch.undo()
+        return counter[0]
+
+    per_pair = 1 + 3 + 1
+    assert step_nodes(8) - step_nodes(4) == 4 * per_pair
 
 
 def test_finished_tape_is_freed_without_the_cycle_collector():

@@ -254,6 +254,61 @@ def test_sinkhorn_dustbin_weighted_marginals(rng):
 
 
 # ---------------------------------------------------------------------------
+# batched stacks: one independent matrix per leading index
+# ---------------------------------------------------------------------------
+
+def test_score_and_dustbin_batched_grad_check(rng):
+    a, b = t(rng.normal(size=(2, 3, 4)), grad=True), t(rng.normal(size=(2, 5, 4)), grad=True)
+    w = t(0.3, grad=True)
+    weights = t(rng.normal(size=(2, 4, 6)))
+
+    def objective():
+        return (augment_dustbin(score_matrix(a, b), w) * weights).sum()
+
+    assert grad_check(objective, [a, b, w]) < 1e-6
+    out = augment_dustbin(score_matrix(a, b), w)
+    for k in range(2):
+        single = augment_dustbin(score_matrix(t(a.data[k]), t(b.data[k])), w)
+        np.testing.assert_array_equal(out.data[k], single.data)
+    with pytest.raises(ShapeError):
+        score_matrix(a, t(rng.normal(size=(3, 5, 4))))
+
+
+@pytest.mark.parametrize("mode", ["alternating", "simultaneous"])
+@pytest.mark.parametrize("marginals", ["uniform", "dustbin-weighted"])
+def test_sinkhorn_batched_grad_check(rng, mode, marginals):
+    matrix = t(rng.normal(size=(2, 5, 6)), grad=True)
+    weights = t(rng.normal(size=(2, 5, 6)))
+
+    def objective():
+        out = sinkhorn(matrix, iterations=6, mode=mode, marginals=marginals)
+        return (out.log_p * weights).sum()
+
+    assert grad_check(objective, [matrix]) < 1e-4
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("mode", ["alternating", "simultaneous"])
+@pytest.mark.parametrize("marginals", ["uniform", "dustbin-weighted"])
+def test_sinkhorn_batched_bit_identical_to_per_slice(rng, dtype, mode, marginals):
+    stack = rng.uniform(-10.0, 10.0, size=(3, 9, 14)).astype(dtype)
+    weights = rng.normal(size=stack.shape).astype(dtype)
+
+    def run(matrix, w):
+        augmented = Tensor(matrix.copy(), requires_grad=True)
+        log_p = sinkhorn(augmented, 50, mode=mode, marginals=marginals).log_p
+        (log_p * Tensor(w)).sum().backward()
+        return log_p.data, augmented.grad
+
+    batched, batched_grad = run(stack, weights)
+    assert batched.shape == stack.shape and batched.dtype == batched_grad.dtype == dtype
+    for k in range(len(stack)):
+        single, single_grad = run(stack[k], weights[k])
+        np.testing.assert_array_equal(batched[k], single)
+        np.testing.assert_array_equal(batched_grad[k], single_grad)
+
+
+# ---------------------------------------------------------------------------
 # match extraction
 # ---------------------------------------------------------------------------
 
