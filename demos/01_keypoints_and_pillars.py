@@ -17,8 +17,9 @@ values, valid = smoothness_field(cloud)
 print(f"smoothness: min {values[valid].min():.4f}  median {np.median(values[valid]):.4f}  "
       f"max {values[valid].max():.4f}")
 
-keypoints = select_keypoints(cloud, count=16)
-for kp in keypoints[:4] + keypoints[-4:]:
+keypoints = select_keypoints(cloud, count=16)  # a KeyPointSet: one array per field
+items = list(keypoints)                         # one KeyPoint value per row
+for kp in items[:4] + items[-4:]:
     x, y, z = kp.position
     print(f"  {kp.kind.value:6s} c={kp.smoothness:.4f} at ({x:6.2f}, {y:6.2f}, {z:5.2f})")
 

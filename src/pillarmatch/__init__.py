@@ -14,7 +14,9 @@ from .cloud import (
     FramePair,
     KeyPoint,
     KeyPointKind,
+    KeyPointSet,
     Pillar,
+    PillarSet,
     PointCloud,
     SceneConfig,
     generate_synthetic_pair,

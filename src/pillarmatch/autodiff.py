@@ -84,8 +84,10 @@ class Tensor:
     # -- tape plumbing --------------------------------------------------------
     def _accumulate(self, grad: np.ndarray) -> None:
         if self.grad is None:
-            self.grad = np.zeros_like(self.data)
-        self.grad += grad
+            # a copy: backward closures hand one array to several parents
+            self.grad = np.array(np.broadcast_to(grad, self.data.shape), dtype=self.data.dtype)
+        else:
+            self.grad += grad
 
     def backward(self, seed=None) -> None:
         """Propagate gradients from this tensor to every reachable leaf.

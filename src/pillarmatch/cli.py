@@ -174,11 +174,23 @@ def _parse_distances(text: str) -> list[int]:
     return distances
 
 
+def _check_pillar_capacity(source: str, pairs, hyper: HyperParams) -> None:
+    """Pairs read from ``source``, a pair file or a dataset, must have pillars
+    of the capacity the model encodes."""
+    for index, pair in enumerate(pairs):
+        src, tgt = pair.src_pillars.capacity, pair.tgt_pillars.capacity
+        if src != hyper.pillar_points or tgt != hyper.pillar_points:
+            raise ConfigError(f"{source}: pair {index} has pillar capacity {src}/{tgt} "
+                              f"(source/target) but the model expects {hyper.pillar_points}")
+
+
 # ---------------------------------------------------------------------------
 # commands
 # ---------------------------------------------------------------------------
 
 def cmd_synth(args) -> int:
+    if args.num_pairs < 0:
+        raise ConfigError(f"--num-pairs must be >= 0, got {args.num_pairs}")
     out = _resolve(args.out)
     hyper = _hyper_from_args(args)
     scene = SceneConfig(
@@ -246,6 +258,7 @@ def cmd_train(args) -> int:
         start_epoch = int(meta.get("next_epoch", 0))
     else:
         hyper = _hyper_from_args(args)
+    _check_pillar_capacity(args.data, pairs, hyper)
     run = learn.TrainRun(
         dataset_id=str(args.data),
         epochs=args.epochs,
@@ -284,11 +297,7 @@ def cmd_match(args) -> int:
             f"pair has {n}/{m} key-points but checkpoint expects "
             f"{hyper.src_keypoints}/{hyper.tgt_keypoints}"
         )
-    if pair.src_pillars and pair.src_pillars[0].capacity != hyper.pillar_points:
-        raise ConfigError(
-            f"pair pillar capacity {pair.src_pillars[0].capacity} != "
-            f"checkpoint {hyper.pillar_points}"
-        )
+    _check_pillar_capacity(args.pair, [pair], hyper)
     if args.sinkhorn_mode:
         import dataclasses
 
@@ -359,6 +368,7 @@ def cmd_eval(args) -> int:
         if not args.checkpoint:
             raise ConfigError("matcher 'ours' requires --checkpoint")
         params, _, _ = load_checkpoint(_resolve(args.checkpoint))
+        _check_pillar_capacity(args.data, pairs, params.hyper)
     report = register.evaluate_matchers(
         pairs,
         matchers=matchers,

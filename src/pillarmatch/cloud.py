@@ -3,11 +3,18 @@
 Clouds are immutable once constructed and build their k-d tree once, on
 first use. The neighbor query behind the smoothness field runs on every core
 for large clouds; each point's result does not depend on the thread count.
+
+A cloud's key-points are one :class:`KeyPointSet` and its pillars one
+:class:`PillarSet`: frozen records of read-only arrays with one row per
+key-point, laid out as in the pair file. Sampling fills every pillar from a
+single k-d tree query. :class:`KeyPoint` and :class:`Pillar` are the values
+a record yields for one row.
 """
 from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 from scipy.spatial import cKDTree
@@ -60,18 +67,21 @@ class PointCloud:
         intens.setflags(write=False)
         object.__setattr__(self, "points", pts)
         object.__setattr__(self, "intensities", intens)
-        object.__setattr__(self, "_tree_cache", None)
 
     def __len__(self) -> int:
         return len(self.points)
 
-    @property
+    @cached_property
     def tree(self) -> cKDTree:
-        cached = getattr(self, "_tree_cache")
-        if cached is None:
-            cached = cKDTree(self.points)
-            object.__setattr__(self, "_tree_cache", cached)
-        return cached
+        return cKDTree(self.points)
+
+
+def _freeze(record, **dtypes) -> None:
+    """Store each named field of a frozen record as a read-only array copy."""
+    for name, dtype in dtypes.items():
+        arr = np.array(getattr(record, name), dtype=dtype)
+        arr.setflags(write=False)
+        object.__setattr__(record, name, arr)
 
 
 @dataclass(frozen=True)
@@ -82,9 +92,7 @@ class KeyPoint:
     index: int = -1       # index into the originating cloud, -1 if detached
 
     def __post_init__(self):
-        pos = np.asarray(self.position, dtype=np.float64).reshape(3)
-        pos.setflags(write=False)
-        object.__setattr__(self, "position", pos)
+        _freeze(self, position=np.float64)
 
 
 @dataclass(frozen=True)
@@ -103,16 +111,81 @@ class Pillar:
     real_count: int
 
     def __post_init__(self):
-        centroid = np.asarray(self.centroid, dtype=np.float64).reshape(3)
-        members = np.asarray(self.members, dtype=np.float64)
-        centroid.setflags(write=False)
-        members.setflags(write=False)
-        object.__setattr__(self, "centroid", centroid)
-        object.__setattr__(self, "members", members)
+        _freeze(self, centroid=np.float64, members=np.float64)
 
     @property
     def capacity(self) -> int:
         return len(self.members)
+
+
+@dataclass(frozen=True, eq=False)
+class KeyPointSet:
+    """A cloud's key-points as read-only arrays with one row per key-point,
+    laid out as in the pair file; indexing and iteration yield :class:`KeyPoint`."""
+
+    positions: np.ndarray   # (k, 3) float64
+    smoothness: np.ndarray  # (k,) float64
+    kind: np.ndarray        # (k,) uint8: 1 sharp, 0 planar
+    index: np.ndarray       # (k,) int64 into the originating cloud, -1 if detached
+
+    def __post_init__(self):
+        _freeze(self, positions=np.float64, smoothness=np.float64, kind=np.uint8, index=np.int64)
+        k = len(self.index)
+        if self.positions.shape != (k, 3) or not (
+                self.smoothness.shape == self.kind.shape == self.index.shape == (k,)):
+            raise ArgumentError("key-point arrays must have shapes (k, 3), (k,), (k,), (k,)")
+
+    @classmethod
+    def from_items(cls, keypoints) -> KeyPointSet:
+        kps = list(keypoints)
+        return cls(np.reshape([kp.position for kp in kps], (-1, 3)),
+                   [kp.smoothness for kp in kps],
+                   [kp.kind is KeyPointKind.SHARP for kp in kps],
+                   [kp.index for kp in kps])
+
+    def __len__(self) -> int:
+        return len(self.index)
+
+    def __getitem__(self, i: int) -> KeyPoint:
+        kind = KeyPointKind.SHARP if self.kind[i] else KeyPointKind.PLANAR
+        return KeyPoint(self.positions[i], float(self.smoothness[i]), kind, int(self.index[i]))
+
+
+@dataclass(frozen=True, eq=False)
+class PillarSet:
+    """A cloud's pillars as read-only arrays with one row per key-point, each
+    row as in :class:`Pillar`; indexing and iteration yield :class:`Pillar`."""
+
+    keypoints: KeyPointSet
+    members: np.ndarray     # (k, capacity, 4) float64
+    centroids: np.ndarray   # (k, 3) float64
+    real_count: np.ndarray  # (k,) int64
+
+    def __post_init__(self):
+        _freeze(self, members=np.float64, centroids=np.float64, real_count=np.int64)
+        k = len(self.keypoints)
+        if (self.members.ndim, len(self.members), self.members.shape[-1]) != (3, k, 4) or not (
+                self.centroids.shape == (k, 3) and self.real_count.shape == (k,)):
+            raise ArgumentError("pillar arrays must have shapes (k, capacity, 4), (k, 3), (k,)")
+
+    @classmethod
+    def from_items(cls, pillars) -> PillarSet:
+        items = list(pillars)
+        return cls(KeyPointSet.from_items(p.keypoint for p in items),
+                   np.stack([p.members for p in items]),
+                   np.reshape([p.centroid for p in items], (-1, 3)),
+                   [p.real_count for p in items])
+
+    @property
+    def capacity(self) -> int:
+        return self.members.shape[1]
+
+    def __len__(self) -> int:
+        return len(self.real_count)
+
+    def __getitem__(self, i: int) -> Pillar:
+        return Pillar(self.keypoints[i], self.centroids[i], self.members[i],
+                      int(self.real_count[i]))
 
 
 @dataclass(frozen=True)
@@ -231,6 +304,8 @@ def _smoothness_at(cloud: PointCloud, indices: np.ndarray, k: int):
     Returns ``(values, valid)``; points within ORIGIN_EPS of the origin are
     invalid and get value 0.
     """
+    if k < 1:
+        raise ArgumentError(f"neighborhood size must be >= 1, got {k}")
     if len(cloud) <= k:
         raise InsufficientPointsError(f"cloud has {len(cloud)} points, need > {k}")
     points = cloud.points[indices]
@@ -282,13 +357,15 @@ def select_keypoints(
     count: int,
     neighborhood_size: int = DEFAULT_NEIGHBORHOOD,
     min_separation: float | None = None,
-) -> list[KeyPoint]:
+) -> KeyPointSet:
     """Pick ``count`` key-points: the sharpest ceil(count/2) and the most
     planar floor(count/2), ranked by smoothness with ties broken by index.
 
     ``min_separation`` optionally suppresses candidates within that radius of
     an already selected key-point (off by default).
     """
+    if min_separation is not None and not 0.0 < min_separation < np.inf:
+        raise ArgumentError(f"min_separation must be finite and > 0, got {min_separation}")
     values, valid = smoothness_field(cloud, neighborhood_size)
     valid_idx = np.flatnonzero(valid)
     if len(valid_idx) < count:
@@ -296,82 +373,68 @@ def select_keypoints(
             f"{len(valid_idx)} valid points < requested {count} key-points"
         )
     n_sharp = (count + 1) // 2
-    n_planar = count // 2
     order_desc = valid_idx[np.lexsort((valid_idx, -values[valid_idx]))]
     order_asc = valid_idx[np.lexsort((valid_idx, values[valid_idx]))]
-
-    chosen: list[tuple[int, KeyPointKind]] = []
-    taken: set[int] = set()
-
-    def accept(candidates, wanted, kind):
-        positions = [cloud.points[i] for i, _ in chosen]
+    chosen: list[int] = []
+    for candidates, wanted, kind in ((order_desc, n_sharp, "sharp"),
+                                     (order_asc, count - n_sharp, "planar")):
         got = 0
         for i in candidates:
             if got == wanted:
                 break
-            if i in taken:
+            if i in chosen:
                 continue
-            if min_separation is not None and positions:
-                gap = np.linalg.norm(np.asarray(positions) - cloud.points[i], axis=1)
-                if np.min(gap) < min_separation:
-                    continue
-            taken.add(i)
-            chosen.append((int(i), kind))
-            positions.append(cloud.points[i])
+            if min_separation is not None and chosen and np.min(np.linalg.norm(
+                    cloud.points[chosen] - cloud.points[i], axis=1)) < min_separation:
+                continue
+            chosen.append(int(i))
             got += 1
         if got < wanted:
-            raise InsufficientPointsError(
-                f"only {got} of {wanted} {kind.value} key-points satisfiable"
-            )
-
-    accept(order_desc, n_sharp, KeyPointKind.SHARP)
-    accept(order_asc, n_planar, KeyPointKind.PLANAR)
-    return [
-        KeyPoint(position=cloud.points[i], smoothness=float(values[i]), kind=kind, index=i)
-        for i, kind in chosen
-    ]
-
-
-def keypoint_positions(keypoints) -> np.ndarray:
-    return np.array([kp.position for kp in keypoints], dtype=np.float64).reshape(-1, 3)
+            raise InsufficientPointsError(f"only {got} of {wanted} {kind} key-points satisfiable")
+    index = np.array(chosen, dtype=np.int64)
+    return KeyPointSet(positions=cloud.points[index], smoothness=values[index],
+                       kind=np.arange(count) < n_sharp, index=index)
 
 
 # ---------------------------------------------------------------------------
 # pillars
 # ---------------------------------------------------------------------------
 
-def sample_pillar(
-    cloud: PointCloud, keypoint: KeyPoint, capacity: int, radius: float
-) -> Pillar:
-    """Fill a pillar with the ``capacity`` nearest cloud points inside ``radius``.
+def sample_pillar(cloud: PointCloud, keypoint: KeyPoint, capacity: int, radius: float) -> Pillar:
+    """One pillar; see :func:`sample_pillars`."""
+    return sample_pillars(cloud, KeyPointSet.from_items([keypoint]), capacity, radius)[0]
+
+
+def sample_pillars(
+    cloud: PointCloud, keypoints: KeyPointSet, capacity: int, radius: float
+) -> PillarSet:
+    """Fill each key-point's pillar with the ``capacity`` nearest cloud points
+    inside ``radius``, from one k-d tree query for the whole set.
 
     Members are sorted by ascending distance (ties by point index); unused
-    slots stay zero. An empty pillar is legal and centers on the key-point.
+    slots stay zero. An empty pillar is legal and centers on its key-point.
     """
     if capacity < 1:
         raise ArgumentError("pillar capacity must be >= 1")
     if radius <= 0.0:
         raise ArgumentError("pillar radius must be positive")
-    k = min(capacity, len(cloud))
-    members = np.zeros((capacity, 4))
-    real = 0
-    if k > 0:
-        dist, idx = cloud.tree.query(keypoint.position, k=k)
-        dist = np.atleast_1d(dist)
-        idx = np.atleast_1d(idx)
-        inside = dist < radius
-        dist, idx = dist[inside], idx[inside]
-        order = np.lexsort((idx, dist))
-        idx = idx[order]
-        real = len(idx)
-        members[:real, :3] = cloud.points[idx]
-        members[:real, 3] = cloud.intensities[idx]
-    centroid = members[:real, :3].mean(axis=0) if real else np.array(keypoint.position)
-    return Pillar(keypoint=keypoint, centroid=centroid, members=members, real_count=real)
-
-
-def sample_pillars(cloud: PointCloud, keypoints, capacity: int, radius: float) -> list[Pillar]:
-    return [sample_pillar(cloud, kp, capacity, radius) for kp in keypoints]
+    n, k = len(keypoints), min(capacity, len(cloud))
+    members = np.zeros((n, capacity, 4))
+    inside = np.zeros((n, capacity), dtype=bool)
+    if n and k:
+        dist, idx = cloud.tree.query(keypoints.positions, k=k)
+        dist, idx = dist.reshape(n, k), idx.reshape(n, k)
+        order = np.lexsort((idx, dist), axis=1)
+        dist, idx = np.take_along_axis(dist, order, 1), np.take_along_axis(idx, order, 1)
+        # points inside the radius are a prefix of each distance-sorted row
+        inside[:, :k] = dist < radius
+        members[:, :k, :3] = np.where(inside[:, :k, None], cloud.points[idx], 0.0)
+        members[:, :k, 3] = np.where(inside[:, :k], cloud.intensities[idx], 0.0)
+    real = inside.sum(axis=1)
+    centroids = np.divide(members[:, :, :3].sum(axis=1), real[:, None],
+                          out=np.array(keypoints.positions), where=real[:, None] > 0)
+    return PillarSet(keypoints=keypoints, members=members, centroids=centroids,
+                     real_count=real)
 
 
 # ---------------------------------------------------------------------------
@@ -380,8 +443,8 @@ def sample_pillars(cloud: PointCloud, keypoints, capacity: int, radius: float) -
 
 def label_correspondences(
     pair: FramePair,
-    src_keypoints,
-    tgt_keypoints,
+    src_keypoints: KeyPointSet,
+    tgt_keypoints: KeyPointSet,
     match_radius: float = DEFAULT_MATCH_RADIUS,
     unmatch_radius: float = DEFAULT_UNMATCH_RADIUS,
 ) -> CorrespondenceLabels:
@@ -394,8 +457,8 @@ def label_correspondences(
     gt = pair.gt_transform
     if not isinstance(gt, RigidTransform):
         raise ArgumentError("gt_transform must be a RigidTransform")
-    src = gt.apply(keypoint_positions(src_keypoints))
-    tgt = keypoint_positions(tgt_keypoints)
+    src = gt.apply(src_keypoints.positions)
+    tgt = tgt_keypoints.positions
     if len(src) == 0 or len(tgt) == 0:
         raise ArgumentError("both key-point sets must be nonempty")
 

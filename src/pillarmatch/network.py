@@ -20,7 +20,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import BatchNormState, Tensor
-from .cloud import Pillar
+from .cloud import Pillar, PillarSet
 from .container import is_count, is_finite_real, read_container, write_container
 from .errors import ConfigError, ShapeError
 
@@ -237,26 +237,26 @@ class ModelParameters:
 # ---------------------------------------------------------------------------
 
 def build_feature_stack(pillar: Pillar) -> np.ndarray:
-    """Flattened (capacity * 11,) feature stack for one pillar.
+    """Flattened (capacity * 11,) feature stack of one pillar; see :func:`feature_stacks`."""
+    return feature_stacks(PillarSet.from_items([pillar]))[0]
+
+
+def feature_stacks(pillars: PillarSet) -> np.ndarray:
+    """``(k, capacity * 11)`` flattened feature stacks, one row per pillar.
 
     Each real member contributes [x, y, z, intensity, offset to pillar
     centroid, point norm, offset to key-point]; pad rows stay all zero.
     """
-    z = pillar.capacity
-    stack = np.zeros((z, POINT_FEATURE_DIM))
-    real = pillar.real_count
-    if real:
-        pts = pillar.members[:real, :3]
-        stack[:real, 0:3] = pts
-        stack[:real, 3] = pillar.members[:real, 3]
-        stack[:real, 4:7] = pts - pillar.centroid
-        stack[:real, 7] = np.linalg.norm(pts, axis=1)
-        stack[:real, 8:11] = pts - pillar.keypoint.position
-    return stack.reshape(-1)
-
-
-def feature_stacks(pillars) -> np.ndarray:
-    return np.stack([build_feature_stack(p) for p in pillars])
+    pts = pillars.members[:, :, :3]
+    features = np.concatenate([
+        pillars.members,
+        pts - pillars.centroids[:, None],
+        np.linalg.norm(pts, axis=2)[:, :, None],
+        pts - pillars.keypoints.positions[:, None],
+    ], axis=2)
+    real = np.arange(pillars.capacity) < pillars.real_count[:, None]
+    stacks = np.where(real[:, :, None], features, 0.0)
+    return stacks.reshape(len(pillars), pillars.capacity * POINT_FEATURE_DIM)
 
 
 def encode_pillars(stacks: Tensor, params: ModelParameters, train: bool) -> Tensor:

@@ -4,12 +4,16 @@ A preprocessed pair bundles everything training and evaluation need for one
 frame pair: both key-point sets, their pillars, ground-truth labels and the
 ground-truth transform. Files use the PMC container (kind ``pair``), datasets
 are directories of pair files plus a ``manifest.json`` echoing the generating
-configuration.
+configuration. Each array of a cloud's :class:`~.cloud.KeyPointSet` and
+:class:`~.cloud.PillarSet` is stored as is under ``{src,tgt}.kp.*`` and
+``{src,tgt}.pillar.*``, so a pair is read and written without a loop over
+its rows.
 """
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
@@ -17,10 +21,8 @@ import numpy as np
 from .cloud import (
     CorrespondenceLabels,
     FramePair,
-    KeyPoint,
-    KeyPointKind,
-    Pillar,
-    keypoint_positions,
+    KeyPointSet,
+    PillarSet,
     label_correspondences,
     sample_pillars,
     select_keypoints,
@@ -35,28 +37,22 @@ PAIR_SUFFIX = ".ppair"
 
 @dataclass
 class PreprocessedPair:
-    src_keypoints: list[KeyPoint]
-    tgt_keypoints: list[KeyPoint]
-    src_pillars: list[Pillar]
-    tgt_pillars: list[Pillar]
+    src_keypoints: KeyPointSet
+    tgt_keypoints: KeyPointSet
+    src_pillars: PillarSet
+    tgt_pillars: PillarSet
     labels: CorrespondenceLabels
     gt_transform: RigidTransform
     frame_distance: int = 1
     meta: dict = field(default_factory=dict)
-    _stack_cache: tuple | None = field(default=None, repr=False)
 
-    @property
+    @cached_property
     def stacks(self) -> tuple[np.ndarray, np.ndarray]:
-        if self._stack_cache is None:
-            self._stack_cache = (
-                feature_stacks(self.src_pillars),
-                feature_stacks(self.tgt_pillars),
-            )
-        return self._stack_cache
+        return feature_stacks(self.src_pillars), feature_stacks(self.tgt_pillars)
 
     @property
     def coords(self) -> tuple[np.ndarray, np.ndarray]:
-        return keypoint_positions(self.src_keypoints), keypoint_positions(self.tgt_keypoints)
+        return self.src_keypoints.positions, self.tgt_keypoints.positions
 
 
 def preprocess_pair(
@@ -78,20 +74,20 @@ def preprocess_pair(
     """
     memo = {} if frames is None else frames
 
-    def per_frame(cloud, count):
+    def per_frame(cloud, count) -> PillarSet:
         key = (id(cloud), count, neighborhood_size, min_separation,
                hyper.pillar_points, hyper.pillar_radius)
         if key not in memo:
             kps = select_keypoints(cloud, count, neighborhood_size, min_separation)
-            pillars = sample_pillars(cloud, kps, hyper.pillar_points, hyper.pillar_radius)
             # the entry holds the cloud, so no other cloud can take its id
-            memo[key] = (cloud, kps, pillars)
-        _, kps, pillars = memo[key]
-        return list(kps), list(pillars)
+            memo[key] = (cloud, sample_pillars(cloud, kps, hyper.pillar_points,
+                                               hyper.pillar_radius))
+        return memo[key][1]
 
-    src_kps, src_pillars = per_frame(pair.source, hyper.src_keypoints)
-    tgt_kps, tgt_pillars = per_frame(pair.target, hyper.tgt_keypoints)
-    labels = label_correspondences(pair, src_kps, tgt_kps, match_radius, unmatch_radius)
+    src_pillars = per_frame(pair.source, hyper.src_keypoints)
+    tgt_pillars = per_frame(pair.target, hyper.tgt_keypoints)
+    labels = label_correspondences(pair, src_pillars.keypoints, tgt_pillars.keypoints,
+                                   match_radius, unmatch_radius)
     info = {
         "source_frame": pair.source.frame_id,
         "target_frame": pair.target.frame_id,
@@ -102,8 +98,8 @@ def preprocess_pair(
     if meta:
         info.update(meta)
     return PreprocessedPair(
-        src_keypoints=src_kps,
-        tgt_keypoints=tgt_kps,
+        src_keypoints=src_pillars.keypoints,
+        tgt_keypoints=tgt_pillars.keypoints,
         src_pillars=src_pillars,
         tgt_pillars=tgt_pillars,
         labels=labels,
@@ -113,31 +109,17 @@ def preprocess_pair(
     )
 
 
-def _keypoint_arrays(prefix: str, kps: list[KeyPoint]) -> dict:
-    return {
-        f"{prefix}.kp.position": keypoint_positions(kps),
-        f"{prefix}.kp.smoothness": np.array([k.smoothness for k in kps]),
-        f"{prefix}.kp.kind": np.array(
-            [1 if k.kind is KeyPointKind.SHARP else 0 for k in kps], dtype=np.uint8
-        ),
-        f"{prefix}.kp.index": np.array([k.index for k in kps], dtype=np.int64),
-    }
-
-
-def _pillar_arrays(prefix: str, pillars: list[Pillar]) -> dict:
-    return {
-        f"{prefix}.pillar.members": np.stack([p.members for p in pillars]),
-        f"{prefix}.pillar.centroid": np.stack([p.centroid for p in pillars]),
-        f"{prefix}.pillar.real_count": np.array([p.real_count for p in pillars], dtype=np.int64),
-    }
-
-
 def write_pair(path, pair: PreprocessedPair) -> None:
     arrays = {}
-    arrays.update(_keypoint_arrays("src", pair.src_keypoints))
-    arrays.update(_keypoint_arrays("tgt", pair.tgt_keypoints))
-    arrays.update(_pillar_arrays("src", pair.src_pillars))
-    arrays.update(_pillar_arrays("tgt", pair.tgt_pillars))
+    for prefix, kps, pillars in (("src", pair.src_keypoints, pair.src_pillars),
+                                 ("tgt", pair.tgt_keypoints, pair.tgt_pillars)):
+        arrays[f"{prefix}.kp.position"] = kps.positions
+        arrays[f"{prefix}.kp.smoothness"] = kps.smoothness
+        arrays[f"{prefix}.kp.kind"] = kps.kind
+        arrays[f"{prefix}.kp.index"] = kps.index
+        arrays[f"{prefix}.pillar.members"] = pillars.members
+        arrays[f"{prefix}.pillar.centroid"] = pillars.centroids
+        arrays[f"{prefix}.pillar.real_count"] = pillars.real_count
     arrays["gt_transform"] = pair.gt_transform.matrix
     arrays["labels.matched"] = pair.labels.matched_array
     for name in ("unmatched_rows", "unmatched_cols", "ignored_rows", "ignored_cols"):
@@ -145,37 +127,6 @@ def write_pair(path, pair: PreprocessedPair) -> None:
     meta = dict(pair.meta)
     meta["frame_distance"] = pair.frame_distance
     write_container(path, "pair", meta, arrays)
-
-
-def _read_keypoints(prefix: str, arrays: dict) -> list[KeyPoint]:
-    pos = arrays[f"{prefix}.kp.position"]
-    smooth = arrays[f"{prefix}.kp.smoothness"]
-    kind = arrays[f"{prefix}.kp.kind"]
-    index = arrays[f"{prefix}.kp.index"]
-    return [
-        KeyPoint(
-            position=pos[i],
-            smoothness=float(smooth[i]),
-            kind=KeyPointKind.SHARP if kind[i] else KeyPointKind.PLANAR,
-            index=int(index[i]),
-        )
-        for i in range(len(pos))
-    ]
-
-
-def _read_pillars(prefix: str, arrays: dict, kps: list[KeyPoint]) -> list[Pillar]:
-    members = arrays[f"{prefix}.pillar.members"]
-    centroids = arrays[f"{prefix}.pillar.centroid"]
-    counts = arrays[f"{prefix}.pillar.real_count"]
-    return [
-        Pillar(
-            keypoint=kps[i],
-            centroid=centroids[i],
-            members=members[i],
-            real_count=int(counts[i]),
-        )
-        for i in range(len(members))
-    ]
 
 
 # shape of each array of one cloud in a pair file; "n" is the key-point count
@@ -191,7 +142,8 @@ _INTEGER_ARRAYS = ("kp.kind", "kp.index", "pillar.real_count")
 
 def _check_pair_arrays(path, arrays: dict) -> None:
     """Every array a pair file needs, with consistent shapes, finite values,
-    integer labels and counts, and label indices inside their cloud."""
+    integer labels, kinds and counts, and every label index, pillar count and
+    key-point kind (0 planar, 1 sharp) in range."""
     expected = {"gt_transform": (4, 4), "labels.matched": ("matched", 2)}
     for prefix in ("src", "tgt"):
         for key, shape in _CLOUD_SHAPES.items():
@@ -215,25 +167,35 @@ def _check_pair_arrays(path, arrays: dict) -> None:
     bounded = [(arrays["labels.matched"][:, 0], sizes["src"]),
                (arrays["labels.matched"][:, 1], sizes["tgt"])]
     bounded += [(arrays[f"labels.{name}"], sizes[cloud]) for name, cloud in _LABEL_SETS.items()]
-    bounded += [(arrays[f"{cloud}.pillar.real_count"], sizes["z"] + 1) for cloud in ("src", "tgt")]
+    for cloud in ("src", "tgt"):
+        bounded += [(arrays[f"{cloud}.pillar.real_count"], sizes["z"] + 1),
+                    (arrays[f"{cloud}.kp.kind"], 2)]
     for values, stop in bounded:
         if np.any((values < 0) | (values >= stop)):
-            raise FormatError(f"{path}: a label index or pillar count is out of range")
+            raise FormatError(
+                f"{path}: a label index, key-point kind or pillar count is out of range")
 
 
 def read_pair(path) -> PreprocessedPair:
     meta, arrays = read_container(path, expect_kind="pair")
     _check_pair_arrays(path, arrays)
-    try:
-        src_kps = _read_keypoints("src", arrays)
-        tgt_kps = _read_keypoints("tgt", arrays)
-        labels = CorrespondenceLabels(
-            matched=frozenset((int(i), int(j)) for i, j in arrays["labels.matched"]),
-            unmatched_rows=frozenset(int(v) for v in arrays["labels.unmatched_rows"]),
-            unmatched_cols=frozenset(int(v) for v in arrays["labels.unmatched_cols"]),
-            ignored_rows=frozenset(int(v) for v in arrays["labels.ignored_rows"]),
-            ignored_cols=frozenset(int(v) for v in arrays["labels.ignored_cols"]),
+    src_pillars, tgt_pillars = (
+        PillarSet(
+            keypoints=KeyPointSet(
+                positions=arrays[f"{prefix}.kp.position"],
+                smoothness=arrays[f"{prefix}.kp.smoothness"],
+                kind=arrays[f"{prefix}.kp.kind"],
+                index=arrays[f"{prefix}.kp.index"],
+            ),
+            members=arrays[f"{prefix}.pillar.members"],
+            centroids=arrays[f"{prefix}.pillar.centroid"],
+            real_count=arrays[f"{prefix}.pillar.real_count"],
         )
+        for prefix in ("src", "tgt")
+    )
+    try:
+        labels = CorrespondenceLabels(
+            **{name: arrays[f"labels.{name}"] for name in ("matched", *_LABEL_SETS)})
         gt_transform = RigidTransform(arrays["gt_transform"])
     except ArgumentError as exc:
         raise FormatError(f"{path}: {exc}") from None
@@ -242,10 +204,10 @@ def read_pair(path) -> PreprocessedPair:
     if not isinstance(distance, int) or isinstance(distance, bool):
         raise FormatError(f"{path}: frame_distance must be an integer, got {distance!r}")
     return PreprocessedPair(
-        src_keypoints=src_kps,
-        tgt_keypoints=tgt_kps,
-        src_pillars=_read_pillars("src", arrays, src_kps),
-        tgt_pillars=_read_pillars("tgt", arrays, tgt_kps),
+        src_keypoints=src_pillars.keypoints,
+        tgt_keypoints=tgt_pillars.keypoints,
+        src_pillars=src_pillars,
+        tgt_pillars=tgt_pillars,
         labels=labels,
         gt_transform=gt_transform,
         frame_distance=distance,

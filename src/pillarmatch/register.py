@@ -296,13 +296,9 @@ def evaluate_matchers(
                 if pair.labels.matched:
                     score = matching_score(matches, pair.labels)
                 try:
-                    src_sel = np.array(
-                        [src_pos[i] for i, _, _ in matches.pairs]
-                    ).reshape(-1, 3)
-                    tgt_sel = np.array(
-                        [tgt_pos[j] for _, j, _ in matches.pairs]
-                    ).reshape(-1, 3)
-                    estimate = estimate_transform_svd(src_sel, tgt_sel)
+                    rows, cols = np.array(
+                        [(i, j) for i, j, _ in matches.pairs], dtype=np.int64).reshape(-1, 2).T
+                    estimate = estimate_transform_svd(src_pos[rows], tgt_pos[cols])
                     t_err, r_err = transform_errors(estimate, pair.gt_transform)
                 except (DegenerateGeometryError, InsufficientCorrespondencesError):
                     failed = True

@@ -223,6 +223,23 @@ def test_gradients_accumulate_across_separate_tapes():
     np.testing.assert_allclose(x.grad, 2.0 * first)
 
 
+def test_first_gradient_is_a_copy_in_the_tensors_dtype():
+    # add hands one gradient array to both parents; neither may alias it
+    a = Tensor(np.zeros(3, dtype=np.float32), requires_grad=True)
+    b = Tensor(np.zeros(3, dtype=np.float32), requires_grad=True)
+    seed = np.ones(3, dtype=np.float32)
+    (a + b).backward(seed)
+    assert a.grad.dtype == b.grad.dtype == np.float32
+    assert not np.shares_memory(a.grad, b.grad) and not np.shares_memory(a.grad, seed)
+    a.grad += 1.0
+    np.testing.assert_array_equal(b.grad, 1.0)
+    np.testing.assert_array_equal(seed, 1.0)
+    incoming = np.full(3, 2.0)
+    c = Tensor(np.zeros(3, dtype=np.float32), requires_grad=True)
+    c._accumulate(incoming)
+    assert c.grad.dtype == np.float32 and not np.shares_memory(c.grad, incoming)
+
+
 def test_nonfinite_output_raises():
     x = t([1e308, 1e308])
     with np.errstate(over="ignore"), pytest.raises(NumericError):

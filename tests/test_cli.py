@@ -57,6 +57,19 @@ def test_synth_zero_pairs_valid_manifest(tmp_path):
     assert load_dataset(out) == []
 
 
+@pytest.mark.parametrize("flag,value", [
+    ("--neighborhood-size", "-1"), ("--neighborhood-size", "0"),
+    ("--min-separation", "-1"), ("--min-separation", "0"), ("--min-separation", "nan"),
+    ("--min-separation", "inf"), ("--num-pairs", "-1"),
+])
+def test_bad_synth_setting_is_usage_error_and_writes_nothing(tmp_path, capsys, flag, value):
+    out = tmp_path / "data"
+    code = main(["synth", "--out", str(out), *SCENE_FLAGS, *TOY_FLAGS, flag, value])
+    assert code == 2
+    assert capsys.readouterr().err.startswith("error: ")
+    assert not out.exists()
+
+
 def test_synth_half_overlap_has_unmatched_rows(tmp_path):
     out = tmp_path / "halved"
     code = main([
@@ -325,6 +338,25 @@ def test_checkpoint_pair_mismatch_is_config_error(tmp_path):
         "--pair", str(big / "pair_00000.ppair"),
     ])
     assert code == 2
+
+
+def test_pillar_capacity_mismatch_is_config_error_in_train_and_eval(tmp_path, capsys):
+    data = run_synth(tmp_path, "data", num_pairs=1, seed=5)  # capacity 6
+    flags = [*TOY_FLAGS, "--pillar-points", "4"]
+    run_dir = tmp_path / "run"
+    code = main(["train", "--data", str(data), "--out", str(run_dir), "--epochs", "1",
+                 "--batch-size", "1", *flags])
+    assert code == 2
+    assert "pair 0 has pillar capacity 6/6" in capsys.readouterr().err
+    assert not run_dir.exists()
+    hyper = HyperParams(src_keypoints=8, tgt_keypoints=8, pillar_points=4, feature_depth=8,
+                        attention_heads=2, attention_layers=2, sinkhorn_iterations=10,
+                        positional_hidden=(8, 16))
+    checkpoint = tmp_path / "model.pmc"
+    save_checkpoint(checkpoint, ModelParameters.initialize(hyper, seed=0))
+    code = main(["eval", "--data", str(data), "--checkpoint", str(checkpoint)])
+    assert code == 2
+    assert "the model expects 4" in capsys.readouterr().err
 
 
 def test_config_file_provides_defaults(tmp_path):

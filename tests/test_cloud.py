@@ -1,12 +1,16 @@
 import numpy as np
 import pytest
 
+from conftest import PILLAR_CASES
+
 from pillarmatch.cloud import (
     PARALLEL_QUERY_POINTS,
     CorrespondenceLabels,
     FramePair,
     KeyPoint,
     KeyPointKind,
+    KeyPointSet,
+    PillarSet,
     PointCloud,
     SceneConfig,
     _neighbor_indices,
@@ -15,6 +19,7 @@ from pillarmatch.cloud import (
     load_kitti_poses,
     load_kitti_scan,
     sample_pillar,
+    sample_pillars,
     save_kitti_poses,
     save_kitti_scan,
     select_keypoints,
@@ -302,15 +307,80 @@ def test_sample_pillar_distances_sorted_and_inside(rng):
     assert np.all(dists < 0.8)
 
 
+def reference_pillar(cloud, position, capacity, radius):
+    """One pillar by the per-key-point query that sample_pillars batches:
+    ``(members, centroid, real_count)``."""
+    k = min(capacity, len(cloud))
+    members = np.zeros((capacity, 4))
+    real = 0
+    if k > 0:
+        dist, idx = cloud.tree.query(position, k=k)
+        dist = np.atleast_1d(dist)
+        idx = np.atleast_1d(idx)
+        inside = dist < radius
+        dist, idx = dist[inside], idx[inside]
+        idx = idx[np.lexsort((idx, dist))]
+        real = len(idx)
+        members[:real, :3] = cloud.points[idx]
+        members[:real, 3] = cloud.intensities[idx]
+    centroid = members[:real, :3].mean(axis=0) if real else np.array(position)
+    return members, centroid, real
+
+
+@pytest.mark.parametrize("case", PILLAR_CASES)
+def test_sample_pillars_equals_per_keypoint_reference(pillar_cases, case):
+    cloud, kps, capacity, radius = pillar_cases[case]
+    pillars = sample_pillars(cloud, kps, capacity, radius)
+    members, centroids, counts = zip(
+        *(reference_pillar(cloud, p, capacity, radius) for p in kps.positions))
+    assert pillars.keypoints is kps and pillars.capacity == capacity
+    np.testing.assert_array_equal(pillars.members, np.stack(members))
+    np.testing.assert_array_equal(pillars.centroids, np.stack(centroids))
+    np.testing.assert_array_equal(pillars.real_count, counts)
+    shape = {"capacity-above-cloud": min(counts) == len(cloud) < capacity,
+             "empty-pillars": min(counts) == 0 < max(counts),
+             "equal-distance-ties": min(counts) == capacity}
+    assert shape.get(case, True)
+
+
+def test_records_are_read_only_and_round_trip_through_items(pillar_cases):
+    cloud, kps, capacity, radius = pillar_cases["empty-pillars"]
+    pillars = sample_pillars(cloud, kps, capacity, radius)
+    for record in (kps, pillars):
+        for name, arr in vars(record).items():
+            if isinstance(arr, np.ndarray):
+                with pytest.raises(ValueError):
+                    arr[0] = 1
+        with pytest.raises(AttributeError):
+            record.kind = None
+    again = PillarSet.from_items(pillars)
+    for record, copy in ((kps, again.keypoints), (pillars, again)):
+        for name, arr in vars(record).items():
+            if isinstance(arr, np.ndarray):
+                np.testing.assert_array_equal(getattr(copy, name), arr)
+                assert getattr(copy, name).dtype == arr.dtype
+    assert [kp.kind for kp in kps] == [KeyPointKind.SHARP, KeyPointKind.PLANAR] * 2 + [
+        KeyPointKind.SHARP]
+    assert pillars[3].real_count == 0 and pillars[3].keypoint.index == -1
+
+
+def test_record_arrays_must_agree_in_length():
+    with pytest.raises(ArgumentError):
+        KeyPointSet(positions=np.zeros((2, 3)), smoothness=[0.0], kind=[1, 0], index=[0, 1])
+    kps = kps_at([[3.0, 0, 0]])
+    with pytest.raises(ArgumentError):
+        PillarSet(kps, members=np.zeros((1, 4, 3)), centroids=np.zeros((1, 3)), real_count=[0])
+
+
 # ---------------------------------------------------------------------------
 # correspondence labels
 # ---------------------------------------------------------------------------
 
 def kps_at(positions):
-    return [
+    return KeyPointSet.from_items(
         KeyPoint(position=p, smoothness=0.0, kind=KeyPointKind.SHARP, index=i)
         for i, p in enumerate(positions)
-    ]
+    )
 
 
 def pair_with_identity(points):

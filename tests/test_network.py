@@ -5,11 +5,12 @@ import weakref
 import numpy as np
 import pytest
 
-from conftest import make_pillar, rewrite_container, toy_hyper, toy_pair
+from conftest import PILLAR_CASES, make_pillar, rewrite_container, toy_hyper, toy_pair
 
 from pillarmatch import autodiff as ad
 from pillarmatch import learn
 from pillarmatch.autodiff import Tensor, grad_check
+from pillarmatch.cloud import sample_pillars
 from pillarmatch.errors import ConfigError, NumericError, ShapeError
 from pillarmatch.learn import compute_loss
 from pillarmatch.network import (
@@ -64,6 +65,28 @@ def test_feature_stack_two_member_centroid_offsets():
     stack = build_feature_stack(pillar).reshape(2, 11)
     np.testing.assert_allclose(stack[0, 4:7], [0.5, -0.5, 0.0])
     np.testing.assert_allclose(stack[1, 4:7], [-0.5, 0.5, 0.0])
+
+
+def reference_stack(pillar):
+    """One pillar's stack by the per-pillar loop that feature_stacks vectorises."""
+    stack = np.zeros((pillar.capacity, 11))
+    real = pillar.real_count
+    if real:
+        pts = pillar.members[:real, :3]
+        stack[:real, 0:3] = pts
+        stack[:real, 3] = pillar.members[:real, 3]
+        stack[:real, 4:7] = pts - pillar.centroid
+        stack[:real, 7] = np.linalg.norm(pts, axis=1)
+        stack[:real, 8:11] = pts - pillar.keypoint.position
+    return stack.reshape(-1)
+
+
+@pytest.mark.parametrize("case", PILLAR_CASES)
+def test_feature_stacks_equal_per_pillar_reference(pillar_cases, case):
+    pillars = sample_pillars(*pillar_cases[case])
+    stacks = feature_stacks(pillars)
+    np.testing.assert_array_equal(stacks, np.stack([reference_stack(p) for p in pillars]))
+    np.testing.assert_array_equal(build_feature_stack(pillars[0]), stacks[0])
 
 
 # ---------------------------------------------------------------------------

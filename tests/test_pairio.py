@@ -152,6 +152,7 @@ def test_read_pair_misshapen_array_is_format_error(tmp_path, name, value):
     ("labels.ignored_rows", [4]),
     ("src.pillar.real_count", [5, 0, 0, 0]),
     ("tgt.pillar.real_count", [-1, 0, 0, 0]),
+    ("tgt.kp.kind", [256, 0, 0, 0]),
 ])
 def test_read_pair_out_of_range_index_is_format_error(tmp_path, name, value):
     path = tmp_path / "pair.ppair"
