@@ -262,20 +262,6 @@ class Tensor:
             out._backward = back
         return out
 
-    def narrow(self, axis: int, start: int, length: int) -> "Tensor":
-        axis = _check_axis(axis, self.ndim, "narrow")
-        index = [slice(None)] * self.ndim
-        index[axis] = slice(start, start + length)
-        index = tuple(index)
-        out = _node(self.data[index].copy(), (self,), "narrow")
-        if out.requires_grad:
-            def back(grad):
-                if self.grad is None:
-                    self.grad = np.zeros_like(self.data)
-                self.grad[index] += grad
-            out._backward = back
-        return out
-
     def gather_rows(self, indices) -> "Tensor":
         """``data[indices]`` along the leading axis: an index array of shape
         ``s`` gives ``s + shape[1:]``, a single index drops the axis."""
@@ -286,20 +272,6 @@ class Tensor:
                 if self.grad is None:
                     self.grad = np.zeros_like(self.data)
                 np.add.at(self.grad, idx, grad)
-            out._backward = back
-        return out
-
-    def gather_pairs(self, rows, cols) -> "Tensor":
-        if self.ndim != 2:
-            raise ShapeError("gather_pairs requires a 2-D tensor")
-        r = np.asarray(rows, dtype=np.intp)
-        c = np.asarray(cols, dtype=np.intp)
-        out = _node(self.data[r, c], (self,), "gather_pairs")
-        if out.requires_grad:
-            def back(grad):
-                if self.grad is None:
-                    self.grad = np.zeros_like(self.data)
-                np.add.at(self.grad, (r, c), grad)
             out._backward = back
         return out
 

@@ -117,6 +117,8 @@ def _load_config_defaults(parser, argv):
         values = json.loads(path.read_text())
     except json.JSONDecodeError as exc:
         raise FormatError(f"{path}: invalid config json: {exc}") from None
+    if not isinstance(values, dict):
+        raise ConfigError(f"{path}: config must be a JSON object of flag values")
     subparsers = next(
         a for a in parser._actions if isinstance(a, argparse._SubParsersAction)
     )
@@ -124,11 +126,32 @@ def _load_config_defaults(parser, argv):
     if command is None:
         raise ConfigError("--config requires a subcommand")
     sub = subparsers.choices[command]
-    valid = {a.dest for a in sub._actions}
-    unknown = set(values) - valid
+    actions = {a.dest: a for a in sub._actions}
+    unknown = set(values) - set(actions)
     if unknown:
         raise ConfigError(f"unknown config keys for {command!r}: {sorted(unknown)}")
+    for dest, value in values.items():
+        if not _flag_accepts(actions[dest], value):
+            raise ConfigError(f"{path}: {dest} cannot be {value!r}")
     sub.set_defaults(**values)
+
+
+def _flag_accepts(action, value) -> bool:
+    """Whether ``value`` is one that ``action``'s flag parses to: a string is
+    parsed as on the command line, and ``None`` fits only a ``None`` default."""
+    if value is None:
+        return action.default is None
+    if action.nargs == 0:
+        return isinstance(value, bool)
+    kind = action.type or str
+    if isinstance(value, str):
+        try:
+            value = kind(value)
+        except ValueError:
+            return False
+    if isinstance(value, bool) or not isinstance(value, (int, float) if kind is float else kind):
+        return False
+    return action.choices is None or value in action.choices
 
 
 def _args_echo(args) -> dict:
@@ -288,6 +311,8 @@ def cmd_train(args) -> int:
 
 
 def cmd_match(args) -> int:
+    if args.timing_runs < 0:
+        raise ConfigError(f"--timing-runs must be >= 0, got {args.timing_runs}")
     params, meta, _ = load_checkpoint(_resolve(args.checkpoint))
     pair = pairio.read_pair(_resolve(args.pair))
     n, m = len(pair.src_keypoints), len(pair.tgt_keypoints)

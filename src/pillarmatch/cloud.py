@@ -53,10 +53,11 @@ class PointCloud:
     frame_id: str = ""
 
     def __post_init__(self):
-        pts = np.atleast_2d(np.asarray(self.points, dtype=np.float64))
+        # own copies: freezing the caller's arrays would make them read-only
+        pts = np.atleast_2d(np.array(self.points, dtype=np.float64))
         if pts.size == 0:
             pts = pts.reshape(0, 3)
-        intens = np.asarray(self.intensities, dtype=np.float64).reshape(-1)
+        intens = np.array(self.intensities, dtype=np.float64).reshape(-1)
         if pts.ndim != 2 or pts.shape[1] != 3:
             raise ArgumentError(f"points must be (N, 3), got {pts.shape}")
         if len(intens) != len(pts):

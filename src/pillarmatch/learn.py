@@ -3,7 +3,10 @@
 All three losses operate on the log-domain Sinkhorn output with standard
 cross-entropy signs (subtract the true-cell score, add a log-sum-exp), so
 each is bounded below by zero and minimized on a one-hot assignment that
-agrees with the labels.
+agrees with the labels. Each is a weighted sum of assignment cells plus
+weighted row and column log-sum-exps: :func:`loss_weights` builds the
+weights of a loss kind and :func:`weighted_assignment_loss` evaluates them
+as one tape node with a hand-written backward.
 """
 from __future__ import annotations
 
@@ -13,10 +16,11 @@ from pathlib import Path
 
 import numpy as np
 
+from . import autodiff as ad
 from .autodiff import Tensor
 from .cloud import CorrespondenceLabels
 from .container import is_count, is_finite_real
-from .errors import ArgumentError, ConfigError, NumericError
+from .errors import ArgumentError, ConfigError, NumericError, ShapeError
 from .network import HyperParams, ModelParameters, save_checkpoint
 from .pairio import PreprocessedPair
 from .pipeline import batch_assignments
@@ -25,114 +29,91 @@ from .transport import AssignmentMatrix, MatchSet, extract_matches
 LOSS_KINDS = ("nll", "nllp", "dce")
 
 
-def ground_truth_cells(labels: CorrespondenceLabels, n: int, m: int):
-    """Row/column indices of every supervised cell in the augmented matrix.
+def loss_weights(kind: str, labels: CorrespondenceLabels, n: int, m: int,
+                 penalty_excludes_dustbin: bool = False):
+    """Weights ``(cells, rows, cols, row_span)`` of loss ``kind`` on an
+    ``(n+1, m+1)`` assignment, for :func:`weighted_assignment_loss`.
 
-    Matched pairs map to their own cells, unmatched rows to the dustbin
-    column ``m`` and unmatched columns to the dustbin row ``n``. Ignored
-    indices contribute nothing.
+    The supervised cells are the matched pairs, each unmatched row's dustbin
+    column and each unmatched column's dustbin row; ``nll`` weighs them 1.
+    ``nllp`` adds 1 on each unmatched row's dustbin cell and row
+    log-sum-exp, which spans the real columns alone when
+    ``penalty_excludes_dustbin``. ``dce`` weighs matched cells 2, dustbin
+    cells 1 and the log-sum-exp of every supervised row and column 1.
     """
-    rows, cols = [], []
-    for i, j in sorted(labels.matched):
-        rows.append(i)
-        cols.append(j)
-    for i in sorted(labels.unmatched_rows):
-        rows.append(i)
-        cols.append(m)
-    for j in sorted(labels.unmatched_cols):
-        rows.append(n)
-        cols.append(j)
-    if not rows:
+    if kind not in LOSS_KINDS:
+        raise ArgumentError(f"unknown loss kind {kind!r}; expected one of {LOSS_KINDS}")
+    if labels.total_cells() == 0:
         raise ArgumentError("labels contain no ground-truth cells")
-    rows = np.asarray(rows, dtype=np.intp)
-    cols = np.asarray(cols, dtype=np.intp)
-    if rows.max() > n or cols.max() > m:
+    pairs = labels.matched_array
+    un_rows = np.fromiter(labels.unmatched_rows, dtype=np.intp)
+    un_cols = np.fromiter(labels.unmatched_cols, dtype=np.intp)
+    row_index = np.concatenate([pairs[:, 0], un_rows])
+    col_index = np.concatenate([pairs[:, 1], un_cols])
+    if not (np.all((row_index >= 0) & (row_index <= n))
+            and np.all((col_index >= 0) & (col_index <= m))):
         raise ArgumentError("label index outside the assignment matrix")
-    return rows, cols
+    cells, rows, cols = np.zeros((n + 1, m + 1)), np.zeros(n + 1), np.zeros(m + 1)
+    cells[pairs[:, 0], pairs[:, 1]] = 2.0 if kind == "dce" else 1.0
+    cells[un_rows, m] = 2.0 if kind == "nllp" else 1.0
+    cells[n, un_cols] = 1.0
+    if kind == "nllp":
+        rows[un_rows] = 1.0
+    elif kind == "dce":
+        rows[row_index] = cols[col_index] = 1.0
+    return cells, rows, cols, m if kind == "nllp" and penalty_excludes_dustbin else m + 1
+
+
+def weighted_assignment_loss(log_p: Tensor, cells, rows, cols, row_span: int) -> Tensor:
+    """``-(cells * log_p).sum() + (rows * lse_row).sum() + (cols * lse_col).sum()``
+    on one ``(n+1, m+1)`` assignment, as one tape node. ``lse_row`` runs over
+    each row's first ``row_span`` columns; the gradient is ``-cells + rows *
+    softmax_row + cols * softmax_col``."""
+    data = log_p.data
+    cells, rows, cols = (np.asarray(w, dtype=data.dtype) for w in (cells, rows, cols))
+    block = data[:, :row_span]
+    row_lse = ad.logsumexp_array(block, axis=1)
+    col_lse = ad.logsumexp_array(data, axis=0)
+    value = np.sum(rows * row_lse[:, 0]) + np.sum(cols * col_lse[0]) - np.sum(cells * data)
+    grad = cols * np.exp(data - col_lse) - cells
+    grad[:, :row_span] += rows[:, None] * np.exp(block - row_lse)
+    out = ad._node(np.asarray(value, dtype=data.dtype), (log_p,), "assignment_loss")
+    if out.requires_grad:
+        def back(g):
+            log_p._accumulate(g * grad)
+        out._backward = back
+    return out
+
+
+def compute_loss(kind: str, assign, labels, penalty_excludes_dustbin: bool = False) -> Tensor:
+    """Loss ``kind`` (one of :data:`LOSS_KINDS`) of ``assign`` against ``labels``."""
+    log_p = assign.log_p
+    if log_p.ndim != 2:
+        raise ShapeError("a loss needs one (n+1, m+1) assignment matrix")
+    n, m = log_p.shape[0] - 1, log_p.shape[1] - 1
+    weights = loss_weights(kind, labels, n, m, penalty_excludes_dustbin)
+    return weighted_assignment_loss(log_p, *weights)
 
 
 def loss_nll(assign: AssignmentMatrix, labels: CorrespondenceLabels) -> Tensor:
     """Negative log-likelihood over every supervised cell."""
-    log_p = assign.log_p
-    n, m = log_p.shape[0] - 1, log_p.shape[1] - 1
-    rows, cols = ground_truth_cells(labels, n, m)
-    return -(log_p.gather_pairs(rows, cols).sum())
+    return compute_loss("nll", assign, labels)
 
 
-def loss_nllp(
-    assign: AssignmentMatrix,
-    labels: CorrespondenceLabels,
-    penalty_excludes_dustbin: bool = False,
-) -> Tensor:
-    """NLL plus a row-direction penalty for ground-truth-unmatched rows.
-
-    The penalty is a cross entropy pushing each unmatched row's mass onto the
-    dustbin. By default its log-sum runs over the whole row including the
-    dustbin, which keeps it non-negative and zero when the row is correctly
-    assigned; ``penalty_excludes_dustbin`` restricts the sum to the real
-    columns instead (the literal summation bound), at the cost of losing the
-    lower bound.
-    """
-    base = loss_nll(assign, labels)
-    unmatched = sorted(labels.unmatched_rows)
-    if not unmatched:
-        return base
-    log_p = assign.log_p
-    m = log_p.shape[1] - 1
-    rows = log_p.gather_rows(np.asarray(unmatched, dtype=np.intp))
-    if penalty_excludes_dustbin:
-        rows = rows.narrow(1, 0, m)
-    lse = rows.logsumexp(axis=1)
-    dust = log_p.gather_pairs(
-        np.asarray(unmatched, dtype=np.intp), np.full(len(unmatched), m, dtype=np.intp)
-    )
-    return base + (lse - dust).sum()
+def loss_nllp(assign: AssignmentMatrix, labels: CorrespondenceLabels,
+              penalty_excludes_dustbin: bool = False) -> Tensor:
+    """NLL plus a cross entropy pushing each unmatched row's mass onto the
+    dustbin. By default its log-sum spans the whole row, which keeps it
+    non-negative and zero on a correctly assigned row;
+    ``penalty_excludes_dustbin`` sums over the real columns alone (the
+    literal summation bound) and loses that lower bound."""
+    return compute_loss("nllp", assign, labels, penalty_excludes_dustbin)
 
 
 def loss_dce(assign: AssignmentMatrix, labels: CorrespondenceLabels) -> Tensor:
-    """Dual cross entropy: row-wise and column-wise softmax losses.
-
-    Matched cells pay both directions; dustbin cells pay only the direction
-    they supervise.
-    """
-    log_p = assign.log_p
-    n, m = log_p.shape[0] - 1, log_p.shape[1] - 1
-    rows, cols = ground_truth_cells(labels, n, m)  # validates emptiness
-
-    matched = np.asarray(sorted(labels.matched), dtype=np.intp).reshape(-1, 2)
-    un_rows = np.asarray(sorted(labels.unmatched_rows), dtype=np.intp)
-    un_cols = np.asarray(sorted(labels.unmatched_cols), dtype=np.intp)
-
-    row_lse = log_p.logsumexp(axis=1)
-    col_lse = log_p.logsumexp(axis=0)
-
-    row_idx = np.concatenate([matched[:, 0], un_rows])
-    row_cell_cols = np.concatenate([matched[:, 1], np.full(len(un_rows), m, dtype=np.intp)])
-    col_idx = np.concatenate([matched[:, 1], un_cols])
-    col_cell_rows = np.concatenate([matched[:, 0], np.full(len(un_cols), n, dtype=np.intp)])
-
-    total = None
-    if len(row_idx):
-        row_term = row_lse.gather_rows(row_idx).sum() - log_p.gather_pairs(
-            row_idx, row_cell_cols
-        ).sum()
-        total = row_term
-    if len(col_idx):
-        col_term = col_lse.gather_rows(col_idx).sum() - log_p.gather_pairs(
-            col_cell_rows, col_idx
-        ).sum()
-        total = col_term if total is None else total + col_term
-    return total
-
-
-def compute_loss(kind: str, assign, labels, penalty_excludes_dustbin: bool = False) -> Tensor:
-    if kind == "nll":
-        return loss_nll(assign, labels)
-    if kind == "nllp":
-        return loss_nllp(assign, labels, penalty_excludes_dustbin)
-    if kind == "dce":
-        return loss_dce(assign, labels)
-    raise ArgumentError(f"unknown loss kind {kind!r}; expected one of {LOSS_KINDS}")
+    """Dual cross entropy: matched cells pay the row and the column direction,
+    dustbin cells only the direction they supervise."""
+    return compute_loss("dce", assign, labels)
 
 
 # ---------------------------------------------------------------------------

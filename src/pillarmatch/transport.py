@@ -152,12 +152,13 @@ def sinkhorn(augmented: Tensor, iterations: int = 100, mode: str = "alternating"
 
 
 def marginal_deviation(log_p: np.ndarray, log_mu=None, log_nu=None) -> float:
-    """Max absolute row/column mass error of exp(log_p) against its targets."""
+    """Max absolute row/column mass error of exp(log_p) against its targets,
+    over one (n+1, m+1) matrix or every matrix of a (..., n+1, m+1) stack."""
     p = np.exp(log_p)
     row_target = 1.0 if log_mu is None else np.exp(log_mu).reshape(-1)
     col_target = 1.0 if log_nu is None else np.exp(log_nu).reshape(-1)
-    row_err = np.max(np.abs(p.sum(axis=1) - row_target))
-    col_err = np.max(np.abs(p.sum(axis=0) - col_target))
+    row_err = np.max(np.abs(p.sum(axis=-1) - row_target))
+    col_err = np.max(np.abs(p.sum(axis=-2) - col_target))
     return float(max(row_err, col_err))
 
 

@@ -163,7 +163,7 @@ def test_grad_check_constant():
 @pytest.mark.parametrize("op_name", [
     "add", "sub", "mul", "matmul", "linear", "relu", "softmax",
     "logsumexp", "concat", "broadcast", "gather", "batchnorm_train",
-    "batchnorm_eval", "narrow", "transpose",
+    "batchnorm_eval", "transpose",
 ])
 def test_grad_check_layers(op_name, rng):
     a = t(rng.normal(size=(4, 5)))
@@ -174,10 +174,10 @@ def test_grad_check_layers(op_name, rng):
     state = BatchNormState.create(5, dtype=np.float64)
     state.gamma.data = rng.normal(1.0, 0.1, size=5)
     state.beta.data = rng.normal(size=5)
-    weights = t(rng.normal(size=(4, 5)), grad=False)
+    weights = rng.normal(size=(4, 5))
 
     def scalarize(x):
-        return (x * weights.narrow(0, 0, x.shape[0]).narrow(1, 0, x.shape[1])).sum()
+        return (x * t(weights[: x.shape[0], : x.shape[1]], grad=False)).sum()
 
     cases = {
         "add": (lambda: scalarize(a + b), [a, b]),
@@ -190,13 +190,9 @@ def test_grad_check_layers(op_name, rng):
         "logsumexp": (lambda: a.logsumexp(axis=1).sum() + a.logsumexp(axis=0).sum(), [a]),
         "concat": (lambda: ad.concat([a, b], axis=0).logsumexp(axis=0).sum(), [a, b]),
         "broadcast": (lambda: (a - a.logsumexp(axis=1, keepdims=True).broadcast_to(a.shape)).sum(), [a]),
-        "gather": (
-            lambda: a.gather_rows([2, 0, 2]).sum() + a.gather_pairs([0, 3, 3], [1, 2, 2]).sum(),
-            [a],
-        ),
+        "gather": (lambda: a.gather_rows([2, 0, 2]).sum(), [a]),
         "batchnorm_train": (lambda: scalarize(batchnorm(a, state, train=True)), [a, state.gamma, state.beta]),
         "batchnorm_eval": (lambda: scalarize(batchnorm(a, state, train=False)), [a, state.gamma, state.beta]),
-        "narrow": (lambda: a.narrow(0, 1, 2).sum() + a.narrow(1, 0, 3).sum(), [a]),
         "transpose": (lambda: (a.T @ b).sum(), [a, b]),
     }
     fn, params = cases[op_name]

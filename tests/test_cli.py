@@ -375,6 +375,52 @@ def test_config_file_provides_defaults(tmp_path):
     assert echoed["seed"] == 11
 
 
+@pytest.mark.parametrize("values", [
+    5, [1, 2], "synth",
+    {"num_pairs": 1.5}, {"num_pairs": True}, {"num_pairs": "two"}, {"seed": None},
+    {"overlap": "high"}, {"positional_hidden": 8}, {"sinkhorn_mode": "bogus"},
+    {"post_attention_mlp": 1},
+], ids=["number", "list", "string", "fraction-for-int", "bool-for-int", "word-for-int",
+        "null-for-int", "word-for-float", "number-for-str", "outside-choices",
+        "number-for-switch"])
+def test_config_value_its_flag_would_not_parse_to_is_config_error(tmp_path, capsys, values):
+    config = tmp_path / "cfg.json"
+    config.write_text(json.dumps(values))
+    out = tmp_path / "data"
+    code = main(["synth", "--config", str(config), "--out", str(out), *SCENE_FLAGS, *TOY_FLAGS])
+    assert code == 2
+    assert capsys.readouterr().err.startswith("error: ")
+    assert not out.exists()
+
+
+def test_config_strings_parse_as_on_the_command_line(tmp_path):
+    config = tmp_path / "cfg.json"
+    config.write_text(json.dumps({"num_pairs": "0", "overlap": 1, "min_separation": None}))
+    out = tmp_path / "data"
+    assert main(["synth", "--config", str(config), "--out", str(out), *TOY_FLAGS]) == 0
+    echoed = json.loads((out / "config.json").read_text())
+    assert (echoed["num_pairs"], echoed["overlap"]) == (0, 1)
+
+
+def test_match_negative_timing_runs_is_config_error(tmp_path, capsys):
+    data = run_synth(tmp_path, "data", num_pairs=1, seed=5)
+    checkpoint = tmp_path / "model.pmc"
+    hyper = HyperParams(
+        src_keypoints=8, tgt_keypoints=8, pillar_points=6, feature_depth=8,
+        attention_heads=2, attention_layers=2, sinkhorn_iterations=10,
+        positional_hidden=(8, 16),
+    )
+    save_checkpoint(checkpoint, ModelParameters.initialize(hyper, seed=0))
+    report = tmp_path / "match.json"
+    flags = ["match", "--checkpoint", str(checkpoint), "--pair", str(data / "pair_00000.ppair"),
+             "--report", str(report), "--timing-runs"]
+    assert main([*flags, "-1"]) == 2
+    assert "--timing-runs" in capsys.readouterr().err
+    assert not report.exists()
+    assert main([*flags, "0"]) == 0
+    assert "mean_forward_ms" not in json.loads(report.read_text())
+
+
 def test_match_self_pair_with_overfit_model(tmp_path):
     # source == target: after a short overfit run, nearly every key-point
     # should match itself

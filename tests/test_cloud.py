@@ -78,6 +78,19 @@ def test_scan_missing_file(tmp_path):
         load_kitti_scan(tmp_path / "nope.bin")
 
 
+def test_cloud_keeps_read_only_copies_of_callers_arrays(rng):
+    points = rng.normal(size=(6, 3))
+    intensities = rng.uniform(size=6)
+    cloud = PointCloud(points, intensities)
+    assert points.flags.writeable and intensities.flags.writeable
+    assert not (cloud.points.flags.writeable or cloud.intensities.flags.writeable)
+    kept = cloud.points.copy(), cloud.intensities.copy()
+    points[0, 0] = 5.0
+    intensities[0] = 0.5
+    np.testing.assert_array_equal(cloud.points, kept[0])
+    np.testing.assert_array_equal(cloud.intensities, kept[1])
+
+
 def test_pose_identity_line(tmp_path):
     path = tmp_path / "poses.txt"
     path.write_text("1 0 0 0 0 1 0 0 0 0 1 0\n")

@@ -6,6 +6,7 @@ import pytest
 
 from conftest import synthetic_labels, toy_hyper, toy_pair
 
+from pillarmatch import autodiff as ad
 from pillarmatch import learn
 from pillarmatch.autodiff import Tensor, grad_check
 from pillarmatch.errors import ArgumentError, ConfigError, NumericError
@@ -193,6 +194,149 @@ def test_dce_nonnegative(rng):
     for _ in range(20):
         log_p = rng.normal(size=(5, 5)) * 3.0
         assert loss_dce(assign_from_log(log_p), labels).item() >= 0.0
+
+
+# ---------------------------------------------------------------------------
+# gather-based reference losses
+# ---------------------------------------------------------------------------
+# The losses as they were written before the one-node routine: a gather per
+# supervised cell class, tape ops for every sum and log-sum-exp. They stay
+# here as independent references for values and gradients.
+
+def ref_gather_pairs(x, rows, cols):
+    r = np.asarray(rows, dtype=np.intp)
+    c = np.asarray(cols, dtype=np.intp)
+    out = ad._node(x.data[r, c], (x,), "gather_pairs")
+    if out.requires_grad:
+        def back(grad):
+            if x.grad is None:
+                x.grad = np.zeros_like(x.data)
+            np.add.at(x.grad, (r, c), grad)
+        out._backward = back
+    return out
+
+
+def ref_first_columns(x, count):
+    out = ad._node(x.data[:, :count].copy(), (x,), "narrow")
+    if out.requires_grad:
+        def back(grad):
+            if x.grad is None:
+                x.grad = np.zeros_like(x.data)
+            x.grad[:, :count] += grad
+        out._backward = back
+    return out
+
+
+def ref_cells(labels, n, m):
+    rows = [i for i, _ in sorted(labels.matched)] + sorted(labels.unmatched_rows)
+    cols = [j for _, j in sorted(labels.matched)] + [m] * len(labels.unmatched_rows)
+    rows += [n] * len(labels.unmatched_cols)
+    cols += sorted(labels.unmatched_cols)
+    return np.asarray(rows, dtype=np.intp), np.asarray(cols, dtype=np.intp)
+
+
+def ref_nll(log_p, labels):
+    n, m = log_p.shape[0] - 1, log_p.shape[1] - 1
+    return -(ref_gather_pairs(log_p, *ref_cells(labels, n, m)).sum())
+
+
+def ref_nllp(log_p, labels, penalty_excludes_dustbin):
+    base = ref_nll(log_p, labels)
+    unmatched = np.asarray(sorted(labels.unmatched_rows), dtype=np.intp)
+    if not len(unmatched):
+        return base
+    m = log_p.shape[1] - 1
+    rows = log_p.gather_rows(unmatched)
+    if penalty_excludes_dustbin:
+        rows = ref_first_columns(rows, m)
+    dust = ref_gather_pairs(log_p, unmatched, np.full(len(unmatched), m, dtype=np.intp))
+    return base + (rows.logsumexp(axis=1) - dust).sum()
+
+
+def ref_dce(log_p, labels):
+    n, m = log_p.shape[0] - 1, log_p.shape[1] - 1
+    matched = labels.matched_array
+    un_rows = np.asarray(sorted(labels.unmatched_rows), dtype=np.intp)
+    un_cols = np.asarray(sorted(labels.unmatched_cols), dtype=np.intp)
+    row_idx = np.concatenate([matched[:, 0], un_rows])
+    row_cell_cols = np.concatenate([matched[:, 1], np.full(len(un_rows), m)])
+    col_idx = np.concatenate([matched[:, 1], un_cols])
+    col_cell_rows = np.concatenate([matched[:, 0], np.full(len(un_cols), n)])
+    terms = []
+    if len(row_idx):
+        terms.append(log_p.logsumexp(axis=1).gather_rows(row_idx).sum()
+                     - ref_gather_pairs(log_p, row_idx, row_cell_cols).sum())
+    if len(col_idx):
+        terms.append(log_p.logsumexp(axis=0).gather_rows(col_idx).sum()
+                     - ref_gather_pairs(log_p, col_cell_rows, col_idx).sum())
+    return terms[0] if len(terms) == 1 else terms[0] + terms[1]
+
+
+REFERENCE_LOSSES = {
+    "nll": (ref_nll, loss_nll),
+    "nllp": (lambda x, labels: ref_nllp(x, labels, False), loss_nllp),
+    "nllp-rows-only": (lambda x, labels: ref_nllp(x, labels, True),
+                       lambda a, labels: loss_nllp(a, labels, penalty_excludes_dustbin=True)),
+    "dce": (ref_dce, loss_dce),
+}
+
+
+def random_labels(rng, n, m):
+    """One-to-one matches plus unmatched and ignored rows and columns; each
+    of the three supervised classes is empty about a third of the time."""
+    while True:
+        rows, cols = rng.permutation(n), rng.permutation(m)
+        k = 0 if rng.random() < 1 / 3 else int(rng.integers(1, min(n, m) + 1))
+        matched = set(zip(rows[:k].tolist(), cols[:k].tolist()))
+        un_rows = set() if rng.random() < 1 / 3 else {
+            int(i) for i in rows[k:] if rng.random() < 0.6}
+        un_cols = set() if rng.random() < 1 / 3 else {
+            int(j) for j in cols[k:] if rng.random() < 0.6}
+        labels = synthetic_labels(n, m, matched, un_rows, un_cols)
+        if labels.total_cells():
+            return labels
+
+
+@pytest.mark.parametrize("kind", sorted(REFERENCE_LOSSES))
+def test_losses_match_gather_references(kind, rng):
+    reference, loss = REFERENCE_LOSSES[kind]
+    for _ in range(200):
+        n, m = (int(v) for v in rng.integers(1, 7, size=2))
+        labels = random_labels(rng, n, m)
+        log_p = rng.normal(size=(n + 1, m + 1)) * 3.0
+        expected = Tensor(log_p.copy(), requires_grad=True)
+        want = reference(expected, labels)
+        want.backward()
+        actual = assign_from_log(log_p, grad=True)
+        got = loss(actual, labels)
+        got.backward()
+        assert got.item() == pytest.approx(want.item(), rel=1e-12, abs=1e-12)
+        scale = max(np.abs(expected.grad).max(), 1.0)
+        np.testing.assert_allclose(actual.log_p.grad, expected.grad, rtol=0, atol=1e-12 * scale)
+
+
+@pytest.mark.parametrize("kind", learn.LOSS_KINDS)
+def test_each_loss_is_one_tape_node(kind, monkeypatch, rng):
+    labels = synthetic_labels(4, 4, matched={(0, 1), (2, 3)}, unmatched_rows={1},
+                              unmatched_cols={0})
+    assign = assign_from_log(rng.normal(size=(5, 5)), grad=True)
+    calls = []
+    record = ad._node
+    monkeypatch.setattr(ad, "_node", lambda *args: calls.append(args[2]) or record(*args))
+    compute_loss(kind, assign, labels)
+    assert calls == ["assignment_loss"]
+
+
+@pytest.mark.parametrize("labels", [
+    synthetic_labels(3, 3, matched=set()),
+    synthetic_labels(3, 3, matched={(4, 0)}),
+    synthetic_labels(3, 3, matched={(0, 0)}, unmatched_cols={4}),
+    synthetic_labels(3, 3, matched={(0, 0)}, unmatched_rows={-1}),
+], ids=["empty", "row-outside", "column-outside", "negative-row"])
+@pytest.mark.parametrize("kind", learn.LOSS_KINDS)
+def test_loss_label_errors(kind, labels):
+    with pytest.raises(ArgumentError):
+        compute_loss(kind, assign_from_log(uniform_log(3, 3)), labels)
 
 
 # ---------------------------------------------------------------------------

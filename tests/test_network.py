@@ -471,8 +471,8 @@ def test_batch_assignments_mixed_shapes_equal_per_pair_calls_in_input_order():
 
 def test_train_step_nodes_grow_only_by_per_pair_views_and_losses(monkeypatch):
     # the graph and transport record once per (n, m) group whatever the batch
-    # size; each pair adds its log_p view, its nll loss (gather, sum, neg)
-    # and one add into the batch loss
+    # size; each pair adds its log_p view, its loss node and one add into
+    # the batch loss
     pairs = [toy_pair(seed=s) for s in range(8)]
     assert len({(len(p.src_keypoints), len(p.tgt_keypoints)) for p in pairs}) == 1
     params = ModelParameters.initialize(toy_hyper(), seed=0)
@@ -486,7 +486,7 @@ def test_train_step_nodes_grow_only_by_per_pair_views_and_losses(monkeypatch):
         monkeypatch.undo()
         return counter[0]
 
-    per_pair = 1 + 3 + 1
+    per_pair = 1 + 1 + 1
     assert step_nodes(8) - step_nodes(4) == 4 * per_pair
 
 

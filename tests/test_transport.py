@@ -136,6 +136,17 @@ def test_sinkhorn_deviation_non_increasing(rng):
     assert np.all(diffs <= 1e-9)
 
 
+@pytest.mark.parametrize("marginals", ["uniform", "dustbin-weighted"])
+def test_marginal_deviation_of_a_stack_is_the_largest_per_matrix(rng, marginals):
+    log_p = sinkhorn(t(rng.uniform(-5.0, 5.0, size=(2, 3, 6, 5))), iterations=2,
+                     marginals=marginals).log_p.data
+    targets = (None, None) if marginals == "uniform" else _log_marginals(6, 5, marginals,
+                                                                       np.float64)
+    per_matrix = [marginal_deviation(matrix, *targets) for matrix in log_p.reshape(6, 6, 5)]
+    assert len(set(per_matrix)) == 6
+    assert marginal_deviation(log_p, *targets) == max(per_matrix)
+
+
 def test_sinkhorn_simultaneous_mode_matches_printed_update(rng):
     matrix = rng.normal(size=(4, 4))
     out = sinkhorn(t(matrix), iterations=1, mode="simultaneous")
