@@ -1,8 +1,8 @@
 """The reverse-mode tape and the optimal-transport normalization.
 
 Shows gradients flowing through a small expression, checks them against
-central differences, and runs log-domain Sinkhorn until the plan is doubly
-stochastic.
+central differences, and runs Sinkhorn until the plan is doubly stochastic
+(in scaling form, since the scores record no tape).
 """
 import numpy as np
 

@@ -386,8 +386,14 @@ def _write_plot_export(path: Path, pair, result) -> None:
 
 
 def cmd_eval(args) -> int:
-    pairs = pairio.load_dataset(_resolve(args.data))
     matchers = [m.strip() for m in args.matchers.split(",") if m.strip()]
+    if not matchers:
+        raise ConfigError(f"--matchers names no matcher: {args.matchers!r}")
+    if not 0.0 < args.icp_reject_radius < float("inf"):
+        raise ConfigError(
+            f"--icp-reject-radius must be finite and > 0, got {args.icp_reject_radius}"
+        )
+    pairs = pairio.load_dataset(_resolve(args.data))
     params = None
     if "ours" in matchers:
         if not args.checkpoint:

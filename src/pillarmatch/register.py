@@ -117,6 +117,8 @@ def icp(
     """
     if max_iters < 1:
         raise ArgumentError("max_iters must be >= 1")
+    if not 0.0 < reject_radius < np.inf:
+        raise ArgumentError(f"reject_radius must be finite and > 0, got {reject_radius}")
     src = np.asarray(src_points, dtype=np.float64).reshape(-1, 3)
     tgt = np.asarray(tgt_points, dtype=np.float64).reshape(-1, 3)
     current = init if init is not None else RigidTransform.identity()
@@ -265,6 +267,8 @@ def evaluate_matchers(
     geometry) are recorded as failures, not dropped silently. Frames with no
     ground-truth matches are excluded from matching-score aggregation.
     """
+    if not matchers:
+        raise ArgumentError("no matchers to evaluate")
     report = EvalReport()
     for matcher in matchers:
         if matcher not in EVAL_MATCHERS:

@@ -1,11 +1,15 @@
 """Score matrix, dustbin augmentation, Sinkhorn normalization, match readout.
 
-All heavy lifting stays in the log domain: the assignment matrix holds log
-probabilities, normalization subtracts log-sum-exp corrections, and only the
-final readout or exports exponentiate. Sinkhorn is one tape node whose
-backward replays its iterations in reverse. Score, dustbin and Sinkhorn take
-stacks with leading batch axes, one independent matrix per leading index, so
-a batch of same-sized pairs is normalised as one array.
+The assignment matrix holds log probabilities. When Sinkhorn records a tape
+(training) or runs in simultaneous mode, normalization subtracts log-sum-exp
+corrections in the log domain, and Sinkhorn is one tape node whose backward
+replays its iterations in reverse. Inference in alternating mode runs the
+same iterations in stabilised scaling form: one float64 kernel per matrix,
+then matrix-vector products, with the scalings absorbed into log potentials
+whenever they leave a safe range; a matrix the scaling form cannot handle
+falls back to the log-domain loop. Score, dustbin and Sinkhorn take stacks
+with leading batch axes, one independent matrix per leading index, so a
+batch of same-sized pairs is normalised as one array.
 """
 from __future__ import annotations
 
@@ -103,7 +107,7 @@ def _log_marginals(n_rows: int, n_cols: int, marginals: str, dtype):
 
 def sinkhorn(augmented: Tensor, iterations: int = 100, mode: str = "alternating",
              marginals: str = "uniform") -> AssignmentMatrix:
-    """Iterative log-domain row/column normalization, recorded as one tape node.
+    """Iterative row/column normalization, recorded as one tape node.
 
     ``augmented`` is one (n+1, m+1) matrix or a (..., n+1, m+1) stack whose
     matrices are normalised independently, each exactly as it would be alone.
@@ -112,6 +116,12 @@ def sinkhorn(augmented: Tensor, iterations: int = 100, mode: str = "alternating"
     Simultaneous mode subtracts both corrections from the same iterate; it is
     kept for fidelity with the closed-form statement of the update but does
     not converge in general. The backward pass replays the iterations in reverse.
+
+    A call that records a tape, and every simultaneous-mode call, iterates in
+    the log domain. An alternating call that records none (inference) runs
+    the same iterations in stabilised scaling form in float64 (see
+    :func:`_scaling_sinkhorn`); it agrees with the log-domain loop to rounding,
+    and a matrix whose scalings turn non-finite is redone by the log-domain loop.
     """
     if iterations < 1:
         raise ArgumentError("sinkhorn needs at least one iteration")
@@ -123,17 +133,16 @@ def sinkhorn(augmented: Tensor, iterations: int = 100, mode: str = "alternating"
         raise NumericError("sinkhorn input contains non-finite values")
     log_mu, log_nu = _log_marginals(*augmented.shape[-2:], marginals, augmented.dtype)
     simultaneous = mode == "simultaneous"
-    steps = []  # (row input, its log-sum-exp, column input, its log-sum-exp)
-    current = augmented.data
-    for _ in range(iterations):
-        row_in = current
-        row_lse = ad.logsumexp_array(row_in, axis=-1)
-        current = row_in - (row_lse - log_mu)
-        col_in = row_in if simultaneous else current
-        col_lse = ad.logsumexp_array(col_in, axis=-2)
-        current = current - (col_lse - log_nu)
-        if augmented.requires_grad:
-            steps.append((row_in, row_lse, col_in, col_lse))
+    steps = [] if ad._recording and augmented.requires_grad else None
+    if steps is not None or simultaneous:
+        current = _log_domain_sinkhorn(augmented.data, iterations, simultaneous,
+                                       log_mu, log_nu, steps)
+    else:
+        current = _scaling_sinkhorn(augmented.data, iterations, marginals)
+        failed = ~np.all(np.isfinite(current), axis=(-2, -1))
+        if np.any(failed):
+            current[failed] = _log_domain_sinkhorn(augmented.data[failed], iterations, False,
+                                                   log_mu, log_nu)
     out = ad._node(current, (augmented,), "sinkhorn")
     if out.requires_grad:
         def back(grad):
@@ -149,6 +158,70 @@ def sinkhorn(augmented: Tensor, iterations: int = 100, mode: str = "alternating"
             augmented._accumulate(g)
         out._backward = back
     return AssignmentMatrix(log_p=out, iterations=iterations, mode=mode)
+
+
+def _log_domain_sinkhorn(data, iterations, simultaneous, log_mu, log_nu, steps=None):
+    """The iterations on log probabilities in ``data``'s dtype; appends (row
+    input, its log-sum-exp, column input, its log-sum-exp) per iteration to
+    ``steps`` when given, for the backward pass."""
+    current = data
+    for _ in range(iterations):
+        row_in = current
+        row_lse = ad.logsumexp_array(row_in, axis=-1)
+        current = row_in - (row_lse - log_mu)
+        col_in = row_in if simultaneous else current
+        col_lse = ad.logsumexp_array(col_in, axis=-2)
+        current = current - (col_lse - log_nu)
+        if steps is not None:
+            steps.append((row_in, row_lse, col_in, col_lse))
+    return current
+
+
+# The scaling form checks its scalings after iteration 1 and every
+# _ABSORB_EVERY iterations after that. A matrix whose scalings leave
+# [exp(-_ABSORB_ABOVE), exp(_ABSORB_ABOVE)] has them folded into its log
+# potentials and its kernel rebuilt.
+_ABSORB_EVERY = 10
+_ABSORB_ABOVE = 50.0
+
+
+def _scaling_sinkhorn(scores: np.ndarray, iterations: int, marginals: str) -> np.ndarray:
+    """Alternating Sinkhorn as ``u = mu / (K v)``, ``v = nu / (K^T u)`` in float64.
+
+    Stabilised scaling form (Schmitzer, SIAM J. Sci. Comput. 2019; Peyre and
+    Cuturi, *Computational Optimal Transport*, 4.4): the kernel ``K = exp(S +
+    f + g)`` is exponentiated once per matrix, from ``f = -max S``, ``g = 0``,
+    and rebuilt only when scalings are absorbed into the potentials ``f`` and
+    ``g``. In real arithmetic this is the log-domain loop, iteration for
+    iteration. Returns ``S + (f + log u) + (g + log v)`` in the input's shape
+    and dtype; a matrix whose scalings turned non-finite comes back
+    non-finite, because absorbing a non-finite scaling poisons its kernel.
+    """
+    *_, n_rows, n_cols = scores.shape
+    s = scores.reshape(-1, n_rows, n_cols).astype(np.float64)
+    log_mu, log_nu = _log_marginals(n_rows, n_cols, marginals, np.float64)
+    mu, nu = np.exp(log_mu), np.exp(log_nu).T              # (n+1, 1), (m+1, 1)
+    f = np.zeros((len(s), n_rows, 1)) - s.max(axis=(1, 2), keepdims=True)
+    g = np.zeros((len(s), 1, n_cols))
+    kernel = np.exp(s + f)
+    kernel_t = kernel.transpose(0, 2, 1)
+    v = np.ones((len(s), n_cols, 1))
+    with np.errstate(all="ignore"):
+        for it in range(1, iterations + 1):
+            u = mu / (kernel @ v)
+            v = nu / (kernel_t @ u)
+            if (it - 1) % _ABSORB_EVERY or it == iterations:
+                continue
+            log_u, log_v = np.log(u), np.log(v).transpose(0, 2, 1)
+            spread = np.maximum(np.abs(log_u).max(axis=(1, 2)), np.abs(log_v).max(axis=(1, 2)))
+            absorb = ~(spread <= _ABSORB_ABOVE)  # NaN compares False: absorbed, stays NaN
+            if np.any(absorb):
+                f[absorb] += log_u[absorb]
+                g[absorb] += log_v[absorb]
+                kernel[absorb] = np.exp(s[absorb] + f[absorb] + g[absorb])
+                v[absorb] = 1.0
+        out = s + (f + np.log(u)) + (g + np.log(v).transpose(0, 2, 1))
+    return out.reshape(scores.shape).astype(scores.dtype, copy=False)
 
 
 def marginal_deviation(log_p: np.ndarray, log_mu=None, log_nu=None) -> float:

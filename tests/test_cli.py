@@ -421,6 +421,19 @@ def test_match_negative_timing_runs_is_config_error(tmp_path, capsys):
     assert "mean_forward_ms" not in json.loads(report.read_text())
 
 
+@pytest.mark.parametrize("flag,value", [
+    ("--icp-reject-radius", "-1"), ("--icp-reject-radius", "0"), ("--icp-reject-radius", "nan"),
+    ("--matchers", ","),
+])
+def test_bad_eval_setting_is_usage_error_and_writes_nothing(tmp_path, capsys, flag, value):
+    data = run_synth(tmp_path, "data", num_pairs=1, seed=5)
+    report = tmp_path / "report"
+    assert main(["eval", "--data", str(data), "--matchers", "icp", "--report", str(report),
+                 flag, value]) == 2
+    assert flag in capsys.readouterr().err
+    assert not report.exists()
+
+
 def test_match_self_pair_with_overfit_model(tmp_path):
     # source == target: after a short overfit run, nearly every key-point
     # should match itself

@@ -30,7 +30,7 @@ from pillarmatch.network import (
     save_checkpoint,
 )
 from pillarmatch.pipeline import batch_assignments, match_pair
-from pillarmatch.transport import augment_dustbin, score_matrix, sinkhorn
+from pillarmatch.transport import augment_dustbin, extract_matches, score_matrix, sinkhorn
 
 
 def t(values, grad=True):
@@ -518,10 +518,23 @@ def test_finished_tape_is_freed_without_the_cycle_collector():
 def test_match_pair_records_no_tape():
     pair = toy_pair(seed=3)
     params = ModelParameters.initialize(toy_hyper(), seed=0)
-    log_p = match_pair(params, pair).assignment.log_p
+    result = match_pair(params, pair)
+    log_p = result.assignment.log_p
     assert not log_p.requires_grad
     assert log_p._parents == () and log_p._backward is None
-    assert np.array_equal(log_p.data, batch_assignments(params, [pair])[0].log_p.data)
+    with ad.no_grad():
+        assert np.array_equal(log_p.data, batch_assignments(params, [pair])[0].log_p.data)
+    # the recording path iterates in the log domain, inference in scaling form
+    recorded = batch_assignments(params, [pair])[0]
+    assert recorded.log_p.requires_grad
+    error = np.max(np.abs(log_p.data - recorded.log_p.data))
+    assert error <= 1e-5 * np.max(np.abs(recorded.log_p.data))
+    matches = extract_matches(recorded, params.hyper.match_threshold)
+    assert [(i, j) for i, j, _ in result.matches.pairs] == [(i, j) for i, j, _ in matches.pairs]
+    assert result.matches.unmatched_rows == matches.unmatched_rows
+    assert result.matches.unmatched_cols == matches.unmatched_cols
+    np.testing.assert_allclose([c for *_, c in result.matches.pairs],
+                               [c for *_, c in matches.pairs], rtol=1e-5)
 
 
 # ---------------------------------------------------------------------------

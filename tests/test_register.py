@@ -160,6 +160,12 @@ def test_icp_requires_iterations():
         icp(TETRAHEDRON, TETRAHEDRON, max_iters=0)
 
 
+@pytest.mark.parametrize("radius", [-1.0, 0.0, float("nan"), float("inf")])
+def test_icp_reject_radius_must_be_finite_and_positive(radius):
+    with pytest.raises(ArgumentError):
+        icp(TETRAHEDRON, TETRAHEDRON, reject_radius=radius)
+
+
 # ---------------------------------------------------------------------------
 # metrics
 # ---------------------------------------------------------------------------
@@ -245,6 +251,11 @@ def test_report_table_shape():
 def test_eval_unknown_matcher_rejected():
     with pytest.raises(ArgumentError):
         evaluate_matchers(eval_dataset(1), matchers=("pfh",))
+
+
+def test_eval_without_matchers_rejected():
+    with pytest.raises(ArgumentError):
+        evaluate_matchers(eval_dataset(1), matchers=())
 
 
 def test_eval_reports_svd_failures_not_skips():

@@ -3,14 +3,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from pillarmatch import autodiff as ad
 from pillarmatch.autodiff import Tensor, grad_check
 from pillarmatch.errors import ArgumentError, NumericError, ShapeError
 from pillarmatch.transport import (
     AssignmentMatrix,
     _log_marginals,
+    _scaling_sinkhorn,
     augment_dustbin,
     extract_matches,
     marginal_deviation,
+    mutual_argmax,
     score_matrix,
     sinkhorn,
     write_assignment_csv,
@@ -317,6 +320,121 @@ def test_sinkhorn_batched_bit_identical_to_per_slice(rng, dtype, mode, marginals
         single, single_grad = run(stack[k], weights[k])
         np.testing.assert_array_equal(batched[k], single)
         np.testing.assert_array_equal(batched_grad[k], single_grad)
+
+
+# ---------------------------------------------------------------------------
+# inference: alternating Sinkhorn in stabilised scaling form
+# ---------------------------------------------------------------------------
+
+def recorded_log_p(matrix, iterations, marginals="uniform"):
+    """``log_p`` of the tape-recording (log-domain) path."""
+    return sinkhorn(Tensor(matrix.copy(), requires_grad=True), iterations,
+                    marginals=marginals).log_p.data
+
+
+def clear_mutual_pairs(log_p, ref, margin):
+    """``mutual_argmax`` pairs of ``log_p`` in the rows and columns where the
+    best entry of ``ref`` leads its runner-up by more than ``margin``."""
+    top_rows = np.sort(ref, axis=1)[:, -2:]
+    top_cols = np.sort(ref, axis=0)[-2:]
+    rows_clear = top_rows[:, 1] - top_rows[:, 0] > margin
+    cols_clear = top_cols[1] - top_cols[0] > margin
+    rows, cols = mutual_argmax(log_p)
+    keep = rows_clear[rows] & cols_clear[cols]
+    return set(zip(rows[keep].tolist(), cols[keep].tolist()))
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(st.floats(min_value=-1.0, max_value=3.0), st.sampled_from(["uniform", "dustbin-weighted"]),
+       st.sampled_from([np.float32, np.float64]), st.sampled_from([(9, 14), (3, 9, 14), (101, 101)]),
+       st.integers(min_value=0, max_value=2 ** 31 - 1))
+def test_inference_sinkhorn_agrees_with_recording_path_or_falls_back(log_spread, marginals, dtype,
+                                                                     shape, seed):
+    matrix = np.random.default_rng(seed).uniform(-0.5, 0.5, size=shape) * 10.0 ** log_spread
+    matrix = matrix.astype(dtype)
+    ref = recorded_log_p(matrix, 100, marginals)
+    out = sinkhorn(Tensor(matrix), 100, marginals=marginals).log_p.data
+    scaled = _scaling_sinkhorn(matrix, 100, marginals)
+    assert out.dtype == ref.dtype == dtype
+    for k in np.ndindex(shape[:-2]):
+        if not np.all(np.isfinite(scaled[k])):
+            np.testing.assert_array_equal(out[k], ref[k])  # the log-domain fallback
+            continue
+        np.testing.assert_array_equal(out[k], scaled[k])
+        tol = 1e-5 * np.max(np.abs(ref[k]))
+        assert np.max(np.abs(out[k].astype(np.float64) - ref[k])) <= tol
+        # saturated plans tie at log_p = 0 to rounding; a tie may break either way
+        assert clear_mutual_pairs(out[k], ref[k], 2 * tol) == clear_mutual_pairs(ref[k], ref[k],
+                                                                                2 * tol)
+
+
+def test_inference_sinkhorn_matches_mutual_argmax_on_well_separated_scores(rng):
+    # a planted permutation with a clear lead: no ties, so the readouts are equal
+    scores = rng.uniform(-2.0, 2.0, size=(101, 101))
+    scores[np.arange(100), rng.permutation(100)] += 8.0
+    for dtype in (np.float32, np.float64):
+        matrix = scores.astype(dtype)
+        out = sinkhorn(Tensor(matrix), 100).log_p.data
+        ref = recorded_log_p(matrix, 100)
+        for a, b in zip(mutual_argmax(out), mutual_argmax(ref)):
+            np.testing.assert_array_equal(a, b)
+
+
+def test_inference_sinkhorn_absorbs_drifting_scalings(rng):
+    # rows and columns carry masses 4 and 41 under uniform marginals, so u and
+    # v drift apart by a factor of about 41/4 per iteration while the plan
+    # stays bounded: after 400 iterations they are far outside float64 unless
+    # absorbed into the potentials
+    matrix = rng.normal(size=(4, 41))
+    scaled = _scaling_sinkhorn(matrix, 400, "uniform")
+    ref = recorded_log_p(matrix, 400)
+    assert np.all(np.isfinite(scaled))
+    assert np.max(np.abs(scaled - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+
+def underflowing_matrix(rng, shape=(9, 14)):
+    """Scores whose row 3 lies 1000 below the rest: ``exp(S - max S)`` loses
+    that row entirely, so the scaling form cannot normalise it."""
+    matrix = rng.normal(size=shape)
+    matrix[..., 3, :] -= 1000.0
+    return matrix
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_inference_sinkhorn_fallback_is_the_log_domain_loop(rng, dtype):
+    matrix = underflowing_matrix(rng).astype(dtype)
+    assert not np.any(np.isfinite(_scaling_sinkhorn(matrix, 50, "uniform")))
+    out = sinkhorn(Tensor(matrix), 50).log_p.data
+    assert np.all(np.isfinite(out))
+    np.testing.assert_array_equal(out, recorded_log_p(matrix, 50))
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("marginals", ["uniform", "dustbin-weighted"])
+def test_inference_sinkhorn_batched_bit_identical_to_per_slice(rng, dtype, marginals):
+    stack = rng.uniform(-10.0, 10.0, size=(4, 9, 14)).astype(dtype)
+    stack[2] = underflowing_matrix(rng)  # one matrix falls back, the others do not
+    with ad.no_grad():
+        batched = sinkhorn(Tensor(stack, requires_grad=True), 50, marginals=marginals).log_p
+        singles = [sinkhorn(Tensor(matrix), 50, marginals=marginals).log_p.data
+                   for matrix in stack]
+    assert not batched.requires_grad and batched.data.dtype == dtype
+    for k, single in enumerate(singles):
+        np.testing.assert_array_equal(batched.data[k], single)
+    np.testing.assert_array_equal(batched.data[2], recorded_log_p(stack[2], 50, marginals))
+
+
+def test_inference_sinkhorn_rejects_non_finite_input():
+    for value in (np.inf, np.nan):
+        bad = Tensor.__new__(Tensor)
+        bad.data = np.array([[value, 0.0], [0.0, 0.0]])
+        bad.grad = None
+        bad.requires_grad = True
+        bad._parents = ()
+        bad._backward = None
+        bad._back_done = False
+        with ad.no_grad(), pytest.raises(NumericError):
+            sinkhorn(bad, iterations=1)
 
 
 # ---------------------------------------------------------------------------
