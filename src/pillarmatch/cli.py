@@ -1,10 +1,12 @@
 """Command-line entry point.
 
 Subcommands: ``synth`` (seeded synthetic datasets), ``preprocess`` (KITTI
-scans + poses into pair files), ``train``, ``match`` (single-pair inference)
-and ``eval`` (matcher comparison report). Every behavioral toggle carries a
-flag, and each command echoes its effective configuration into the output
-directory so a run is reproducible from the echo alone.
+scans + poses into pair files, read frame by frame), ``train``, ``match``
+(single-pair inference) and ``eval`` (matcher comparison report). Every
+behavioral toggle carries a flag, and each command echoes its effective
+configuration into the output directory so a run is reproducible from the
+echo alone. Datasets are written a pair at a time with the manifest last, so
+a command that fails part-way leaves no manifest.
 
 Exit codes: 0 success, 2 usage/config error, 3 data or format error,
 4 numeric error. Relative output paths resolve under $PILLARMATCH_RUN_ROOT
@@ -13,6 +15,7 @@ when that variable is set.
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import os
 import sys
@@ -20,7 +23,14 @@ import time
 from pathlib import Path
 
 from . import learn, pairio, register, transport
-from .cloud import FramePair, SceneConfig, generate_synthetic_pair, load_kitti_poses, load_kitti_scan
+from .cloud import (
+    SCAN_RECORD_BYTES,
+    FramePair,
+    SceneConfig,
+    generate_synthetic_pair,
+    load_kitti_poses,
+    load_kitti_scan,
+)
 from .errors import (
     ArgumentError,
     ConfigError,
@@ -168,10 +178,8 @@ def _echo_config(directory: Path, command: str, args) -> None:
     (directory / "config.json").write_text(json.dumps(payload, sort_keys=True, indent=2) + "\n")
 
 
-def _preprocess(frame: FramePair, hyper: HyperParams, args, meta: dict | None = None,
-                frames: dict | None = None):
-    """Preprocess one frame pair with the labeling flags of ``args``; ``frames``
-    is the per-frame memo of :func:`pairio.preprocess_pair`."""
+def _preprocess(frame: FramePair, hyper: HyperParams, args, meta: dict | None = None):
+    """Preprocess one frame pair with the labeling flags of ``args``."""
     return pairio.preprocess_pair(
         frame,
         hyper,
@@ -180,19 +188,18 @@ def _preprocess(frame: FramePair, hyper: HyperParams, args, meta: dict | None = 
         neighborhood_size=args.neighborhood_size,
         min_separation=args.min_separation,
         meta=meta,
-        frames=frames,
     )
 
 
 def _parse_distances(text: str) -> list[int]:
-    """``--distances``: a non-empty comma list of frame distances >= 1."""
+    """``--distances``: a non-empty comma list of distinct frame distances >= 1."""
     try:
         distances = [int(v) for v in text.split(",") if v]
     except ValueError:
         distances = []
-    if not distances or min(distances) < 1:
+    if not distances or min(distances) < 1 or len(set(distances)) < len(distances):
         raise ConfigError(
-            f"--distances must be a comma list of integers >= 1, got {text!r}"
+            f"--distances must be a comma list of distinct integers >= 1, got {text!r}"
         )
     return distances
 
@@ -223,18 +230,26 @@ def cmd_synth(args) -> int:
         translation_bound=args.translation_bound,
         noise_sigma=args.noise,
     )
-    pairs = []
-    for k in range(args.num_pairs):
-        frame = generate_synthetic_pair(args.seed + k, scene)
-        meta = {"seed": args.seed + k, "generator": "synthetic"}
-        pairs.append(_preprocess(frame, hyper, args, meta))
-    pairio.write_dataset(out, pairs, _args_echo(args))
+    with pairio.dataset_writer(out, _args_echo(args)) as write:
+        for k in range(args.num_pairs):
+            frame = generate_synthetic_pair(args.seed + k, scene)
+            meta = {"seed": args.seed + k, "generator": "synthetic"}
+            write(k, _preprocess(frame, hyper, args, meta))
     _echo_config(out, "synth", args)
-    print(f"wrote {len(pairs)} pairs to {out}")
+    print(f"wrote {args.num_pairs} pairs to {out}")
     return EXIT_OK
 
 
 def cmd_preprocess(args) -> int:
+    """Pairs of the scans ``d`` frames apart for each ``d`` of ``--distances``.
+
+    The scans are read once, in order. Each frame's key-points and pillars
+    are built once, and only they stay in a window of the last
+    ``max(distances) + 1`` frames; each pair is written as soon as its later
+    frame is read. Names stay distance-major: distance ``d`` at list position
+    ``k`` names pair ``(i, i + d)`` ``pair_{offset + i:05d}``, where
+    ``offset`` counts the pairs of positions before ``k``.
+    """
     out = _resolve(args.out)
     hyper = _hyper_from_args(args)
     distances = _parse_distances(args.distances)
@@ -247,24 +262,45 @@ def cmd_preprocess(args) -> int:
         raise FormatError(
             f"{len(scan_files)} scans but only {len(poses)} poses; every scan needs a pose"
         )
-    clouds = [load_kitti_scan(p, frame_id=p.stem) for p in scan_files]
-    # each frame's key-points and pillars are built once across all distances
-    frames = {}
-    pairs = []
-    for distance in distances:
-        count_before = len(pairs)
-        for i in range(len(clouds) - distance):
-            j = i + distance
-            gt = poses[j].inverse().compose(poses[i])
-            frame = FramePair(
-                source=clouds[i], target=clouds[j], gt_transform=gt, frame_distance=distance
-            )
-            pairs.append(_preprocess(frame, hyper, args, frames=frames))
-        if len(pairs) == count_before:
+    for path in scan_files:
+        size = path.stat().st_size
+        if size % SCAN_RECORD_BYTES:
+            raise FormatError(f"{path}: {size} bytes is not a multiple of {SCAN_RECORD_BYTES}")
+    frames = len(scan_files)
+    pair_counts = [max(0, frames - d) for d in distances]
+    offsets = list(itertools.accumulate(pair_counts, initial=0))
+    for distance, count in zip(distances, pair_counts):
+        if count == 0:
             print(f"warning: distance {distance} produced 0 pairs", file=sys.stderr)
-    pairio.write_dataset(out, pairs, _args_echo(args))
+    nearest, reach = min(distances), max(distances)
+    window = {}  # frame index -> {key-point count: PillarSet}
+    with pairio.dataset_writer(out, _args_echo(args)) as write:
+        for j, path in enumerate(scan_files):
+            cloud = load_kitti_scan(path, frame_id=path.stem)
+            # built once per key-point count the frame serves, as source or target
+            roles = ((hyper.src_keypoints, j + nearest < frames),
+                     (hyper.tgt_keypoints, j >= nearest))
+            served = {count for count, serves in roles if serves}
+            window[j] = {
+                count: pairio.preprocess_frame(cloud, count, hyper, args.neighborhood_size,
+                                               args.min_separation)
+                for count in served
+            }
+            # the window keeps pillars only: the cloud and its tree go before the next load
+            del cloud
+            for k, distance in enumerate(distances):
+                i = j - distance
+                if i >= 0:
+                    frame = FramePair(
+                        source=window[i][hyper.src_keypoints],
+                        target=window[j][hyper.tgt_keypoints],
+                        gt_transform=poses[j].inverse().compose(poses[i]),
+                        frame_distance=distance,
+                    )
+                    write(offsets[k] + i, _preprocess(frame, hyper, args))
+            window.pop(j - reach, None)
     _echo_config(out, "preprocess", args)
-    print(f"wrote {len(pairs)} pairs to {out}")
+    print(f"wrote {offsets[-1]} pairs to {out}")
     return EXIT_OK
 
 

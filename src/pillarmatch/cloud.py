@@ -2,7 +2,8 @@
 
 Clouds are immutable once constructed and build their k-d tree once, on
 first use. The neighbor query behind the smoothness field runs on every core
-for large clouds; each point's result does not depend on the thread count.
+for large clouds, in the tree's leaf order; each point's result depends on
+neither the thread count nor the query order.
 
 A cloud's key-points are one :class:`KeyPointSet` and its pillars one
 :class:`PillarSet`: frozen records of read-only arrays with one row per
@@ -155,12 +156,14 @@ class KeyPointSet:
 @dataclass(frozen=True, eq=False)
 class PillarSet:
     """A cloud's pillars as read-only arrays with one row per key-point, each
-    row as in :class:`Pillar`; indexing and iteration yield :class:`Pillar`."""
+    row as in :class:`Pillar`; indexing and iteration yield :class:`Pillar`.
+    ``frame_id`` is that of the cloud they were sampled from."""
 
     keypoints: KeyPointSet
     members: np.ndarray     # (k, capacity, 4) float64
     centroids: np.ndarray   # (k, 3) float64
     real_count: np.ndarray  # (k,) int64
+    frame_id: str = ""
 
     def __post_init__(self):
         _freeze(self, members=np.float64, centroids=np.float64, real_count=np.int64)
@@ -228,8 +231,11 @@ class CorrespondenceLabels:
 
 @dataclass(frozen=True)
 class FramePair:
-    source: PointCloud
-    target: PointCloud
+    """Two frames and the transform from source to target; a frame is a
+    cloud, or the pillars :func:`~.pairio.preprocess_frame` built from one."""
+
+    source: PointCloud | PillarSet
+    target: PointCloud | PillarSet
     gt_transform: RigidTransform
     frame_distance: int = 1
 
@@ -312,7 +318,13 @@ def _smoothness_at(cloud: PointCloud, indices: np.ndarray, k: int):
     points = cloud.points[indices]
     norms = np.linalg.norm(points, axis=1)
     valid = norms > ORIGIN_EPS
-    sums = k * points - cloud.points[_neighbor_indices(cloud, indices, k)].sum(axis=1)
+    neighbors = _neighbor_indices(cloud, indices, k)
+    # summed one neighbor column at a time, in the order .sum(axis=1) adds
+    # them, without an (n, k, 3) gather
+    total = cloud.points[neighbors[:, 0]]
+    for column in range(1, k):
+        total += cloud.points[neighbors[:, column]]
+    sums = k * points - total
     values = np.zeros(len(indices))
     values[valid] = np.linalg.norm(sums[valid], axis=1) / (k * norms[valid])
     return values, valid
@@ -335,13 +347,12 @@ def _neighbor_indices(cloud: PointCloud, indices: np.ndarray, k: int) -> np.ndar
     Exact duplicates can push a point's own index out of its k+1 nearest
     results; the first k are then kept as they are.
     """
+    indices = np.asarray(indices)
     workers = -1 if len(indices) >= PARALLEL_QUERY_POINTS else 1
-    _, idx = cloud.tree.query(cloud.points[indices], k=k + 1, workers=workers)
-    idx = np.atleast_2d(idx)
-    # a stable sort on "is the query itself" moves the own index last and
-    # keeps every other neighbor in distance order
-    own_last = np.argsort(idx == np.asarray(indices)[:, None], axis=1, kind="stable")
-    return np.take_along_axis(idx, own_last, axis=1)[:, :k]
+    idx = cloud.tree.query(cloud.points[indices], k=k + 1, workers=workers)[1]
+    # drop the own column where it appears; every later column shifts left
+    own_seen = np.logical_or.accumulate(idx[:, :k] == indices[:, None], axis=1)
+    return np.where(own_seen, idx[:, 1:], idx[:, :k])
 
 
 def smoothness_field(cloud: PointCloud, neighborhood_size: int = DEFAULT_NEIGHBORHOOD):
@@ -350,7 +361,13 @@ def smoothness_field(cloud: PointCloud, neighborhood_size: int = DEFAULT_NEIGHBO
     Returns ``(values, valid)``; points within ORIGIN_EPS of the origin are
     flagged invalid and skipped by key-point selection.
     """
-    return _smoothness_at(cloud, np.arange(len(cloud)), neighborhood_size)
+    # queried in the tree's leaf order, where consecutive queries walk the
+    # same nodes; no point's result depends on the order
+    order = cloud.tree.indices
+    leaf_values, leaf_valid = _smoothness_at(cloud, order, neighborhood_size)
+    values, valid = np.empty_like(leaf_values), np.empty_like(leaf_valid)
+    values[order], valid[order] = leaf_values, leaf_valid
+    return values, valid
 
 
 def select_keypoints(
@@ -435,7 +452,7 @@ def sample_pillars(
     centroids = np.divide(members[:, :, :3].sum(axis=1), real[:, None],
                           out=np.array(keypoints.positions), where=real[:, None] > 0)
     return PillarSet(keypoints=keypoints, members=members, centroids=centroids,
-                     real_count=real)
+                     real_count=real, frame_id=cloud.frame_id)
 
 
 # ---------------------------------------------------------------------------

@@ -4,14 +4,16 @@ A preprocessed pair bundles everything training and evaluation need for one
 frame pair: both key-point sets, their pillars, ground-truth labels and the
 ground-truth transform. Files use the PMC container (kind ``pair``), datasets
 are directories of pair files plus a ``manifest.json`` echoing the generating
-configuration. Each array of a cloud's :class:`~.cloud.KeyPointSet` and
-:class:`~.cloud.PillarSet` is stored as is under ``{src,tgt}.kp.*`` and
-``{src,tgt}.pillar.*``, so a pair is read and written without a loop over
-its rows.
+configuration. A dataset is written one pair at a time and its manifest
+last, so a directory whose writing failed has none. Each array of a cloud's
+:class:`~.cloud.KeyPointSet` and :class:`~.cloud.PillarSet` is stored as is
+under ``{src,tgt}.kp.*`` and ``{src,tgt}.pillar.*``, so a pair is read and
+written without a loop over its rows.
 """
 from __future__ import annotations
 
 import json
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from functools import cached_property
 from pathlib import Path
@@ -23,6 +25,7 @@ from .cloud import (
     FramePair,
     KeyPointSet,
     PillarSet,
+    PointCloud,
     label_correspondences,
     sample_pillars,
     select_keypoints,
@@ -55,6 +58,20 @@ class PreprocessedPair:
         return self.src_keypoints.positions, self.tgt_keypoints.positions
 
 
+def preprocess_frame(
+    cloud: PointCloud,
+    count: int,
+    hyper: HyperParams,
+    neighborhood_size: int = 10,
+    min_separation: float | None = None,
+) -> PillarSet:
+    """One cloud's ``count`` key-points and their pillars, which carry the
+    cloud's frame id; the part of :func:`preprocess_pair` that depends on one
+    frame only."""
+    kps = select_keypoints(cloud, count, neighborhood_size, min_separation)
+    return sample_pillars(cloud, kps, hyper.pillar_points, hyper.pillar_radius)
+
+
 def preprocess_pair(
     pair: FramePair,
     hyper: HyperParams,
@@ -63,29 +80,26 @@ def preprocess_pair(
     neighborhood_size: int = 10,
     min_separation: float | None = None,
     meta: dict | None = None,
-    frames: dict | None = None,
 ) -> PreprocessedPair:
     """Key-points, pillars and labels for one frame pair.
 
-    ``frames`` is an optional memo shared across calls, keyed by cloud
-    identity and by every setting that shapes key-points and pillars: each
-    cloud's key-points and pillars are then built once and reused by every
-    pair the cloud is part of. Labels are always per pair.
+    Each side of ``pair`` is a cloud, or the pillars :func:`preprocess_frame`
+    built from one with the same settings; only the clouds are built here,
+    so a frame shared by several pairs is built once. Labels are always per
+    pair.
     """
-    memo = {} if frames is None else frames
 
-    def per_frame(cloud, count) -> PillarSet:
-        key = (id(cloud), count, neighborhood_size, min_separation,
-               hyper.pillar_points, hyper.pillar_radius)
-        if key not in memo:
-            kps = select_keypoints(cloud, count, neighborhood_size, min_separation)
-            # the entry holds the cloud, so no other cloud can take its id
-            memo[key] = (cloud, sample_pillars(cloud, kps, hyper.pillar_points,
-                                               hyper.pillar_radius))
-        return memo[key][1]
+    def pillars(frame, count) -> PillarSet:
+        if not isinstance(frame, PillarSet):
+            return preprocess_frame(frame, count, hyper, neighborhood_size, min_separation)
+        if (len(frame), frame.capacity) != (count, hyper.pillar_points):
+            raise ArgumentError(
+                f"frame {frame.frame_id!r} has {len(frame)} pillars of capacity "
+                f"{frame.capacity}, expected {count} of {hyper.pillar_points}")
+        return frame
 
-    src_pillars = per_frame(pair.source, hyper.src_keypoints)
-    tgt_pillars = per_frame(pair.target, hyper.tgt_keypoints)
+    src_pillars = pillars(pair.source, hyper.src_keypoints)
+    tgt_pillars = pillars(pair.target, hyper.tgt_keypoints)
     labels = label_correspondences(pair, src_pillars.keypoints, tgt_pillars.keypoints,
                                    match_radius, unmatch_radius)
     info = {
@@ -215,19 +229,40 @@ def read_pair(path) -> PreprocessedPair:
     )
 
 
-def write_dataset(directory, pairs, config_echo: dict) -> None:
-    """Write pair files plus a manifest; deterministic for equal inputs."""
+@contextmanager
+def dataset_writer(directory, config_echo: dict):
+    """Write a dataset one pair at a time: yields ``write(index, pair)``,
+    which stores the pair as ``pair_{index:05d}`` at once, and writes the
+    manifest, listing the pairs by index, when the block ends without error.
+
+    The directory is made at the first write, and a manifest an earlier run
+    left there is removed then, so a block that fails leaves no manifest
+    and one that fails before its first pair leaves nothing.
+    """
     directory = Path(directory)
-    directory.mkdir(parents=True, exist_ok=True)
-    names = []
-    for index, pair in enumerate(pairs):
+    manifest_path = directory / "manifest.json"
+    names = {}
+
+    def write(index: int, pair: PreprocessedPair) -> None:
+        if not names:
+            directory.mkdir(parents=True, exist_ok=True)
+            manifest_path.unlink(missing_ok=True)
         name = f"pair_{index:05d}{PAIR_SUFFIX}"
         write_pair(directory / name, pair)
-        names.append(name)
-    manifest = {"kind": "pair-dataset", "version": 1, "pairs": names, "config": config_echo}
-    (directory / "manifest.json").write_text(
-        json.dumps(manifest, sort_keys=True, indent=2) + "\n"
-    )
+        names[index] = name
+
+    yield write
+    directory.mkdir(parents=True, exist_ok=True)
+    manifest = {"kind": "pair-dataset", "version": 1,
+                "pairs": [names[i] for i in sorted(names)], "config": config_echo}
+    manifest_path.write_text(json.dumps(manifest, sort_keys=True, indent=2) + "\n")
+
+
+def write_dataset(directory, pairs, config_echo: dict) -> None:
+    """Write pair files plus a manifest; deterministic for equal inputs."""
+    with dataset_writer(directory, config_echo) as write:
+        for index, pair in enumerate(pairs):
+            write(index, pair)
 
 
 def load_dataset(directory) -> list[PreprocessedPair]:

@@ -1,12 +1,14 @@
+import gc
 import json
 import os
+import weakref
 
 import numpy as np
 import pytest
 
 from conftest import rewrite_container
 
-from pillarmatch import pairio
+from pillarmatch import cli, pairio
 from pillarmatch.cli import main
 from pillarmatch.cloud import load_kitti_poses, load_kitti_scan, save_kitti_poses, save_kitti_scan
 from pillarmatch.cloud import FramePair, PointCloud, SceneConfig, generate_synthetic_pair
@@ -253,13 +255,110 @@ def test_preprocess_reuses_frames_and_matches_per_pair_preprocessing(tmp_path, r
             index += 1
 
 
-@pytest.mark.parametrize("distances", ["1,x", "-1", "", "0", ","])
+@pytest.mark.parametrize("distances", ["1,x", "-1", "", "0", ",", "1,1"])
 def test_preprocess_bad_distances_is_config_error(tmp_path, rng, capsys, distances):
     scans, pose_file = write_scan_sequence(tmp_path, rng, frames=3)
     out = tmp_path / "pre"
     assert run_preprocess(scans, pose_file, out, distances) == 2
     assert "--distances" in capsys.readouterr().err
     assert not out.exists()
+
+
+def test_preprocess_distances_in_list_order_match_per_pair_preprocessing(tmp_path, rng):
+    scans, pose_file = write_scan_sequence(tmp_path, rng)
+    out = tmp_path / "pre"
+    assert run_preprocess(scans, pose_file, out, "2,1") == 0
+    paths = sorted(scans.glob("*.bin"))
+    clouds = [load_kitti_scan(p, frame_id=p.stem) for p in paths]
+    poses = load_kitti_poses(pose_file)
+    hyper = HyperParams(src_keypoints=6, tgt_keypoints=6, pillar_points=4, feature_depth=8,
+                        attention_heads=2, attention_layers=2, positional_hidden=(8,))
+    references = [
+        pairio.preprocess_pair(
+            FramePair(clouds[i], clouds[i + distance],
+                      poses[i + distance].inverse().compose(poses[i]), frame_distance=distance),
+            hyper, neighborhood_size=6)
+        for distance in (2, 1) for i in range(len(clouds) - distance)
+    ]
+    names = json.loads((out / "manifest.json").read_text())["pairs"]
+    assert names == sorted(p.name for p in out.glob("*.ppair"))
+    assert len(names) == len(references) == 5
+    for index, (name, reference) in enumerate(zip(names, references)):
+        pairio.write_pair(tmp_path / f"ref{index}.ppair", reference)
+        assert (out / name).read_bytes() == (tmp_path / f"ref{index}.ppair").read_bytes()
+
+
+def test_preprocess_keeps_one_cloud_and_a_window_of_frames(tmp_path, rng, monkeypatch):
+    scans, pose_file = write_scan_sequence(tmp_path, rng, frames=12)
+    clouds, frames, alive = [], [], []
+    load_scan, build_frame, build_pair = (
+        cli.load_kitti_scan, pairio.preprocess_frame, pairio.preprocess_pair)
+
+    def tracked(into, fn):
+        def wrapper(*args, **kwargs):
+            result = fn(*args, **kwargs)
+            into.append(weakref.ref(result))
+            return result
+        return wrapper
+
+    def counted(*args, **kwargs):
+        alive.append(tuple(sum(ref() is not None for ref in refs) for refs in (clouds, frames)))
+        return build_pair(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "load_kitti_scan", tracked(clouds, load_scan))
+    monkeypatch.setattr(pairio, "preprocess_frame", tracked(frames, build_frame))
+    monkeypatch.setattr(pairio, "preprocess_pair", counted)
+    gc.disable()
+    try:
+        assert run_preprocess(scans, pose_file, tmp_path / "pre", "1,5") == 0
+    finally:
+        gc.enable()
+    assert (len(clouds), len(frames), len(alive)) == (12, 12, 11 + 7)
+    # at most one cloud, and the pillars of at most max(d) + 1 frames, at every pair
+    assert max(c for c, _ in alive) <= 1
+    assert max(f for _, f in alive) <= 6
+
+
+def test_preprocess_truncated_scan_fails_before_writing(tmp_path, rng, capsys):
+    scans, pose_file = write_scan_sequence(tmp_path, rng)
+    last = sorted(scans.glob("*.bin"))[-1]
+    last.write_bytes(last.read_bytes()[:-3])
+    out = tmp_path / "pre"
+    assert run_preprocess(scans, pose_file, out, "1") == 3
+    assert "not a multiple of 16" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_preprocess_failing_part_way_leaves_no_manifest(tmp_path, rng, capsys):
+    scans, pose_file = write_scan_sequence(tmp_path, rng)
+    out = tmp_path / "pre"
+    assert run_preprocess(scans, pose_file, out, "1") == 0
+    assert len(load_dataset(out)) == 3
+    # a later frame with fewer points than key-points fails after pair 0 is written
+    save_kitti_scan(PointCloud(rng.uniform(2.0, 6.0, size=(4, 3)), np.zeros(4)),
+                    sorted(scans.glob("*.bin"))[2])
+    assert run_preprocess(scans, pose_file, out, "1") == 3
+    assert capsys.readouterr().err.startswith("error: ")
+    assert not (out / "manifest.json").exists()
+    assert main(["eval", "--data", str(out), "--matchers", "nn"]) == 3
+
+
+def test_synth_matches_per_pair_preprocessing(tmp_path):
+    out = run_synth(tmp_path, num_pairs=3, seed=4)
+    hyper = HyperParams(src_keypoints=8, tgt_keypoints=8, pillar_points=6, feature_depth=8,
+                        attention_heads=2, attention_layers=2, sinkhorn_iterations=10,
+                        positional_hidden=(8, 16))
+    scene = SceneConfig(point_count=400, overlap=0.9, rotation_bound=0.02,
+                        translation_bound=0.1, noise_sigma=0.002)
+    manifest = json.loads((out / "manifest.json").read_text())
+    references = [
+        pairio.preprocess_pair(generate_synthetic_pair(4 + k, scene), hyper,
+                               meta={"seed": 4 + k, "generator": "synthetic"})
+        for k in range(3)
+    ]
+    pairio.write_dataset(tmp_path / "ref", references, manifest["config"])
+    for name in [*manifest["pairs"], "manifest.json"]:
+        assert (out / name).read_bytes() == (tmp_path / "ref" / name).read_bytes(), name
 
 
 def test_preprocess_missing_pose_is_format_error(tmp_path, rng, capsys):

@@ -4,8 +4,15 @@ import pytest
 from conftest import rewrite_container, toy_hyper, toy_pair
 
 from pillarmatch.cloud import FramePair, SceneConfig, generate_synthetic_pair
-from pillarmatch.errors import FormatError
-from pillarmatch.pairio import load_dataset, preprocess_pair, read_pair, write_dataset, write_pair
+from pillarmatch.errors import ArgumentError, FormatError
+from pillarmatch.pairio import (
+    load_dataset,
+    preprocess_frame,
+    preprocess_pair,
+    read_pair,
+    write_dataset,
+    write_pair,
+)
 from pillarmatch.transforms import RigidTransform
 
 
@@ -39,10 +46,10 @@ def test_preprocess_counts_match_hyper():
     assert pre.stacks[0].shape == (10, hyper.stack_depth)
 
 
-def test_preprocess_shared_frame_memo_matches_fresh_preprocessing(tmp_path):
-    # the memo is shared by pairs that reuse clouds in both roles and with
-    # different key-point counts and neighborhoods; every pair must equal
-    # its preprocessing without the memo
+def test_preprocess_prebuilt_frames_match_fresh_preprocessing(tmp_path):
+    # frames built once by preprocess_frame serve pairs that reuse clouds in
+    # both roles and with different key-point counts and neighborhoods; every
+    # pair must equal its preprocessing from the clouds
     hyper = toy_hyper(src_keypoints=10, tgt_keypoints=6, pillar_points=5)
     scene = SceneConfig(point_count=400, overlap=0.9, rotation_bound=0.02,
                         translation_bound=0.1, noise_sigma=0.001, window=6.0,
@@ -50,17 +57,39 @@ def test_preprocess_shared_frame_memo_matches_fresh_preprocessing(tmp_path):
     frame = generate_synthetic_pair(8, scene)
     reverse = FramePair(frame.target, frame.source, frame.gt_transform.inverse())
     itself = FramePair(frame.source, frame.source, RigidTransform.identity())
-    memo = {}
+    built = {}
+
+    def prebuilt(cloud, count, neighborhood):
+        key = (cloud.frame_id, count, neighborhood)
+        if key not in built:
+            built[key] = preprocess_frame(cloud, count, hyper, neighborhood)
+        return built[key]
+
     calls = [(frame, 10), (reverse, 10), (itself, 10), (frame, 10), (frame, 8)]
     for k, (pair, neighborhood) in enumerate(calls):
-        shared = preprocess_pair(pair, hyper, neighborhood_size=neighborhood, frames=memo)
+        frames = FramePair(prebuilt(pair.source, hyper.src_keypoints, neighborhood),
+                           prebuilt(pair.target, hyper.tgt_keypoints, neighborhood),
+                           pair.gt_transform, pair.frame_distance)
+        mixed = FramePair(frames.source, pair.target, pair.gt_transform, pair.frame_distance)
         fresh = preprocess_pair(pair, hyper, neighborhood_size=neighborhood)
-        write_pair(tmp_path / f"shared{k}.ppair", shared)
         write_pair(tmp_path / f"fresh{k}.ppair", fresh)
-        assert (tmp_path / f"shared{k}.ppair").read_bytes() == (
-            tmp_path / f"fresh{k}.ppair").read_bytes()
-    # one entry per (cloud, key-point count, neighborhood) the calls used
-    assert len(memo) == 6
+        for name, sides in (("shared", frames), ("mixed", mixed)):
+            write_pair(tmp_path / f"{name}{k}.ppair",
+                       preprocess_pair(sides, hyper, neighborhood_size=neighborhood))
+            assert (tmp_path / f"{name}{k}.ppair").read_bytes() == (
+                tmp_path / f"fresh{k}.ppair").read_bytes()
+    # one frame per (cloud, key-point count, neighborhood) the calls used
+    assert len(built) == 6
+
+
+def test_preprocess_rejects_prebuilt_frame_of_other_shape():
+    hyper = toy_hyper(src_keypoints=10, tgt_keypoints=10, pillar_points=5)
+    scene = SceneConfig(point_count=400, window=6.0, width=4.0, pole_count=6)
+    frame = generate_synthetic_pair(8, scene)
+    for count, capacity in ((8, 5), (10, 4)):
+        other = preprocess_frame(frame.source, count, toy_hyper(pillar_points=capacity))
+        with pytest.raises(ArgumentError, match="pillars of capacity"):
+            preprocess_pair(FramePair(other, frame.target, frame.gt_transform), hyper)
 
 
 def test_preprocess_labels_nonempty_on_overlapping_scene():
