@@ -12,10 +12,7 @@ from .autodiff import BatchNormState, Tensor, batchnorm, batchnorm_relu, grad_ch
 from .cloud import (
     CorrespondenceLabels,
     FramePair,
-    KeyPoint,
-    KeyPointKind,
     KeyPointSet,
-    Pillar,
     PillarSet,
     PointCloud,
     SceneConfig,
@@ -23,19 +20,17 @@ from .cloud import (
     label_correspondences,
     load_kitti_poses,
     load_kitti_scan,
-    sample_pillar,
     sample_pillars,
     save_kitti_poses,
     save_kitti_scan,
     select_keypoints,
     smoothness,
 )
-from .learn import AdamState, TrainRun, adam_step, loss_dce, loss_nll, loss_nllp, train
+from .learn import AdamState, TrainRun, adam_step, compute_loss, train
 from .network import (
     HyperParams,
     ModelParameters,
     attention,
-    build_feature_stack,
     encode_pillars,
     encode_positions,
     feature_stacks,

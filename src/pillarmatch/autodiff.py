@@ -85,7 +85,10 @@ class Tensor:
     def _accumulate(self, grad: np.ndarray) -> None:
         if self.grad is None:
             # a copy: backward closures hand one array to several parents
-            self.grad = np.array(np.broadcast_to(grad, self.data.shape), dtype=self.data.dtype)
+            if type(grad) is np.ndarray and grad.shape == self.data.shape:
+                self.grad = grad.astype(self.data.dtype, copy=True)
+            else:
+                self.grad = np.array(np.broadcast_to(grad, self.data.shape), dtype=self.data.dtype)
         else:
             self.grad += grad
 

@@ -31,6 +31,7 @@ from .cloud import (
     load_kitti_poses,
     load_kitti_scan,
 )
+from .container import is_count
 from .errors import (
     ArgumentError,
     ConfigError,
@@ -314,7 +315,9 @@ def cmd_train(args) -> int:
         params, meta, extras = load_checkpoint(_resolve(args.resume))
         hyper = params.hyper
         optimizer = learn.load_optimizer(meta, extras, params.named_parameters())
-        start_epoch = int(meta.get("next_epoch", 0))
+        start_epoch = meta.get("next_epoch", 0)
+        if not is_count(start_epoch):
+            raise ConfigError(f"checkpoint next_epoch must be a count, got {start_epoch!r}")
     else:
         hyper = _hyper_from_args(args)
     _check_pillar_capacity(args.data, pairs, hyper)

@@ -8,12 +8,10 @@ neither the thread count nor the query order.
 A cloud's key-points are one :class:`KeyPointSet` and its pillars one
 :class:`PillarSet`: frozen records of read-only arrays with one row per
 key-point, laid out as in the pair file. Sampling fills every pillar from a
-single k-d tree query. :class:`KeyPoint` and :class:`Pillar` are the values
-a record yields for one row.
+single k-d tree query.
 """
 from __future__ import annotations
 
-import enum
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -38,11 +36,6 @@ DEFAULT_UNMATCH_RADIUS = 0.5
 # starting the threads costs more than they save (on a 2-core x86 host the
 # threaded query was 1.4x slower at 1.3k points and 1.3x faster at 11k)
 PARALLEL_QUERY_POINTS = 10_000
-
-
-class KeyPointKind(enum.Enum):
-    SHARP = "sharp"
-    PLANAR = "planar"
 
 
 @dataclass(frozen=True)
@@ -86,44 +79,10 @@ def _freeze(record, **dtypes) -> None:
         object.__setattr__(record, name, arr)
 
 
-@dataclass(frozen=True)
-class KeyPoint:
-    position: np.ndarray  # (3,)
-    smoothness: float
-    kind: KeyPointKind
-    index: int = -1       # index into the originating cloud, -1 if detached
-
-    def __post_init__(self):
-        _freeze(self, position=np.float64)
-
-
-@dataclass(frozen=True)
-class Pillar:
-    """Fixed-capacity spherical neighborhood around a key-point.
-
-    ``members`` has exactly ``capacity`` rows of (x, y, z, intensity); the
-    first ``real_count`` rows are real points sorted by ascending distance to
-    the key-point, the rest are zero pads. ``centroid`` is the mean of the
-    real members, falling back to the key-point position when empty.
-    """
-
-    keypoint: KeyPoint
-    centroid: np.ndarray   # (3,)
-    members: np.ndarray    # (capacity, 4)
-    real_count: int
-
-    def __post_init__(self):
-        _freeze(self, centroid=np.float64, members=np.float64)
-
-    @property
-    def capacity(self) -> int:
-        return len(self.members)
-
-
 @dataclass(frozen=True, eq=False)
 class KeyPointSet:
     """A cloud's key-points as read-only arrays with one row per key-point,
-    laid out as in the pair file; indexing and iteration yield :class:`KeyPoint`."""
+    laid out as in the pair file."""
 
     positions: np.ndarray   # (k, 3) float64
     smoothness: np.ndarray  # (k,) float64
@@ -137,30 +96,18 @@ class KeyPointSet:
                 self.smoothness.shape == self.kind.shape == self.index.shape == (k,)):
             raise ArgumentError("key-point arrays must have shapes (k, 3), (k,), (k,), (k,)")
 
-    @classmethod
-    def from_items(cls, keypoints) -> KeyPointSet:
-        kps = list(keypoints)
-        return cls(np.reshape([kp.position for kp in kps], (-1, 3)),
-                   [kp.smoothness for kp in kps],
-                   [kp.kind is KeyPointKind.SHARP for kp in kps],
-                   [kp.index for kp in kps])
-
     def __len__(self) -> int:
         return len(self.index)
-
-    def __getitem__(self, i: int) -> KeyPoint:
-        kind = KeyPointKind.SHARP if self.kind[i] else KeyPointKind.PLANAR
-        return KeyPoint(self.positions[i], float(self.smoothness[i]), kind, int(self.index[i]))
 
 
 @dataclass(frozen=True, eq=False)
 class PillarSet:
-    """A cloud's pillars as read-only arrays with one row per key-point, each
-    row as in :class:`Pillar`; indexing and iteration yield :class:`Pillar`.
-    ``frame_id`` is that of the cloud they were sampled from."""
+    """A cloud's pillars as read-only arrays with one row per key-point,
+    filled as :func:`sample_pillars` describes. ``frame_id`` is that of the
+    cloud they were sampled from."""
 
     keypoints: KeyPointSet
-    members: np.ndarray     # (k, capacity, 4) float64
+    members: np.ndarray     # (k, capacity, 4) float64: x, y, z, intensity
     centroids: np.ndarray   # (k, 3) float64
     real_count: np.ndarray  # (k,) int64
     frame_id: str = ""
@@ -172,24 +119,12 @@ class PillarSet:
                 self.centroids.shape == (k, 3) and self.real_count.shape == (k,)):
             raise ArgumentError("pillar arrays must have shapes (k, capacity, 4), (k, 3), (k,)")
 
-    @classmethod
-    def from_items(cls, pillars) -> PillarSet:
-        items = list(pillars)
-        return cls(KeyPointSet.from_items(p.keypoint for p in items),
-                   np.stack([p.members for p in items]),
-                   np.reshape([p.centroid for p in items], (-1, 3)),
-                   [p.real_count for p in items])
-
     @property
     def capacity(self) -> int:
         return self.members.shape[1]
 
     def __len__(self) -> int:
         return len(self.real_count)
-
-    def __getitem__(self, i: int) -> Pillar:
-        return Pillar(self.keypoints[i], self.centroids[i], self.members[i],
-                      int(self.real_count[i]))
 
 
 @dataclass(frozen=True)
@@ -417,11 +352,6 @@ def select_keypoints(
 # ---------------------------------------------------------------------------
 # pillars
 # ---------------------------------------------------------------------------
-
-def sample_pillar(cloud: PointCloud, keypoint: KeyPoint, capacity: int, radius: float) -> Pillar:
-    """One pillar; see :func:`sample_pillars`."""
-    return sample_pillars(cloud, KeyPointSet.from_items([keypoint]), capacity, radius)[0]
-
 
 def sample_pillars(
     cloud: PointCloud, keypoints: KeyPointSet, capacity: int, radius: float

@@ -24,7 +24,7 @@ from .errors import ArgumentError, ConfigError, NumericError, ShapeError
 from .network import HyperParams, ModelParameters, save_checkpoint
 from .pairio import PreprocessedPair
 from .pipeline import batch_assignments
-from .transport import AssignmentMatrix, MatchSet, extract_matches
+from .transport import MatchSet, extract_matches
 
 LOSS_KINDS = ("nll", "nllp", "dce")
 
@@ -86,34 +86,16 @@ def weighted_assignment_loss(log_p: Tensor, cells, rows, cols, row_span: int) ->
 
 
 def compute_loss(kind: str, assign, labels, penalty_excludes_dustbin: bool = False) -> Tensor:
-    """Loss ``kind`` (one of :data:`LOSS_KINDS`) of ``assign`` against ``labels``."""
+    """Loss ``kind`` (one of :data:`LOSS_KINDS`) of ``assign`` against
+    ``labels``. By default the ``nllp`` penalty's log-sum spans the whole row,
+    which keeps the loss non-negative and zero on a correctly assigned row;
+    ``penalty_excludes_dustbin`` (the literal summation bound) loses that bound."""
     log_p = assign.log_p
     if log_p.ndim != 2:
         raise ShapeError("a loss needs one (n+1, m+1) assignment matrix")
     n, m = log_p.shape[0] - 1, log_p.shape[1] - 1
     weights = loss_weights(kind, labels, n, m, penalty_excludes_dustbin)
     return weighted_assignment_loss(log_p, *weights)
-
-
-def loss_nll(assign: AssignmentMatrix, labels: CorrespondenceLabels) -> Tensor:
-    """Negative log-likelihood over every supervised cell."""
-    return compute_loss("nll", assign, labels)
-
-
-def loss_nllp(assign: AssignmentMatrix, labels: CorrespondenceLabels,
-              penalty_excludes_dustbin: bool = False) -> Tensor:
-    """NLL plus a cross entropy pushing each unmatched row's mass onto the
-    dustbin. By default its log-sum spans the whole row, which keeps it
-    non-negative and zero on a correctly assigned row;
-    ``penalty_excludes_dustbin`` sums over the real columns alone (the
-    literal summation bound) and loses that lower bound."""
-    return compute_loss("nllp", assign, labels, penalty_excludes_dustbin)
-
-
-def loss_dce(assign: AssignmentMatrix, labels: CorrespondenceLabels) -> Tensor:
-    """Dual cross entropy: matched cells pay the row and the column direction,
-    dustbin cells only the direction they supervise."""
-    return compute_loss("dce", assign, labels)
 
 
 # ---------------------------------------------------------------------------
@@ -362,7 +344,8 @@ def load_optimizer(meta: dict, extras: dict, named_params: dict[str, Tensor]) ->
     """Adam state saved by :func:`write_training_checkpoint`.
 
     Once a step has run, every named parameter needs both moments at its own
-    shape: a resume from zero-filled moments would not repeat the run.
+    shape: a resume from zero-filled moments would not repeat the run. Settings
+    or moments no update could take are refused before training writes anything.
     """
     info = meta.get("optimizer", {})
     if not isinstance(info, dict):
@@ -375,8 +358,10 @@ def load_optimizer(meta: dict, extras: dict, named_params: dict[str, Tensor]) ->
         step=info.get("step", 0),
     )
     rates = (state.learning_rate, state.beta1, state.beta2, state.eps)
-    if not all(map(is_finite_real, rates)):
-        raise ConfigError(f"checkpoint optimizer settings must be numbers, got {rates}")
+    if not (all(map(is_finite_real, rates)) and state.learning_rate > 0 and state.eps > 0
+            and 0 <= state.beta1 < 1 and 0 <= state.beta2 < 1):
+        raise ConfigError("checkpoint optimizer needs learning_rate > 0, eps > 0 and "
+                          f"betas in [0, 1), got {rates}")
     if not is_count(state.step):
         raise ConfigError(f"checkpoint optimizer step must be a count, got {state.step!r}")
     for name, tensor in named_params.items():
@@ -390,5 +375,7 @@ def load_optimizer(meta: dict, extras: dict, named_params: dict[str, Tensor]) ->
                     f"checkpoint at optimizer step {state.step} needs {key} of shape "
                     f"{tensor.shape}, found {None if arr is None else arr.shape}"
                 )
+            if not np.all(np.isfinite(arr)) or (moments is state.second_moment and np.any(arr < 0)):
+                raise ConfigError(f"checkpoint {key} must be finite, and >= 0 for a second moment")
             moments[name] = arr.astype(np.float32)
     return state

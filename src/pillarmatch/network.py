@@ -20,7 +20,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import BatchNormState, Tensor
-from .cloud import Pillar, PillarSet
+from .cloud import PillarSet
 from .container import is_count, is_finite_real, read_container, write_container
 from .errors import ConfigError, ShapeError
 
@@ -235,11 +235,6 @@ class ModelParameters:
 # ---------------------------------------------------------------------------
 # forward pieces
 # ---------------------------------------------------------------------------
-
-def build_feature_stack(pillar: Pillar) -> np.ndarray:
-    """Flattened (capacity * 11,) feature stack of one pillar; see :func:`feature_stacks`."""
-    return feature_stacks(PillarSet.from_items([pillar]))[0]
-
 
 def feature_stacks(pillars: PillarSet) -> np.ndarray:
     """``(k, capacity * 11)`` flattened feature stacks, one row per pillar.

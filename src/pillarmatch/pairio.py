@@ -1,14 +1,13 @@
 """Preprocessed frame-pair records and their on-disk format.
 
 A preprocessed pair bundles everything training and evaluation need for one
-frame pair: both key-point sets, their pillars, ground-truth labels and the
+frame pair: both pillar sets with their key-points, ground-truth labels and the
 ground-truth transform. Files use the PMC container (kind ``pair``), datasets
 are directories of pair files plus a ``manifest.json`` echoing the generating
 configuration. A dataset is written one pair at a time and its manifest
 last, so a directory whose writing failed has none. Each array of a cloud's
-:class:`~.cloud.KeyPointSet` and :class:`~.cloud.PillarSet` is stored as is
-under ``{src,tgt}.kp.*`` and ``{src,tgt}.pillar.*``, so a pair is read and
-written without a loop over its rows.
+:class:`~.cloud.PillarSet` and its key-points is stored as is under
+``{src,tgt}.pillar.*`` and ``{src,tgt}.kp.*``.
 """
 from __future__ import annotations
 
@@ -40,14 +39,20 @@ PAIR_SUFFIX = ".ppair"
 
 @dataclass
 class PreprocessedPair:
-    src_keypoints: KeyPointSet
-    tgt_keypoints: KeyPointSet
     src_pillars: PillarSet
     tgt_pillars: PillarSet
     labels: CorrespondenceLabels
     gt_transform: RigidTransform
     frame_distance: int = 1
     meta: dict = field(default_factory=dict)
+
+    @property
+    def src_keypoints(self) -> KeyPointSet:
+        return self.src_pillars.keypoints
+
+    @property
+    def tgt_keypoints(self) -> KeyPointSet:
+        return self.tgt_pillars.keypoints
 
     @cached_property
     def stacks(self) -> tuple[np.ndarray, np.ndarray]:
@@ -112,8 +117,6 @@ def preprocess_pair(
     if meta:
         info.update(meta)
     return PreprocessedPair(
-        src_keypoints=src_pillars.keypoints,
-        tgt_keypoints=tgt_pillars.keypoints,
         src_pillars=src_pillars,
         tgt_pillars=tgt_pillars,
         labels=labels,
@@ -125,8 +128,8 @@ def preprocess_pair(
 
 def write_pair(path, pair: PreprocessedPair) -> None:
     arrays = {}
-    for prefix, kps, pillars in (("src", pair.src_keypoints, pair.src_pillars),
-                                 ("tgt", pair.tgt_keypoints, pair.tgt_pillars)):
+    for prefix, pillars in (("src", pair.src_pillars), ("tgt", pair.tgt_pillars)):
+        kps = pillars.keypoints
         arrays[f"{prefix}.kp.position"] = kps.positions
         arrays[f"{prefix}.kp.smoothness"] = kps.smoothness
         arrays[f"{prefix}.kp.kind"] = kps.kind
@@ -218,8 +221,6 @@ def read_pair(path) -> PreprocessedPair:
     if not isinstance(distance, int) or isinstance(distance, bool):
         raise FormatError(f"{path}: frame_distance must be an integer, got {distance!r}")
     return PreprocessedPair(
-        src_keypoints=src_pillars.keypoints,
-        tgt_keypoints=tgt_pillars.keypoints,
         src_pillars=src_pillars,
         tgt_pillars=tgt_pillars,
         labels=labels,

@@ -1,7 +1,7 @@
 """Rigid-transform estimation, classical baselines and evaluation metrics."""
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 from scipy.spatial import cKDTree
@@ -153,13 +153,6 @@ def matching_score(predicted: MatchSet, labels: CorrespondenceLabels) -> float:
     return len(predicted.index_pairs & labels.matched) / len(labels.matched)
 
 
-def aggregate_matching_score(per_frame_scores) -> float:
-    """Mean matching score over frames; frames without GT matches are
-    excluded upstream and never reach this list."""
-    scores = list(per_frame_scores)
-    return float(np.mean(scores)) if scores else 0.0
-
-
 def transform_errors(t_pred: RigidTransform, t_gt: RigidTransform) -> tuple[float, float]:
     """Translational (meters) and rotational (radians) error between a
     prediction and the ground truth, from their relative transform."""
@@ -188,16 +181,7 @@ class FrameRecord:
     failed: bool = False
 
     def to_json(self) -> dict:
-        return {
-            "index": self.index,
-            "frame_distance": self.frame_distance,
-            "matcher": self.matcher,
-            "matching_score": self.matching_score,
-            "translational_error": self.translational_error,
-            "rotational_error": self.rotational_error,
-            "num_matches": self.num_matches,
-            "failed": self.failed,
-        }
+        return asdict(self)
 
 
 @dataclass
@@ -224,7 +208,7 @@ class EvalReport:
             summary[matcher] = {}
             for dist, vals in sorted(by_dist.items()):
                 summary[matcher][dist] = {
-                    "matching_score": aggregate_matching_score(vals["matching_score"])
+                    "matching_score": float(np.mean(vals["matching_score"]))
                     if vals["matching_score"]
                     else None,
                     "translational_error": float(np.mean(vals["t_err"]))

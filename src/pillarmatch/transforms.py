@@ -73,13 +73,6 @@ class RigidTransform:
         """Return self applied after ``other`` (matrix product self @ other)."""
         return RigidTransform(self.matrix @ other.matrix)
 
-    def is_strictly_rigid(self, atol: float = 1e-9) -> bool:
-        rot = self.rotation
-        return bool(
-            np.allclose(rot.T @ rot, np.eye(3), atol=atol)
-            and abs(np.linalg.det(rot) - 1.0) <= atol
-        )
-
     def __eq__(self, other):
         if not isinstance(other, RigidTransform):
             return NotImplemented

@@ -3,10 +3,8 @@ import pytest
 
 from pillarmatch.cloud import (
     CorrespondenceLabels,
-    KeyPoint,
-    KeyPointKind,
     KeyPointSet,
-    Pillar,
+    PillarSet,
     PointCloud,
     SceneConfig,
     generate_synthetic_pair,
@@ -34,8 +32,8 @@ def toy_hyper(**overrides) -> HyperParams:
     return HyperParams(**base)
 
 
-def make_pillar(members_xyz_i, keypoint_xyz, capacity, kind=KeyPointKind.SHARP):
-    """Pillar from explicit member rows (already sorted by distance)."""
+def make_pillar(members_xyz_i, keypoint_xyz, capacity):
+    """One-row PillarSet from explicit member rows (already sorted by distance)."""
     members = np.zeros((capacity, 4))
     real = len(members_xyz_i)
     if real:
@@ -43,8 +41,9 @@ def make_pillar(members_xyz_i, keypoint_xyz, capacity, kind=KeyPointKind.SHARP):
     centroid = (
         members[:real, :3].mean(axis=0) if real else np.asarray(keypoint_xyz, dtype=float)
     )
-    kp = KeyPoint(position=keypoint_xyz, smoothness=0.0, kind=kind)
-    return Pillar(keypoint=kp, centroid=centroid, members=members, real_count=real)
+    kp = KeyPointSet(positions=[keypoint_xyz], smoothness=[0.0], kind=[1], index=[-1])
+    return PillarSet(keypoints=kp, members=members[None], centroids=centroid[None],
+                     real_count=[real])
 
 
 def toy_pair(seed=0, hyper=None, scene=None) -> PreprocessedPair:

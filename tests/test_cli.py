@@ -688,3 +688,37 @@ def test_resume_without_adam_moments_is_config_error(tmp_path, capsys):
                  "--resume", str(checkpoint), *common])
     assert code == 2
     assert "adam.m.dustbin.score" in capsys.readouterr().err
+
+
+def _set_moment(arrays, key, value):
+    arrays[key] = arrays[key].copy()
+    arrays[key].flat[0] = value
+
+
+@pytest.mark.parametrize("edit", [
+    lambda meta, arrays: meta["optimizer"].update(beta1=1.0),
+    lambda meta, arrays: meta["optimizer"].update(beta2=-0.1),
+    lambda meta, arrays: meta["optimizer"].update(learning_rate=-1),
+    lambda meta, arrays: meta["optimizer"].update(eps=0.0),
+    lambda meta, arrays: _set_moment(arrays, "extra.adam.m.dustbin.score", np.nan),
+    lambda meta, arrays: _set_moment(arrays, "extra.adam.v.dustbin.score", -1.0),
+    lambda meta, arrays: meta.update(next_epoch="x"),
+    lambda meta, arrays: meta.update(next_epoch=None),
+    lambda meta, arrays: meta.update(next_epoch=-3),
+], ids=["beta1-one", "beta2-negative", "negative-learning-rate", "zero-eps", "nan-moment",
+        "negative-second-moment", "next-epoch-string", "next-epoch-null", "next-epoch-negative"])
+def test_resume_from_bad_training_state_is_config_error_and_writes_nothing(tmp_path, capsys,
+                                                                           edit):
+    data = run_synth(tmp_path, "data", num_pairs=2, seed=4)
+    part_dir = tmp_path / "part"
+    common = ["--data", str(data), "--batch-size", "2", "--learning-rate", "1e-3", *TOY_FLAGS]
+    assert main(["train", "--out", str(part_dir), "--max-steps", "1", *common]) == 0
+    checkpoint = part_dir / "checkpoint_final.pmc"
+    rewrite_container(checkpoint, "checkpoint", edit)
+    capsys.readouterr()
+    resumed = tmp_path / "resumed"
+    code = main(["train", "--out", str(resumed), "--resume", str(checkpoint),
+                 "--max-steps", "2", *common])
+    assert code == 2
+    assert capsys.readouterr().err.startswith("error: ")
+    assert not resumed.exists()

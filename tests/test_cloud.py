@@ -7,8 +7,6 @@ from pillarmatch.cloud import (
     PARALLEL_QUERY_POINTS,
     CorrespondenceLabels,
     FramePair,
-    KeyPoint,
-    KeyPointKind,
     KeyPointSet,
     PillarSet,
     PointCloud,
@@ -18,7 +16,6 @@ from pillarmatch.cloud import (
     label_correspondences,
     load_kitti_poses,
     load_kitti_scan,
-    sample_pillar,
     sample_pillars,
     save_kitti_poses,
     save_kitti_scan,
@@ -231,29 +228,23 @@ def test_select_keypoints_extremes():
     spike = np.array([[6.0, 6.0, 3.0]])
     cloud = grid_cloud(extra=spike)
     kps = select_keypoints(cloud, 2, neighborhood_size=8)
-    kinds = {kp.kind for kp in kps}
-    assert kinds == {KeyPointKind.SHARP, KeyPointKind.PLANAR}
-    sharp = next(kp for kp in kps if kp.kind is KeyPointKind.SHARP)
-    planar = next(kp for kp in kps if kp.kind is KeyPointKind.PLANAR)
-    assert sharp.smoothness >= planar.smoothness
-    np.testing.assert_array_equal(sharp.position, spike[0])
+    assert set(kps.kind.tolist()) == {0, 1}
+    sharp, planar = np.argmax(kps.kind == 1), np.argmax(kps.kind == 0)
+    assert kps.smoothness[sharp] >= kps.smoothness[planar]
+    np.testing.assert_array_equal(kps.positions[sharp], spike[0])
 
 
 def test_select_keypoints_split_counts():
     cloud = grid_cloud()
     kps = select_keypoints(cloud, 11, neighborhood_size=8)
-    sharp = [kp for kp in kps if kp.kind is KeyPointKind.SHARP]
-    planar = [kp for kp in kps if kp.kind is KeyPointKind.PLANAR]
-    assert len(sharp) == 6 and len(planar) == 5
-    indices = [kp.index for kp in kps]
-    assert len(set(indices)) == len(indices)
+    assert np.sum(kps.kind == 1) == 6 and np.sum(kps.kind == 0) == 5
+    assert len(np.unique(kps.index)) == len(kps.index)
 
 
 def test_select_keypoints_scan_scale_hundred():
     cloud = generate_synthetic_pair(1).source
     kps = select_keypoints(cloud, 100)
-    sharp = [kp for kp in kps if kp.kind is KeyPointKind.SHARP]
-    assert len(kps) == 100 and len(sharp) == 50
+    assert len(kps) == 100 and np.sum(kps.kind == 1) == 50
 
 
 def test_select_keypoints_insufficient():
@@ -266,13 +257,13 @@ def test_select_keypoints_deterministic():
     cloud = grid_cloud()
     a = select_keypoints(cloud, 10, neighborhood_size=8)
     b = select_keypoints(cloud, 10, neighborhood_size=8)
-    assert [kp.index for kp in a] == [kp.index for kp in b]
+    np.testing.assert_array_equal(a.index, b.index)
 
 
 def test_select_keypoints_min_separation():
     cloud = grid_cloud()
     kps = select_keypoints(cloud, 8, neighborhood_size=8, min_separation=1.0)
-    pos = np.array([kp.position for kp in kps])
+    pos = kps.positions
     dists = np.linalg.norm(pos[:, None] - pos[None, :], axis=2)
     np.fill_diagonal(dists, np.inf)
     assert dists.min() >= 1.0
@@ -285,37 +276,34 @@ def test_select_keypoints_min_separation():
 def test_sample_pillar_pads_to_capacity():
     pts = [[5.0, 0.0, 0.0], [5.1, 0.0, 0.0], [5.0, 0.1, 0.0], [9.0, 9.0, 9.0]]
     cloud = cloud_from(pts, intensities=[0.1, 0.2, 0.3, 0.4])
-    kp = KeyPoint(position=[5.0, 0.0, 0.0], smoothness=1.0, kind=KeyPointKind.SHARP)
-    pillar = sample_pillar(cloud, kp, capacity=100, radius=0.5)
-    assert pillar.real_count == 3
-    assert pillar.capacity == 100
-    np.testing.assert_array_equal(pillar.members[3:], 0.0)
+    pillars = sample_pillars(cloud, kps_at([[5.0, 0.0, 0.0]]), capacity=100, radius=0.5)
+    assert pillars.real_count[0] == 3
+    assert pillars.capacity == 100
+    np.testing.assert_array_equal(pillars.members[0, 3:], 0.0)
 
 
 def test_sample_pillar_nearest_first():
     pts = [[5.0, 0.0, 0.0], [5.1, 0.0, 0.0], [5.2, 0.0, 0.0]]
     cloud = cloud_from(pts)
-    kp = KeyPoint(position=[5.0, 0.0, 0.0], smoothness=0.0, kind=KeyPointKind.SHARP)
-    pillar = sample_pillar(cloud, kp, capacity=1, radius=1.0)
-    assert pillar.real_count == 1
-    np.testing.assert_array_equal(pillar.members[0, :3], [5.0, 0.0, 0.0])
+    pillars = sample_pillars(cloud, kps_at([[5.0, 0.0, 0.0]]), capacity=1, radius=1.0)
+    assert pillars.real_count[0] == 1
+    np.testing.assert_array_equal(pillars.members[0, 0, :3], [5.0, 0.0, 0.0])
 
 
 def test_sample_pillar_all_out_of_range():
     pts = [[5.0, 0.0, 0.0], [6.0, 0.0, 0.0]]
     cloud = cloud_from(pts)
-    kp = KeyPoint(position=[0.0, 0.0, 0.0], smoothness=0.0, kind=KeyPointKind.PLANAR)
-    pillar = sample_pillar(cloud, kp, capacity=4, radius=0.5)
-    assert pillar.real_count == 0
-    np.testing.assert_array_equal(pillar.centroid, kp.position)
+    pillars = sample_pillars(cloud, kps_at([[0.0, 0.0, 0.0]]), capacity=4, radius=0.5)
+    assert pillars.real_count[0] == 0
+    np.testing.assert_array_equal(pillars.centroids[0], [0.0, 0.0, 0.0])
 
 
 def test_sample_pillar_distances_sorted_and_inside(rng):
     pts = rng.uniform(3.0, 6.0, size=(200, 3))
     cloud = cloud_from(pts, intensities=rng.uniform(size=200))
-    kp = KeyPoint(position=pts[17], smoothness=0.0, kind=KeyPointKind.SHARP)
-    pillar = sample_pillar(cloud, kp, capacity=32, radius=0.8)
-    dists = np.linalg.norm(pillar.members[: pillar.real_count, :3] - kp.position, axis=1)
+    pillars = sample_pillars(cloud, kps_at([pts[17]]), capacity=32, radius=0.8)
+    real = pillars.real_count[0]
+    dists = np.linalg.norm(pillars.members[0, :real, :3] - pts[17], axis=1)
     assert np.all(np.diff(dists) >= 0.0)
     assert np.all(dists < 0.8)
 
@@ -356,7 +344,7 @@ def test_sample_pillars_equals_per_keypoint_reference(pillar_cases, case):
     assert shape.get(case, True)
 
 
-def test_records_are_read_only_and_round_trip_through_items(pillar_cases):
+def test_records_are_read_only(pillar_cases):
     cloud, kps, capacity, radius = pillar_cases["empty-pillars"]
     pillars = sample_pillars(cloud, kps, capacity, radius)
     for record in (kps, pillars):
@@ -366,15 +354,8 @@ def test_records_are_read_only_and_round_trip_through_items(pillar_cases):
                     arr[0] = 1
         with pytest.raises(AttributeError):
             record.kind = None
-    again = PillarSet.from_items(pillars)
-    for record, copy in ((kps, again.keypoints), (pillars, again)):
-        for name, arr in vars(record).items():
-            if isinstance(arr, np.ndarray):
-                np.testing.assert_array_equal(getattr(copy, name), arr)
-                assert getattr(copy, name).dtype == arr.dtype
-    assert [kp.kind for kp in kps] == [KeyPointKind.SHARP, KeyPointKind.PLANAR] * 2 + [
-        KeyPointKind.SHARP]
-    assert pillars[3].real_count == 0 and pillars[3].keypoint.index == -1
+    np.testing.assert_array_equal(kps.kind, [1, 0, 1, 0, 1])
+    assert pillars.real_count[3] == 0 and pillars.keypoints.index[3] == -1
 
 
 def test_record_arrays_must_agree_in_length():
@@ -390,10 +371,9 @@ def test_record_arrays_must_agree_in_length():
 # ---------------------------------------------------------------------------
 
 def kps_at(positions):
-    return KeyPointSet.from_items(
-        KeyPoint(position=p, smoothness=0.0, kind=KeyPointKind.SHARP, index=i)
-        for i, p in enumerate(positions)
-    )
+    k = len(positions)
+    return KeyPointSet(positions=np.reshape(positions, (k, 3)), smoothness=np.zeros(k),
+                       kind=np.ones(k), index=np.arange(k))
 
 
 def pair_with_identity(points):

@@ -1,5 +1,6 @@
 import gc
 import weakref
+from functools import partial
 
 import numpy as np
 import pytest
@@ -16,9 +17,6 @@ from pillarmatch.learn import (
     adam_step,
     compute_loss,
     load_optimizer,
-    loss_dce,
-    loss_nll,
-    loss_nllp,
     match_metrics,
     train,
     write_training_checkpoint,
@@ -59,7 +57,7 @@ def uniform_log(n, m):
 def test_nll_zero_on_certain_assignment():
     labels = synthetic_labels(3, 3, matched={(0, 0), (1, 1)}, unmatched_rows={2})
     log_p = one_hot_log(3, 3, labels.matched, labels.unmatched_rows)
-    loss = loss_nll(assign_from_log(log_p), labels)
+    loss = compute_loss("nll", assign_from_log(log_p), labels)
     assert loss.item() == pytest.approx(0.0, abs=1e-9)
 
 
@@ -67,7 +65,7 @@ def test_nll_uniform_closed_form():
     n = 5
     labels = synthetic_labels(n, n, matched={(0, 1), (2, 2), (4, 0)}, unmatched_rows={1})
     g = 4  # three matches plus one dustbin row cell
-    loss = loss_nll(assign_from_log(uniform_log(n, n)), labels)
+    loss = compute_loss("nll", assign_from_log(uniform_log(n, n)), labels)
     assert loss.item() == pytest.approx(g * np.log(n + 1.0), rel=1e-12)
 
 
@@ -85,15 +83,15 @@ def test_nll_ignores_ignored_indices():
         ignored_cols=frozenset(),
     )
     log_p = np.log(np.full((5, 5), 0.2))
-    a = loss_nll(assign_from_log(log_p), with_ignored).item()
-    b = loss_nll(assign_from_log(log_p), without).item()
+    a = compute_loss("nll", assign_from_log(log_p), with_ignored).item()
+    b = compute_loss("nll", assign_from_log(log_p), without).item()
     assert a == b
 
 
 def test_nll_empty_labels_error():
     labels = synthetic_labels(2, 2, matched=set())
     with pytest.raises(ArgumentError):
-        loss_nll(assign_from_log(uniform_log(2, 2)), labels)
+        compute_loss("nll", assign_from_log(uniform_log(2, 2)), labels)
 
 
 def test_nll_nonnegative_on_sinkhorn_output(rng):
@@ -101,7 +99,7 @@ def test_nll_nonnegative_on_sinkhorn_output(rng):
 
     labels = synthetic_labels(4, 4, matched={(0, 0), (1, 2)}, unmatched_rows={3})
     assign = sinkhorn(Tensor(rng.normal(size=(5, 5))), iterations=50)
-    assert loss_nll(assign, labels).item() >= -1e-6
+    assert compute_loss("nll", assign, labels).item() >= -1e-6
 
 
 # ---------------------------------------------------------------------------
@@ -111,15 +109,15 @@ def test_nll_nonnegative_on_sinkhorn_output(rng):
 def test_nllp_no_unmatched_equals_nll(rng):
     labels = synthetic_labels(4, 4, matched={(0, 1), (2, 3)})
     log_p = rng.normal(size=(5, 5))
-    nll = loss_nll(assign_from_log(log_p), labels).item()
-    nllp = loss_nllp(assign_from_log(log_p), labels).item()
+    nll = compute_loss("nll", assign_from_log(log_p), labels).item()
+    nllp = compute_loss("nllp", assign_from_log(log_p), labels).item()
     assert nllp == pytest.approx(nll, rel=1e-12)
 
 
 def test_nllp_zero_penalty_when_row_on_dustbin():
     labels = synthetic_labels(3, 3, matched={(0, 0)}, unmatched_rows={1})
     log_p = one_hot_log(3, 3, labels.matched, labels.unmatched_rows)
-    loss = loss_nllp(assign_from_log(log_p), labels)
+    loss = compute_loss("nllp", assign_from_log(log_p), labels)
     assert loss.item() == pytest.approx(0.0, abs=1e-9)
 
 
@@ -127,7 +125,7 @@ def test_nllp_uniform_row_penalty_brute_force():
     n = 4
     labels = synthetic_labels(n, n, matched={(0, 0)}, unmatched_rows={1, 2})
     log_p = uniform_log(n, n)
-    loss = loss_nllp(assign_from_log(log_p), labels).item()
+    loss = compute_loss("nllp", assign_from_log(log_p), labels).item()
 
     # independent evaluation of the same formula on the raw arrays
     base = -(log_p[0, 0] + log_p[1, n] + log_p[2, n])
@@ -142,7 +140,8 @@ def test_nllp_rows_only_variant_excludes_dustbin():
     n = 4
     labels = synthetic_labels(n, n, matched={(0, 0)}, unmatched_rows={1})
     log_p = uniform_log(n, n)
-    loss = loss_nllp(assign_from_log(log_p), labels, penalty_excludes_dustbin=True).item()
+    loss = compute_loss("nllp", assign_from_log(log_p), labels,
+                        penalty_excludes_dustbin=True).item()
     base = -(log_p[0, 0] + log_p[1, n])
     penalty = -log_p[1, n] + np.log(np.exp(log_p[1, :n]).sum())
     assert loss == pytest.approx(base + penalty, rel=1e-12)
@@ -153,8 +152,8 @@ def test_nllp_rows_only_variant_excludes_dustbin():
 def test_nllp_at_least_nll_with_default_penalty(rng):
     labels = synthetic_labels(4, 4, matched={(0, 0)}, unmatched_rows={1, 3})
     log_p = rng.normal(size=(5, 5))
-    nll = loss_nll(assign_from_log(log_p), labels).item()
-    nllp = loss_nllp(assign_from_log(log_p), labels).item()
+    nll = compute_loss("nll", assign_from_log(log_p), labels).item()
+    nllp = compute_loss("nllp", assign_from_log(log_p), labels).item()
     assert nllp >= nll - 1e-6
 
 
@@ -166,14 +165,15 @@ def test_dce_zero_on_one_hot():
     labels = synthetic_labels(3, 3, matched={(0, 0), (1, 1)}, unmatched_rows={2},
                               unmatched_cols={2})
     log_p = one_hot_log(3, 3, labels.matched, labels.unmatched_rows, labels.unmatched_cols)
-    assert loss_dce(assign_from_log(log_p), labels).item() == pytest.approx(0.0, abs=1e-9)
+    loss = compute_loss("dce", assign_from_log(log_p), labels).item()
+    assert loss == pytest.approx(0.0, abs=1e-9)
 
 
 def test_dce_uniform_closed_form():
     n = 6
     matched = {(0, 0), (1, 3), (4, 2)}
     labels = synthetic_labels(n, n, matched=matched)
-    loss = loss_dce(assign_from_log(uniform_log(n, n)), labels).item()
+    loss = compute_loss("dce", assign_from_log(uniform_log(n, n)), labels).item()
     assert loss == pytest.approx(2 * len(matched) * np.log(n + 1.0), rel=1e-12)
 
 
@@ -183,8 +183,8 @@ def test_dce_decreases_when_mass_moves_to_gt():
     better = worse.copy()
     better[0, 0] += 0.5
     better[0, 1] -= 0.5
-    a = loss_dce(assign_from_log(worse), labels).item()
-    b = loss_dce(assign_from_log(better), labels).item()
+    a = compute_loss("dce", assign_from_log(worse), labels).item()
+    b = compute_loss("dce", assign_from_log(better), labels).item()
     assert b < a
 
 
@@ -193,7 +193,7 @@ def test_dce_nonnegative(rng):
                               unmatched_cols={3})
     for _ in range(20):
         log_p = rng.normal(size=(5, 5)) * 3.0
-        assert loss_dce(assign_from_log(log_p), labels).item() >= 0.0
+        assert compute_loss("dce", assign_from_log(log_p), labels).item() >= 0.0
 
 
 # ---------------------------------------------------------------------------
@@ -273,11 +273,11 @@ def ref_dce(log_p, labels):
 
 
 REFERENCE_LOSSES = {
-    "nll": (ref_nll, loss_nll),
-    "nllp": (lambda x, labels: ref_nllp(x, labels, False), loss_nllp),
+    "nll": (ref_nll, partial(compute_loss, "nll")),
+    "nllp": (lambda x, labels: ref_nllp(x, labels, False), partial(compute_loss, "nllp")),
     "nllp-rows-only": (lambda x, labels: ref_nllp(x, labels, True),
-                       lambda a, labels: loss_nllp(a, labels, penalty_excludes_dustbin=True)),
-    "dce": (ref_dce, loss_dce),
+                       partial(compute_loss, "nllp", penalty_excludes_dustbin=True)),
+    "dce": (ref_dce, partial(compute_loss, "dce")),
 }
 
 

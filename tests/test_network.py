@@ -17,7 +17,6 @@ from pillarmatch.network import (
     HyperParams,
     ModelParameters,
     attention,
-    build_feature_stack,
     encode_pillars,
     encode_positions,
     feature_stacks,
@@ -43,7 +42,7 @@ def t(values, grad=True):
 
 def test_feature_stack_single_member_at_keypoint():
     pillar = make_pillar([[3.0, 4.0, 0.0, 0.5]], keypoint_xyz=[3.0, 4.0, 0.0], capacity=2)
-    stack = build_feature_stack(pillar).reshape(2, 11)
+    stack = feature_stacks(pillar)[0].reshape(2, 11)
     np.testing.assert_allclose(
         stack[0], [3.0, 4.0, 0.0, 0.5, 0.0, 0.0, 0.0, 5.0, 0.0, 0.0, 0.0]
     )
@@ -52,7 +51,7 @@ def test_feature_stack_single_member_at_keypoint():
 
 def test_feature_stack_all_pad_is_zero():
     pillar = make_pillar([], keypoint_xyz=[1.0, 2.0, 3.0], capacity=4)
-    np.testing.assert_array_equal(build_feature_stack(pillar), 0.0)
+    np.testing.assert_array_equal(feature_stacks(pillar)[0], 0.0)
 
 
 def test_feature_stack_two_member_centroid_offsets():
@@ -61,23 +60,23 @@ def test_feature_stack_two_member_centroid_offsets():
         keypoint_xyz=[0.0, 0.0, 0.0],
         capacity=2,
     )
-    np.testing.assert_allclose(pillar.centroid, [0.5, 0.5, 0.0])
-    stack = build_feature_stack(pillar).reshape(2, 11)
+    np.testing.assert_allclose(pillar.centroids[0], [0.5, 0.5, 0.0])
+    stack = feature_stacks(pillar)[0].reshape(2, 11)
     np.testing.assert_allclose(stack[0, 4:7], [0.5, -0.5, 0.0])
     np.testing.assert_allclose(stack[1, 4:7], [-0.5, 0.5, 0.0])
 
 
-def reference_stack(pillar):
-    """One pillar's stack by the per-pillar loop that feature_stacks vectorises."""
-    stack = np.zeros((pillar.capacity, 11))
-    real = pillar.real_count
+def reference_stack(pillars, i):
+    """Pillar ``i``'s stack by the per-pillar loop that feature_stacks vectorises."""
+    stack = np.zeros((pillars.capacity, 11))
+    real = pillars.real_count[i]
     if real:
-        pts = pillar.members[:real, :3]
+        pts = pillars.members[i, :real, :3]
         stack[:real, 0:3] = pts
-        stack[:real, 3] = pillar.members[:real, 3]
-        stack[:real, 4:7] = pts - pillar.centroid
+        stack[:real, 3] = pillars.members[i, :real, 3]
+        stack[:real, 4:7] = pts - pillars.centroids[i]
         stack[:real, 7] = np.linalg.norm(pts, axis=1)
-        stack[:real, 8:11] = pts - pillar.keypoint.position
+        stack[:real, 8:11] = pts - pillars.keypoints.positions[i]
     return stack.reshape(-1)
 
 
@@ -85,8 +84,8 @@ def reference_stack(pillar):
 def test_feature_stacks_equal_per_pillar_reference(pillar_cases, case):
     pillars = sample_pillars(*pillar_cases[case])
     stacks = feature_stacks(pillars)
-    np.testing.assert_array_equal(stacks, np.stack([reference_stack(p) for p in pillars]))
-    np.testing.assert_array_equal(build_feature_stack(pillars[0]), stacks[0])
+    np.testing.assert_array_equal(
+        stacks, np.stack([reference_stack(pillars, i) for i in range(len(pillars))]))
 
 
 # ---------------------------------------------------------------------------

@@ -62,7 +62,9 @@ def test_svd_output_is_strictly_rigid_on_noisy_planar(rng):
     rot = rotation_about_axis(rng.normal(size=3), 0.8)
     tgt = src @ rot.T + [0.2, -0.1, 0.4] + rng.normal(0, 0.05, size=src.shape)
     out = estimate_transform_svd(src, tgt)
-    assert out.is_strictly_rigid(atol=1e-9)
+    rot = out.rotation
+    assert np.allclose(rot.T @ rot, np.eye(3), atol=1e-9)
+    assert abs(np.linalg.det(rot) - 1.0) <= 1e-9
     assert np.linalg.det(out.rotation) == pytest.approx(1.0, abs=1e-12)
 
 
