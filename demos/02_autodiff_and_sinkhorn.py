@@ -2,7 +2,7 @@
 
 Shows gradients flowing through a small expression, checks them against
 central differences, and runs Sinkhorn until the plan is doubly stochastic
-(in scaling form, since the scores record no tape).
+(in stabilised scaling form, as every alternating-mode call runs).
 """
 import numpy as np
 

@@ -2,10 +2,10 @@
 
 Pipeline: smoothness-ranked key-points with pillar neighborhoods, a shared
 pillar/positional encoder, alternating self/cross multi-head attention over
-the two-frame graph, and a log-domain Sinkhorn optimal-transport assignment
-with a dustbin for occluded points. Rigid transforms are estimated from the
-matches by SVD; classical NN and ICP baselines plus an evaluation harness
-are included.
+the two-frame graph, and a Sinkhorn optimal-transport assignment of log
+probabilities with a dustbin for occluded points. Rigid transforms are
+estimated from the matches by SVD; classical NN and ICP baselines plus an
+evaluation harness are included.
 """
 
 from .autodiff import BatchNormState, Tensor, batchnorm, batchnorm_relu, grad_check, linear

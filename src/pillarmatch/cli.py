@@ -49,6 +49,8 @@ EXIT_USAGE = 2
 EXIT_DATA = 3
 EXIT_NUMERIC = 4
 
+DEFAULT_LEARNING_RATE = 1e-4
+
 
 def _resolve(path: str) -> Path:
     p = Path(path)
@@ -107,6 +109,27 @@ def _hyper_from_args(args) -> HyperParams:
         sinkhorn_marginals=args.sinkhorn_marginals,
         match_threshold=args.match_threshold,
         dustbin_init=args.dustbin_init,
+    )
+
+
+def _hyper_flags(hyper: HyperParams) -> dict:
+    """The hyper flags' values, by ``args`` name, that :func:`_hyper_from_args`
+    turns back into ``hyper``."""
+    return dict(
+        keypoints=hyper.src_keypoints,
+        pillar_points=hyper.pillar_points,
+        pillar_radius=hyper.pillar_radius,
+        feature_depth=hyper.feature_depth,
+        heads=hyper.attention_heads,
+        layers=hyper.attention_layers,
+        sinkhorn_iters=hyper.sinkhorn_iterations,
+        positional_hidden=",".join(str(v) for v in hyper.positional_hidden),
+        attention_scale=hyper.attention_scale,
+        post_attention_mlp=hyper.post_attention_mlp,
+        sinkhorn_mode=hyper.sinkhorn_mode,
+        sinkhorn_marginals=hyper.sinkhorn_marginals,
+        match_threshold=hyper.match_threshold,
+        dustbin_init=hyper.dustbin_init,
     )
 
 
@@ -318,8 +341,12 @@ def cmd_train(args) -> int:
         start_epoch = meta.get("next_epoch", 0)
         if not is_count(start_epoch):
             raise ConfigError(f"checkpoint next_epoch must be a count, got {start_epoch!r}")
+        # the network is the checkpoint's, so the echo records its shape
+        vars(args).update(_hyper_flags(hyper))
     else:
         hyper = _hyper_from_args(args)
+    if args.learning_rate is None:
+        args.learning_rate = DEFAULT_LEARNING_RATE if optimizer is None else optimizer.learning_rate
     _check_pillar_capacity(args.data, pairs, hyper)
     run = learn.TrainRun(
         dataset_id=str(args.data),
@@ -333,6 +360,8 @@ def cmd_train(args) -> int:
         match_threshold=args.match_threshold,
         nllp_penalty_excludes_dustbin=args.nllp_penalty == "rows-only",
     )
+    if optimizer is not None:
+        optimizer.learning_rate = run.learning_rate
     _echo_config(run_dir, "train", args)
 
     def log(record):
@@ -505,10 +534,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--epochs", type=int, default=100)
     p.add_argument("--batch-size", type=int, default=16)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--learning-rate", type=float, default=1e-4)
+    p.add_argument("--learning-rate", type=float, default=None,
+                   help=f"Adam step size (default {DEFAULT_LEARNING_RATE}; with --resume, "
+                        "the checkpoint's rate, which a given value replaces)")
     p.add_argument("--max-steps", type=int, default=None)
     p.add_argument("--checkpoint-every", type=int, default=0)
-    p.add_argument("--resume", type=str, default=None)
+    p.add_argument("--resume", type=str, default=None,
+                   help="continue from a training checkpoint; the network and its "
+                        "shape flags are the checkpoint's")
     p.add_argument("--nllp-penalty", choices=["with-dustbin", "rows-only"],
                    default="with-dustbin",
                    help="dustbin handling in the unmatched-row penalty term")

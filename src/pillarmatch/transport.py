@@ -1,15 +1,17 @@
 """Score matrix, dustbin augmentation, Sinkhorn normalization, match readout.
 
-The assignment matrix holds log probabilities. When Sinkhorn records a tape
-(training) or runs in simultaneous mode, normalization subtracts log-sum-exp
-corrections in the log domain, and Sinkhorn is one tape node whose backward
-replays its iterations in reverse. Inference in alternating mode runs the
-same iterations in stabilised scaling form: one float64 kernel per matrix,
-then matrix-vector products, with the scalings absorbed into log potentials
-whenever they leave a safe range; a matrix the scaling form cannot handle
-falls back to the log-domain loop. Score, dustbin and Sinkhorn take stacks
-with leading batch axes, one independent matrix per leading index, so a
-batch of same-sized pairs is normalised as one array.
+The assignment matrix holds log probabilities. Sinkhorn is one tape node,
+and its mode picks its algorithm. Alternating mode, in training and
+inference alike, runs the iterations in stabilised scaling form: one float64
+kernel per matrix, then matrix-vector products, with the scalings absorbed
+into log potentials whenever they leave a safe range. A recording call keeps
+the scalings of each iteration and one kernel per absorption, and its
+backward replays them as low-rank updates. A matrix the scaling form cannot
+handle falls back to the log-domain loop. Simultaneous mode subtracts
+log-sum-exp corrections in the log domain, and its backward replays them.
+Score, dustbin and Sinkhorn take stacks with leading batch axes, one
+independent matrix per leading index, so a batch of same-sized pairs is
+normalised as one array.
 """
 from __future__ import annotations
 
@@ -110,18 +112,22 @@ def sinkhorn(augmented: Tensor, iterations: int = 100, mode: str = "alternating"
     """Iterative row/column normalization, recorded as one tape node.
 
     ``augmented`` is one (n+1, m+1) matrix or a (..., n+1, m+1) stack whose
-    matrices are normalised independently, each exactly as it would be alone.
+    matrices are normalised independently, each exactly as it would be alone,
+    bit for bit, in the forward and the backward pass.
     Alternating mode applies the row correction, recomputes, then the column
     correction each iteration and converges to the doubly stochastic target.
     Simultaneous mode subtracts both corrections from the same iterate; it is
     kept for fidelity with the closed-form statement of the update but does
-    not converge in general. The backward pass replays the iterations in reverse.
+    not converge in general.
 
-    A call that records a tape, and every simultaneous-mode call, iterates in
-    the log domain. An alternating call that records none (inference) runs
-    the same iterations in stabilised scaling form in float64 (see
-    :func:`_scaling_sinkhorn`); it agrees with the log-domain loop to rounding,
-    and a matrix whose scalings turn non-finite is redone by the log-domain loop.
+    The mode alone picks the algorithm. Alternating mode runs the iterations
+    in stabilised scaling form in float64 (:func:`_scaling_sinkhorn`), and
+    its backward is the low-rank replay of :func:`_scaling_backward`: the
+    gradient of the same truncated iterations, to rounding. A matrix whose
+    scalings turn non-finite is redone alone by the log-domain loop, whose
+    backward replays its stored steps. Simultaneous mode runs the log-domain
+    loop in the input's dtype. Whether a call records a tape decides only
+    whether the state for the backward is kept.
     """
     if iterations < 1:
         raise ArgumentError("sinkhorn needs at least one iteration")
@@ -133,28 +139,26 @@ def sinkhorn(augmented: Tensor, iterations: int = 100, mode: str = "alternating"
         raise NumericError("sinkhorn input contains non-finite values")
     log_mu, log_nu = _log_marginals(*augmented.shape[-2:], marginals, augmented.dtype)
     simultaneous = mode == "simultaneous"
-    steps = [] if ad._recording and augmented.requires_grad else None
-    if steps is not None or simultaneous:
-        current = _log_domain_sinkhorn(augmented.data, iterations, simultaneous,
-                                       log_mu, log_nu, steps)
+    recording = ad._recording and augmented.requires_grad
+    steps = [] if recording else None
+    if simultaneous:
+        current = _log_domain_sinkhorn(augmented.data, iterations, True, log_mu, log_nu, steps)
     else:
-        current = _scaling_sinkhorn(augmented.data, iterations, marginals)
+        segments = [] if recording else None
+        current = _scaling_sinkhorn(augmented.data, iterations, marginals, segments)
         failed = ~np.all(np.isfinite(current), axis=(-2, -1))
         if np.any(failed):
             current[failed] = _log_domain_sinkhorn(augmented.data[failed], iterations, False,
-                                                   log_mu, log_nu)
+                                                   log_mu, log_nu, steps)
     out = ad._node(current, (augmented,), "sinkhorn")
     if out.requires_grad:
         def back(grad):
-            # each correction x - lse(x) maps g to g - softmax(x) * g.sum(axis)
-            g = grad.copy()
-            for row_in, row_lse, col_in, col_lse in reversed(steps):
-                col_term = np.exp(col_in - col_lse) * g.sum(axis=-2, keepdims=True)
-                if not simultaneous:
-                    g -= col_term
-                g -= np.exp(row_in - row_lse) * g.sum(axis=-1, keepdims=True)
-                if simultaneous:
-                    g -= col_term
+            if simultaneous:
+                g = _log_domain_backward(grad, steps, True)
+            else:
+                g = _scaling_backward(grad, segments, marginals)
+                if np.any(failed):
+                    g[failed] = _log_domain_backward(grad[failed], steps, False)
             augmented._accumulate(g)
         out._backward = back
     return AssignmentMatrix(log_p=out, iterations=iterations, mode=mode)
@@ -163,7 +167,7 @@ def sinkhorn(augmented: Tensor, iterations: int = 100, mode: str = "alternating"
 def _log_domain_sinkhorn(data, iterations, simultaneous, log_mu, log_nu, steps=None):
     """The iterations on log probabilities in ``data``'s dtype; appends (row
     input, its log-sum-exp, column input, its log-sum-exp) per iteration to
-    ``steps`` when given, for the backward pass."""
+    ``steps`` when given, for :func:`_log_domain_backward`."""
     current = data
     for _ in range(iterations):
         row_in = current
@@ -177,25 +181,49 @@ def _log_domain_sinkhorn(data, iterations, simultaneous, log_mu, log_nu, steps=N
     return current
 
 
+def _log_domain_backward(grad, steps, simultaneous):
+    """Replays the log-domain ``steps`` in reverse: each correction
+    ``x - lse(x)`` maps ``g`` to ``g - softmax(x) * g.sum(axis)``."""
+    g = grad.copy()
+    for row_in, row_lse, col_in, col_lse in reversed(steps):
+        col_term = np.exp(col_in - col_lse) * g.sum(axis=-2, keepdims=True)
+        if not simultaneous:
+            g -= col_term
+        g -= np.exp(row_in - row_lse) * g.sum(axis=-1, keepdims=True)
+        if simultaneous:
+            g -= col_term
+    return g
+
+
 # The scaling form checks its scalings after iteration 1 and every
 # _ABSORB_EVERY iterations after that. A matrix whose scalings leave
 # [exp(-_ABSORB_ABOVE), exp(_ABSORB_ABOVE)] has them folded into its log
-# potentials and its kernel rebuilt.
+# potentials and its kernel rebuilt. A recording call starts a new kernel
+# segment after every check, whether or not any matrix absorbed, so the
+# segments do not depend on the data.
 _ABSORB_EVERY = 10
 _ABSORB_ABOVE = 50.0
 
 
-def _scaling_sinkhorn(scores: np.ndarray, iterations: int, marginals: str) -> np.ndarray:
+def _scaling_sinkhorn(scores: np.ndarray, iterations: int, marginals: str,
+                      segments: list | None = None) -> np.ndarray:
     """Alternating Sinkhorn as ``u = mu / (K v)``, ``v = nu / (K^T u)`` in float64.
 
     Stabilised scaling form (Schmitzer, SIAM J. Sci. Comput. 2019; Peyre and
     Cuturi, *Computational Optimal Transport*, 4.4): the kernel ``K = exp(S +
     f + g)`` is exponentiated once per matrix, from ``f = -max S``, ``g = 0``,
     and rebuilt only when scalings are absorbed into the potentials ``f`` and
-    ``g``. In real arithmetic this is the log-domain loop, iteration for
-    iteration. Returns ``S + (f + log u) + (g + log v)`` in the input's shape
-    and dtype; a matrix whose scalings turned non-finite comes back
-    non-finite, because absorbing a non-finite scaling poisons its kernel.
+    ``g``; ``v`` then restarts from ones. In real arithmetic this is the
+    log-domain loop, iteration for iteration. Returns ``S + f + g + log u +
+    log v``, its columns normalised once more in the log domain, in the
+    input's shape and dtype; a matrix whose scalings turned non-finite comes
+    back non-finite, because absorbing a non-finite scaling poisons its
+    kernel.
+
+    When ``segments`` is given, it receives one ``(kernel, iterations)`` entry
+    per kernel segment, each iteration as ``(u_t, v_{t-1}, v_t)``, for
+    :func:`_scaling_backward`. An absorption copies the kernel, so earlier
+    segments keep theirs.
     """
     *_, n_rows, n_cols = scores.shape
     s = scores.reshape(-1, n_rows, n_cols).astype(np.float64)
@@ -206,22 +234,71 @@ def _scaling_sinkhorn(scores: np.ndarray, iterations: int, marginals: str) -> np
     kernel = np.exp(s + f)
     kernel_t = kernel.transpose(0, 2, 1)
     v = np.ones((len(s), n_cols, 1))
+    segment = []
     with np.errstate(all="ignore"):
         for it in range(1, iterations + 1):
+            v_prev = v
             u = mu / (kernel @ v)
             v = nu / (kernel_t @ u)
+            segment.append((u, v_prev, v))
             if (it - 1) % _ABSORB_EVERY or it == iterations:
                 continue
+            if segments is not None:
+                segments.append((kernel, segment))
+            segment = []
             log_u, log_v = np.log(u), np.log(v).transpose(0, 2, 1)
             spread = np.maximum(np.abs(log_u).max(axis=(1, 2)), np.abs(log_v).max(axis=(1, 2)))
             absorb = ~(spread <= _ABSORB_ABOVE)  # NaN compares False: absorbed, stays NaN
             if np.any(absorb):
                 f[absorb] += log_u[absorb]
                 g[absorb] += log_v[absorb]
+                kernel = kernel.copy()
                 kernel[absorb] = np.exp(s[absorb] + f[absorb] + g[absorb])
-                v[absorb] = 1.0
-        out = s + (f + np.log(u)) + (g + np.log(v).transpose(0, 2, 1))
+                kernel_t = kernel.transpose(0, 2, 1)
+                v = np.where(absorb[:, None, None], 1.0, v)
+        if segments is not None:
+            segments.append((kernel, segment))
+        # the potentials first, then the bounded log scalings, then the last
+        # column correction again in the log domain: no change in real
+        # arithmetic, less rounding than S + (f + log u) + (g + log v)
+        out = (s + (f + g)) + (np.log(u) + np.log(v).transpose(0, 2, 1))
+        out -= ad.logsumexp_array(out, axis=-2) - log_nu
     return out.reshape(scores.shape).astype(scores.dtype, copy=False)
+
+
+def _scaling_backward(grad: np.ndarray, segments: list, marginals: str) -> np.ndarray:
+    """Gradient through the iterations :func:`_scaling_sinkhorn` recorded.
+
+    This is the log-domain chain rule rewritten with the scalings. With ``c``
+    and ``rho`` the column and row sums of the gradient being replayed, each
+    iteration ``t``, in reverse, subtracts two rank-one terms masked by the
+    kernel: ``K * (u_t w_t^T)`` with ``w_t = c * v_t / nu``, which zeroes
+    ``c``, and ``K * (r_t v_{t-1}^T)`` with ``r_t = rho * u_t / mu``, which
+    zeroes ``rho``. Only the vectors are formed per iteration (two
+    matrix-vector products); each kernel segment adds its terms to the
+    gradient in one batched matrix product.
+    """
+    *_, n_rows, n_cols = grad.shape
+    total = grad.reshape(-1, n_rows, n_cols).astype(np.float64)
+    log_mu, log_nu = _log_marginals(n_rows, n_cols, marginals, np.float64)
+    mu, nu = np.exp(log_mu), np.exp(log_nu).T
+    col = total.sum(axis=1)[:, :, None]
+    row = total.sum(axis=2)[:, :, None]
+    with np.errstate(all="ignore"):
+        for kernel, iterations in reversed(segments):
+            kernel_t = kernel.transpose(0, 2, 1)
+            left, right = [], []
+            for u, v_prev, v in reversed(iterations):
+                w = col * v / nu
+                row = row - u * (kernel @ w)
+                r = row * u / mu
+                col = -v_prev * (kernel_t @ r)
+                row = 0.0
+                left += (u, r)
+                right += (w, v_prev)
+            total -= kernel * (np.concatenate(left, axis=2)
+                               @ np.concatenate(right, axis=2).transpose(0, 2, 1))
+    return total.reshape(grad.shape).astype(grad.dtype, copy=False)
 
 
 def marginal_deviation(log_p: np.ndarray, log_mu=None, log_nu=None) -> float:

@@ -12,7 +12,7 @@ from pillarmatch import cli, pairio
 from pillarmatch.cli import main
 from pillarmatch.cloud import load_kitti_poses, load_kitti_scan, save_kitti_poses, save_kitti_scan
 from pillarmatch.cloud import FramePair, PointCloud, SceneConfig, generate_synthetic_pair
-from pillarmatch.network import HyperParams, ModelParameters, save_checkpoint
+from pillarmatch.network import HyperParams, ModelParameters, load_checkpoint, save_checkpoint
 from pillarmatch.pairio import load_dataset
 from pillarmatch.transforms import RigidTransform, rotation_about_axis
 
@@ -157,6 +157,57 @@ def test_train_resume_matches_uninterrupted(tmp_path):
     full = [json.loads(l) for l in (full_dir / "history.jsonl").read_text().splitlines()]
     resumed = [json.loads(l) for l in (resume_dir / "history.jsonl").read_text().splitlines()]
     assert resumed == full[2:]
+
+
+def test_train_resume_echoes_the_checkpoint_network_shape(tmp_path):
+    data = run_synth(tmp_path, "data", num_pairs=2, seed=4)
+    first = tmp_path / "run"
+    assert main(["train", "--data", str(data), "--out", str(first), "--max-steps", "1",
+                 "--batch-size", "2", "--match-threshold", "0.3", *TOY_FLAGS]) == 0
+    resumed = tmp_path / "run2"
+    assert main(["train", "--data", str(data), "--out", str(resumed), "--max-steps", "2",
+                 "--resume", str(first / "checkpoint_final.pmc")]) == 0
+    before = json.loads((first / "config.json").read_text())
+    after = json.loads((resumed / "config.json").read_text())
+    assert (after["keypoints"], after["pillar_points"]) == (8, 6)
+    shape = set(cli._hyper_flags(HyperParams()))
+    assert {k: after[k] for k in shape} == {k: before[k] for k in shape}
+    # the echo's flag values alone reproduce the resumed run
+    flags = {k: v for k, v in after.items() if k not in ("command", "config_version", "data")}
+    config = tmp_path / "echo.json"
+    config.write_text(json.dumps(flags))
+    again = tmp_path / "run3"
+    assert main(["train", "--config", str(config), "--data", str(data), "--out", str(again)]) == 0
+    assert (again / "history.jsonl").read_text() == (resumed / "history.jsonl").read_text()
+
+
+def _checkpoint_meta_and_weights(path):
+    params, meta, _ = load_checkpoint(path)
+    return meta, {k: t.data for k, t in params.named_parameters().items()}
+
+
+def test_train_resume_learning_rate_defaults_to_the_checkpoint_and_a_given_one_is_used(tmp_path):
+    data = run_synth(tmp_path, "data", num_pairs=2, seed=4)
+    common = ["--data", str(data), "--batch-size", "2", "--seed", "9"]
+    first = tmp_path / "run"
+    assert main(["train", "--out", str(first), "--max-steps", "1", "--learning-rate", "1e-3",
+                 *common, *TOY_FLAGS]) == 0
+    checkpoint = first / "checkpoint_final.pmc"
+    _, start = _checkpoint_meta_and_weights(checkpoint)
+    deltas = {}
+    for name, flags in (("kept", []), ("given", ["--learning-rate", "0.5"])):
+        out = tmp_path / name
+        assert main(["train", "--out", str(out), "--max-steps", "2", "--resume",
+                     str(checkpoint), *flags, *common]) == 0
+        meta, weights = _checkpoint_meta_and_weights(out / "checkpoint_final.pmc")
+        rate = 1e-3 if name == "kept" else 0.5
+        assert json.loads((out / "config.json").read_text())["learning_rate"] == rate
+        assert meta["run"]["learning_rate"] == meta["optimizer"]["learning_rate"] == rate
+        deltas[name] = {k: weights[k].astype(np.float64) - start[k] for k in start}
+    # the same Adam moments at step 2: the update scales with the rate Adam used
+    for k in start:
+        np.testing.assert_allclose(deltas["given"][k], 500.0 * deltas["kept"][k],
+                                   rtol=1e-3, atol=1e-4)
 
 
 def test_preprocess_kitti_fixtures(tmp_path, rng):

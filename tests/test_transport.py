@@ -3,9 +3,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import toy_pair
 from pillarmatch import autodiff as ad
 from pillarmatch.autodiff import Tensor, grad_check
+from pillarmatch.cloud import SceneConfig
 from pillarmatch.errors import ArgumentError, NumericError, ShapeError
+from pillarmatch.network import HyperParams, ModelParameters
+from pillarmatch.pipeline import batch_assignments, match_pair
 from pillarmatch.transport import (
     AssignmentMatrix,
     _log_marginals,
@@ -184,29 +188,47 @@ def unrolled_sinkhorn(augmented, iterations, mode="alternating", marginals="unif
     return current
 
 
+def value_and_grad(run, matrix, weights):
+    """``(log_p, input gradient)`` of ``run`` on ``matrix`` under the
+    objective ``sum(log_p * weights)``."""
+    augmented = Tensor(matrix.copy(), requires_grad=True)
+    log_p = run(augmented)
+    (log_p * Tensor(weights)).sum().backward()
+    return log_p.data, augmented.grad
+
+
 def fused_and_unrolled(matrix, weights, iterations, **kwargs):
     """``(log_p, input gradient)`` of the op and of the unrolled reference."""
-    out = []
-    for run in (lambda a: sinkhorn(a, iterations, **kwargs).log_p,
-                lambda a: unrolled_sinkhorn(a, iterations, **kwargs)):
-        augmented = Tensor(matrix.copy(), requires_grad=True)
-        log_p = run(augmented)
-        (log_p * Tensor(weights)).sum().backward()
-        out.append((log_p.data, augmented.grad))
-    return out
+    return [value_and_grad(run, matrix, weights)
+            for run in (lambda a: sinkhorn(a, iterations, **kwargs).log_p,
+                        lambda a: unrolled_sinkhorn(a, iterations, **kwargs))]
+
+
+def unrolled_float64(matrix, weights, iterations, **kwargs):
+    """``(log_p, input gradient)`` of the unrolled reference run in float64
+    on the same input values."""
+    return value_and_grad(lambda a: unrolled_sinkhorn(a, iterations, **kwargs),
+                          matrix.astype(np.float64), weights.astype(np.float64))
 
 
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
 @pytest.mark.parametrize("shape,marginals", [((33, 33), "uniform"), ((101, 101), "uniform"),
                                              ((9, 14), "dustbin-weighted")])
 def test_sinkhorn_alternating_bit_identical_to_unrolled(rng, dtype, shape, marginals):
+    # the op runs in float64 scaling form: it matches the float64 unrolled
+    # tape to rounding, and in float32 it stays within the output's rounding
     matrix = rng.uniform(-10.0, 10.0, size=shape).astype(dtype)
     weights = rng.normal(size=shape).astype(dtype)
-    (fused, fused_grad), (ref, ref_grad) = fused_and_unrolled(
-        matrix, weights, 100, marginals=marginals)
+    fused, fused_grad = value_and_grad(lambda a: sinkhorn(a, 100, marginals=marginals).log_p,
+                                       matrix, weights)
+    ref, ref_grad = unrolled_float64(matrix, weights, 100, marginals=marginals)
     assert fused.dtype == fused_grad.dtype == dtype
-    np.testing.assert_array_equal(fused, ref)
-    np.testing.assert_array_equal(fused_grad, ref_grad)
+    if dtype == np.float64:
+        assert np.max(np.abs(fused - ref)) <= 1e-12 * np.max(np.abs(ref))
+        assert np.max(np.abs(fused_grad - ref_grad)) <= 1e-12 * np.max(np.abs(ref_grad))
+    else:
+        assert np.max(np.abs(fused - ref)) <= 4e-6
+        assert np.max(np.abs(fused_grad - ref_grad)) <= 1e-6
 
 
 @pytest.mark.parametrize("marginals", ["uniform", "dustbin-weighted"])
@@ -327,7 +349,7 @@ def test_sinkhorn_batched_bit_identical_to_per_slice(rng, dtype, mode, marginals
 # ---------------------------------------------------------------------------
 
 def recorded_log_p(matrix, iterations, marginals="uniform"):
-    """``log_p`` of the tape-recording (log-domain) path."""
+    """``log_p`` of a call that records a tape."""
     return sinkhorn(Tensor(matrix.copy(), requires_grad=True), iterations,
                     marginals=marginals).log_p.data
 
@@ -422,6 +444,65 @@ def test_inference_sinkhorn_batched_bit_identical_to_per_slice(rng, dtype, margi
     for k, single in enumerate(singles):
         np.testing.assert_array_equal(batched.data[k], single)
     np.testing.assert_array_equal(batched.data[2], recorded_log_p(stack[2], 50, marginals))
+
+
+def kernel_count(matrix, iterations, marginals="uniform"):
+    """Distinct kernels a recording call on ``matrix`` keeps: 1 + absorptions."""
+    segments = []
+    _scaling_sinkhorn(matrix, iterations, marginals, segments)
+    return len({id(kernel) for kernel, _ in segments})
+
+
+@pytest.mark.parametrize("shape,scale,iterations", [((4, 41), 1.0, 400), ((3, 9, 14), 60.0, 100)])
+def test_sinkhorn_recording_absorbs_and_matches_float64_unrolled(rng, shape, scale, iterations):
+    # (4, 41): masses 4 and 41 make the scalings drift apart every iteration;
+    # x60: the plan saturates and the scalings leave e^50 within ten iterations
+    matrix = rng.normal(size=shape) * scale
+    weights = rng.normal(size=shape)
+    assert kernel_count(matrix, iterations) > 2
+    fused, fused_grad = value_and_grad(lambda a: sinkhorn(a, iterations).log_p, matrix, weights)
+    for k in np.ndindex(shape[:-2]):
+        ref, ref_grad = unrolled_float64(matrix[k], weights[k], iterations)
+        assert np.max(np.abs(fused[k] - ref)) <= 1e-12 * np.max(np.abs(ref))
+        assert np.max(np.abs(fused_grad[k] - ref_grad)) <= 1e-12 * np.max(np.abs(ref_grad))
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("marginals", ["uniform", "dustbin-weighted"])
+def test_sinkhorn_recording_fallback_batched_bit_identical_to_per_slice(rng, dtype, marginals):
+    stack = rng.uniform(-10.0, 10.0, size=(4, 9, 14)).astype(dtype)
+    stack[2] = underflowing_matrix(rng)  # one matrix falls back, the others do not
+    stack[3] *= 60.0                     # and one absorbs
+    weights = rng.normal(size=stack.shape).astype(dtype)
+
+    def run(matrix, w):
+        return value_and_grad(lambda a: sinkhorn(a, 50, marginals=marginals).log_p, matrix, w)
+
+    batched, batched_grad = run(stack, weights)
+    assert batched.dtype == batched_grad.dtype == dtype
+    assert np.all(np.isfinite(batched)) and np.all(np.isfinite(batched_grad))
+    for k in range(len(stack)):
+        single, single_grad = run(stack[k], weights[k])
+        np.testing.assert_array_equal(batched[k], single)
+        np.testing.assert_array_equal(batched_grad[k], single_grad)
+    # the fallback and its backward are the log-domain loop, in the input's dtype
+    ref, ref_grad = value_and_grad(lambda a: unrolled_sinkhorn(a, 50, marginals=marginals),
+                                   stack[2], weights[2])
+    np.testing.assert_array_equal(batched[2], ref)
+    np.testing.assert_array_equal(batched_grad[2], ref_grad)
+
+
+def test_match_pair_equals_recording_batch_assignments_on_a_desk_pair():
+    hyper = HyperParams(src_keypoints=32, tgt_keypoints=32, pillar_points=32, feature_depth=32,
+                        attention_heads=8, attention_layers=6, sinkhorn_iterations=100)
+    scene = SceneConfig(point_count=1500, overlap=0.9, rotation_bound=0.02,
+                        translation_bound=0.15, noise_sigma=0.002, window=10.0,
+                        width=6.0, pole_count=10)
+    pair = toy_pair(seed=100, hyper=hyper, scene=scene)
+    params = ModelParameters.initialize(hyper, seed=0)
+    recorded = batch_assignments(params, [pair])[0].log_p
+    assert recorded.requires_grad
+    np.testing.assert_array_equal(match_pair(params, pair).assignment.log_p.data, recorded.data)
 
 
 def test_inference_sinkhorn_rejects_non_finite_input():
