@@ -137,7 +137,11 @@ def _load_config_defaults(parser, argv):
     """Apply --config JSON values as defaults of the invoked subcommand.
 
     Subcommands parse into a fresh namespace, so the values must land on the
-    subparser's own actions; explicit command-line flags still win.
+    subparser's own actions; explicit command-line flags still win. A
+    command's own ``config.json`` echo is accepted as is: its ``command``
+    must name the invoked subcommand and its ``config_version`` must be 1.
+    A required flag the file gives a value is no longer required on the
+    command line.
     """
     probe = argparse.ArgumentParser(add_help=False)
     probe.add_argument("--config", type=str, default=None)
@@ -159,6 +163,12 @@ def _load_config_defaults(parser, argv):
     command = next((tok for tok in rest if tok in subparsers.choices), None)
     if command is None:
         raise ConfigError("--config requires a subcommand")
+    echoed = values.pop("command", command)
+    if echoed != command:
+        raise ConfigError(f"{path}: config is for command {echoed!r}, not {command!r}")
+    version = values.pop("config_version", 1)
+    if not (is_count(version) and version == 1):
+        raise ConfigError(f"{path}: config_version must be 1, got {version!r}")
     sub = subparsers.choices[command]
     actions = {a.dest: a for a in sub._actions}
     unknown = set(values) - set(actions)
@@ -167,6 +177,8 @@ def _load_config_defaults(parser, argv):
     for dest, value in values.items():
         if not _flag_accepts(actions[dest], value):
             raise ConfigError(f"{path}: {dest} cannot be {value!r}")
+        if value is not None:
+            actions[dest].required = False
     sub.set_defaults(**values)
 
 

@@ -124,8 +124,10 @@ def adam_step(named_params: dict[str, Tensor], state: AdamState) -> None:
             grad = np.zeros_like(tensor.data)
         if not np.all(np.isfinite(grad)):
             raise NumericError(f"non-finite gradient for parameter {name!r}")
-        m = state.first_moment.setdefault(name, np.zeros_like(tensor.data))
-        v = state.second_moment.setdefault(name, np.zeros_like(tensor.data))
+        m, v = state.first_moment.get(name), state.second_moment.get(name)
+        if m is None or v is None:  # allocate only on a parameter's first step
+            m = state.first_moment.setdefault(name, np.zeros_like(tensor.data))
+            v = state.second_moment.setdefault(name, np.zeros_like(tensor.data))
         m += (1.0 - state.beta1) * (grad - m)
         v += (1.0 - state.beta2) * (grad * grad - v)
         m_hat = m / correct1

@@ -4,16 +4,18 @@ Pillar stacks and key-point coordinates pass through a shared linear pillar
 encoder and a shared positional MLP, are summed into graph node states, then
 refined by alternating self/cross multi-head attention layers with residual
 connections, and finally projected into matching descriptors. All weights are
-shared between the two clouds within a layer. Query, key and value weights
-are stored per head; a layer stacks them into one projection each and runs
-every head in a single :func:`attention` tape node. The graph runs on
-``(B, n, d)`` stacks: the pairs of a batch that share key-point counts go
-through every layer together, so a layer records the same nodes for one pair
-as for a whole batch.
+shared between the two clouds within a layer. A layer stores its query, key
+and value weights as one fused projection, projects each graph once and runs
+every head of one side in a single :func:`attention` tape node. Checkpoints
+keep the per-head arrays of earlier releases. The graph runs on ``(B, n,
+d)`` stacks: the pairs of a batch that share key-point counts go through
+every layer together, so a layer records the same nodes for one pair as for
+a whole batch.
 """
 from __future__ import annotations
 
 import math
+import re
 from dataclasses import dataclass, field, fields, asdict
 
 import numpy as np
@@ -122,9 +124,9 @@ def _xavier(rng: np.random.Generator, fan_out: int, fan_in: int, dtype, gain: fl
 @dataclass
 class AttentionLayerParams:
     output_weight: Tensor                 # (depth, depth), applied to concatenated heads
-    query_weights: list[Tensor]           # per head, (head_depth, depth)
-    key_weights: list[Tensor]
-    value_weights: list[Tensor]
+    # (3 * depth, depth): query, key then value rows; head h owns rows
+    # h * head_depth to (h + 1) * head_depth of each
+    projection: Tensor
     mlp_weights: list[Tensor] = field(default_factory=list)  # optional post-attention MLP
 
 
@@ -158,20 +160,13 @@ class ModelParameters:
 
         layers = []
         for _ in range(hyper.attention_layers):
+            output_weight = _xavier(rng, depth, depth, dtype, gain=ATTENTION_OUTPUT_GAIN)
+            # each head of Q, then of K, then of V is drawn as its own block
+            blocks = [_xavier(rng, hyper.head_depth, depth, dtype).data
+                      for _ in range(3 * hyper.attention_heads)]
             layer = AttentionLayerParams(
-                output_weight=_xavier(rng, depth, depth, dtype, gain=ATTENTION_OUTPUT_GAIN),
-                query_weights=[
-                    _xavier(rng, hyper.head_depth, depth, dtype)
-                    for _ in range(hyper.attention_heads)
-                ],
-                key_weights=[
-                    _xavier(rng, hyper.head_depth, depth, dtype)
-                    for _ in range(hyper.attention_heads)
-                ],
-                value_weights=[
-                    _xavier(rng, hyper.head_depth, depth, dtype)
-                    for _ in range(hyper.attention_heads)
-                ],
+                output_weight=output_weight,
+                projection=Tensor(np.concatenate(blocks), requires_grad=True),
             )
             if hyper.post_attention_mlp:
                 layer.mlp_weights = [
@@ -207,10 +202,7 @@ class ModelParameters:
             out[f"positional.{i}.norm.beta"] = norm.beta
         for li, layer in enumerate(self.layers):
             out[f"attention.{li}.output"] = layer.output_weight
-            for h in range(len(layer.query_weights)):
-                out[f"attention.{li}.head{h}.query"] = layer.query_weights[h]
-                out[f"attention.{li}.head{h}.key"] = layer.key_weights[h]
-                out[f"attention.{li}.head{h}.value"] = layer.value_weights[h]
+            out[f"attention.{li}.projection"] = layer.projection
             for wi, w in enumerate(layer.mlp_weights):
                 out[f"attention.{li}.mlp.{wi}"] = w
         out["project.weight"] = self.project_weight
@@ -289,62 +281,61 @@ def _merge_heads(data: np.ndarray) -> np.ndarray:
     return merged.reshape(merged.shape[:-2] + (-1,))
 
 
-def attention(q: Tensor, k: Tensor, v: Tensor, depth: int | None = None,
-              heads: int = 1) -> Tensor:
-    """softmax(q_h k_h^T / sqrt(depth)) v_h per head h, softmax over the key axis.
+def attention(queries: Tensor, sources: Tensor, depth: int, heads: int = 1) -> Tensor:
+    """softmax(Q_h K_h^T / sqrt(depth)) V_h per head h, softmax over the source axis.
 
-    ``q`` is (..., n, d) and ``k``, ``v`` are (..., m, d) with the same
-    leading axes, one independent graph per leading index. Head h owns column
-    block h of ``q``, ``k``, ``v`` and the output. ``depth`` defaults to the
-    per-head query depth; multi-head callers pass the full node depth so the
-    scale stays 1/sqrt(feature_depth) inside heads. Every graph and head runs
-    as one (..., heads, n, d/heads) numpy stack and records one tape node.
+    ``queries`` is (..., n, 3d) and ``sources`` is (..., m, 3d) with the same
+    leading axes, one independent graph per leading index. Each holds the
+    fused projection of its nodes: columns 0 to d are Q, d to 2d are K and
+    2d to 3d are V, and head h owns column block h of each. Q is read from
+    ``queries``, K and V from ``sources``; self attention passes one tensor
+    twice. The output is (..., n, d), head h in column block h. Every graph
+    and head runs as one (..., heads, n, d/heads) numpy stack and records one
+    tape node.
     """
-    if (q.ndim < 2 or not q.ndim == k.ndim == v.ndim
-            or not q.shape[:-2] == k.shape[:-2] == v.shape[:-2]
-            or q.shape[-1] != k.shape[-1] or k.shape[-2] != v.shape[-2]
-            or q.shape[-1] % heads or v.shape[-1] % heads):
-        raise ShapeError(
-            f"attention shapes incompatible with {heads} heads: q{q.shape} k{k.shape} v{v.shape}"
-        )
+    if (queries.ndim < 2 or queries.ndim != sources.ndim
+            or queries.shape[:-2] != sources.shape[:-2]
+            or queries.shape[-1] != sources.shape[-1] or queries.shape[-1] % (3 * heads)):
+        raise ShapeError(f"attention shapes incompatible with {heads} heads: "
+                         f"queries{queries.shape} sources{sources.shape}")
     # a Python float: a numpy scalar would promote float32 scores to float64
-    scale = 1.0 / math.sqrt(q.shape[-1] // heads if depth is None else depth)
-    qh, kh, vh = (_split_heads(x.data, heads) for x in (q, k, v))
+    scale = 1.0 / math.sqrt(depth)
+    qh = _split_heads(queries.data, 3 * heads)[..., :heads, :, :]
+    kvh = _split_heads(sources.data, 3 * heads)
+    kh, vh = kvh[..., heads:2 * heads, :, :], kvh[..., 2 * heads:, :, :]
     with np.errstate(over="ignore"):  # overflowing scores are reported just below
-        scores = (qh @ kh.swapaxes(-1, -2)) * scale
-    ad._check_finite(scores, "attention")
-    exp = np.exp(scores - np.max(scores, axis=-1, keepdims=True))
-    prob = exp / np.sum(exp, axis=-1, keepdims=True)
-    out = ad._node(_merge_heads(prob @ vh), (q, k, v), "attention")
+        prob = (qh @ kh.swapaxes(-1, -2)) * scale
+    ad._check_finite(prob, "attention")
+    # the row max reads faster down the columns of a transposed copy
+    prob -= np.ascontiguousarray(prob.swapaxes(-1, -2)).max(axis=-2)[..., None]
+    np.exp(prob, out=prob)
+    prob /= np.sum(prob, axis=-1, keepdims=True)
+    merged = _merge_heads(prob @ vh)
+    parents = (queries,) if queries is sources else (queries, sources)
+    out = ad._node(merged, parents, "attention")
     if out.requires_grad:
         def back(grad):
             gh = _split_heads(grad, heads)
-            g_prob = gh @ vh.swapaxes(-1, -2)
-            g_scores = prob * (g_prob - np.sum(g_prob * prob, axis=-1, keepdims=True)) * scale
-            for x, g in ((q, g_scores @ kh), (k, g_scores.swapaxes(-1, -2) @ qh),
-                         (v, prob.swapaxes(-1, -2) @ gh)):
-                if x.requires_grad:
-                    x._accumulate(_merge_heads(g))
+            # sum_j prob_ij g_prob_ij is the per-head row sum of grad * output,
+            # taken as one matrix-vector product over every (row, head)
+            products = (grad * merged).reshape(-1, gh.shape[-1])
+            rows = (products @ np.ones(gh.shape[-1], dtype=grad.dtype)).reshape(
+                grad.shape[:-1] + (heads,)).swapaxes(-1, -2)
+            g_scores = gh @ vh.swapaxes(-1, -2)
+            g_scores -= rows[..., None]
+            g_scores *= prob
+            g_scores *= scale
+            g_queries = np.zeros_like(queries.data)
+            g_sources = g_queries if queries is sources else np.zeros_like(sources.data)
+            _split_heads(g_queries, 3 * heads)[..., :heads, :, :] = g_scores @ kh
+            g_kv = _split_heads(g_sources, 3 * heads)
+            g_kv[..., heads:2 * heads, :, :] = g_scores.swapaxes(-1, -2) @ qh
+            g_kv[..., 2 * heads:, :, :] = prob.swapaxes(-1, -2) @ gh
+            if queries.requires_grad:
+                queries._accumulate(g_queries)
+            if sources is not queries and sources.requires_grad:
+                sources._accumulate(g_sources)
         out._backward = back
-    return out
-
-
-def multi_head_attention(
-    layer: AttentionLayerParams, queries: Tensor, sources: Tensor, hyper: HyperParams
-) -> Tensor:
-    # per-head weights stack into one projection each; one node runs every head
-    scale_depth = hyper.feature_depth if hyper.attention_scale == "full" else hyper.head_depth
-    merged = attention(
-        ad.linear(queries, ad.concat(layer.query_weights)),
-        ad.linear(sources, ad.concat(layer.key_weights)),
-        ad.linear(sources, ad.concat(layer.value_weights)),
-        depth=scale_depth,
-        heads=hyper.attention_heads,
-    )
-    out = ad.linear(merged, layer.output_weight)
-    if layer.mlp_weights:
-        hidden = ad.linear(out, layer.mlp_weights[0]).relu()
-        out = ad.linear(hidden, layer.mlp_weights[1])
     return out
 
 
@@ -359,14 +350,22 @@ def gnn_layer(
 
     Even layers attend within each graph (self edges); odd layers attend to
     the other graph (cross edges). Both updates read the pre-update states.
+    Each graph is projected to Q, K and V once; each side then runs one
+    attention node, its output projection and the optional MLP.
     """
-    if layer_index % 2 == 0:
-        src_a, src_b = nodes_a, nodes_b
-    else:
-        src_a, src_b = nodes_b, nodes_a
-    delta_a = multi_head_attention(layer, nodes_a, src_a, hyper)
-    delta_b = multi_head_attention(layer, nodes_b, src_b, hyper)
-    return nodes_a + delta_a, nodes_b + delta_b
+    proj_a = ad.linear(nodes_a, layer.projection)
+    proj_b = ad.linear(nodes_b, layer.projection)
+    src_a, src_b = (proj_a, proj_b) if layer_index % 2 == 0 else (proj_b, proj_a)
+    scale_depth = hyper.feature_depth if hyper.attention_scale == "full" else hyper.head_depth
+    updated = []
+    for nodes, queries, sources in ((nodes_a, proj_a, src_a), (nodes_b, proj_b, src_b)):
+        merged = attention(queries, sources, scale_depth, hyper.attention_heads)
+        delta = ad.linear(merged, layer.output_weight)
+        if layer.mlp_weights:
+            hidden = ad.linear(delta, layer.mlp_weights[0]).relu()
+            delta = ad.linear(hidden, layer.mlp_weights[1])
+        updated.append(nodes + delta)
+    return updated[0], updated[1]
 
 
 def final_projection(nodes: Tensor, params: ModelParameters) -> Tensor:
@@ -429,6 +428,52 @@ def forward_descriptors(
 # checkpoints
 # ---------------------------------------------------------------------------
 
+# A checkpoint stores each fused projection, and any array named after one
+# such as its Adam moments, as the per-head arrays of the layout before
+# fusion: ``<stem>projection`` rows are Q, K then V, each head-major, and
+# head h of role r is stored as ``<stem>head{h}.{r}``. Files thus keep their
+# bytes, and files written before fusion load.
+_ROLES = ("query", "key", "value")
+_FUSED_KEY = re.compile(r"(.*\battention\.\d+\.)projection")
+_HEAD_KEY = re.compile(r"(.*\battention\.\d+\.)head(\d+)\.(query|key|value)")
+
+
+def _split_projections(arrays: dict, heads: int) -> dict:
+    """``arrays`` in the stored layout; arrays of other names pass through."""
+    out = {}
+    for key, arr in arrays.items():
+        match = _FUSED_KEY.fullmatch(key)
+        if match is None:
+            out[key] = arr
+            continue
+        blocks = arr.reshape(len(_ROLES), heads, -1, arr.shape[-1])
+        for h in range(heads):
+            for r, role in enumerate(_ROLES):
+                out[f"{match[1]}head{h}.{role}"] = blocks[r, h]
+    return out
+
+
+def _stack_projections(arrays: dict, heads: int) -> dict:
+    """Inverse of :func:`_split_projections`. Per-head arrays stack only as
+    a complete set of equal 2-D shapes; any other set passes through."""
+    out, stems = {}, {}
+    for key, arr in arrays.items():
+        match = _HEAD_KEY.fullmatch(key)
+        if match is None:
+            out[key] = arr
+        else:
+            stems.setdefault(match[1], {})[(match[3], int(match[2]))] = key
+    for stem, parts in stems.items():
+        keys = [parts.get((role, h)) for role in _ROLES for h in range(heads)]
+        blocks = [arrays[k] for k in keys if k is not None]
+        if (len(blocks) == len(parts) == len(keys) and blocks[0].ndim == 2
+                and len({b.shape for b in blocks}) == 1):
+            out[f"{stem}projection"] = np.concatenate(blocks)
+        else:
+            out.update((k, arrays[k]) for k in parts.values())
+    return out
+
+
 def save_checkpoint(path, params: ModelParameters, extra_meta: dict | None = None,
                     extra_arrays: dict | None = None) -> None:
     """Write parameters, running stats and the hyperparameter manifest."""
@@ -439,19 +484,23 @@ def save_checkpoint(path, params: ModelParameters, extra_meta: dict | None = Non
     arrays.update({f"stat.{k}": v for k, v in params.running_stats().items()})
     if extra_arrays:
         arrays.update({f"extra.{k}": v for k, v in extra_arrays.items()})
-    write_container(path, "checkpoint", meta, arrays)
+    write_container(path, "checkpoint", meta,
+                    _split_projections(arrays, params.hyper.attention_heads))
 
 
 def load_checkpoint(path, dtype=np.float32):
-    """Return ``(params, meta, extra_arrays)`` for a checkpoint file."""
+    """Return ``(params, meta, extra_arrays)`` for a checkpoint file; extra
+    arrays named after a fused projection come back stacked too."""
     meta, arrays = read_container(path, expect_kind="checkpoint")
     hyper = HyperParams.from_manifest(meta.get("hyper"))
+    arrays = _stack_projections(arrays, hyper.attention_heads)
     params = ModelParameters.initialize(hyper, seed=0, dtype=dtype)
     named = params.named_parameters()
     for name, tensor in named.items():
         key = f"param.{name}"
         if key not in arrays:
-            raise ConfigError(f"checkpoint missing parameter {name!r}")
+            stored = " (a full set of equal per-head arrays)" if _FUSED_KEY.fullmatch(key) else ""
+            raise ConfigError(f"checkpoint missing parameter {name!r}{stored}")
         value = arrays[key].astype(dtype)
         if value.shape != tensor.data.shape:
             raise ConfigError(

@@ -63,10 +63,13 @@ def test_matmul_and_transpose_act_per_matrix_of_a_stack(rng):
 # ---------------------------------------------------------------------------
 
 def softmax_rows(x: Tensor) -> Tensor:
-    """Row softmax of a 2-D ``x`` read out of ``attention``: identity keys
-    make the scores ``x`` itself, identity values return the weights."""
-    eye = t(np.eye(x.shape[1]), grad=False)
-    return attention(x, eye, eye, depth=1)
+    """Row softmax of a 2-D ``x`` read out of ``attention``: the queries'
+    projection is ``[x | 0 | 0]``, and identity keys and values in the
+    sources' make the scores ``x`` itself and return the weights."""
+    m = x.shape[1]
+    eye, zero = np.eye(m), np.zeros((m, m))
+    queries = linear(x, t(np.vstack([eye, zero, zero]), grad=False))
+    return attention(queries, t(np.hstack([zero, eye, eye]), grad=False), depth=1)
 
 
 def test_softmax_symmetry():

@@ -181,6 +181,45 @@ def test_train_resume_echoes_the_checkpoint_network_shape(tmp_path):
     assert (again / "history.jsonl").read_text() == (resumed / "history.jsonl").read_text()
 
 
+def test_train_reruns_from_its_own_config_echo(tmp_path):
+    data = run_synth(tmp_path, "data", num_pairs=2, seed=4)
+    first = tmp_path / "run"
+    assert main(["train", "--data", str(data), "--out", str(first), "--max-steps", "1",
+                 "--batch-size", "2", *TOY_FLAGS]) == 0
+    # --data comes from the echo alone
+    again = tmp_path / "run3"
+    assert main(["train", "--config", str(first / "config.json"), "--out", str(again)]) == 0
+    for name in ("history.jsonl", "config.json"):
+        assert (again / name).read_bytes() == (first / name).read_bytes(), name
+
+
+@pytest.mark.parametrize("edit", [{"command": "eval"}, {"command": None},
+                                  {"config_version": 2}, {"config_version": True},
+                                  {"data": None}],
+                         ids=["other-command", "null-command", "version-2", "version-true",
+                              "null-required-flag"])
+def test_config_echo_of_another_command_or_version_is_usage_error(tmp_path, capsys, edit):
+    data = run_synth(tmp_path, "data", num_pairs=2, seed=4)
+    first = tmp_path / "run"
+    assert main(["train", "--data", str(data), "--out", str(first), "--max-steps", "1",
+                 "--batch-size", "2", *TOY_FLAGS]) == 0
+    echo = json.loads((first / "config.json").read_text())
+    config = tmp_path / "edited.json"
+    # the unedited echo is accepted, so the edit alone makes the error
+    config.write_text(json.dumps(echo))
+    assert main(["train", "--config", str(config), "--out", str(tmp_path / "run2")]) == 0
+    config.write_text(json.dumps({**echo, **edit}))
+    capsys.readouterr()
+    again = tmp_path / "run3"
+    try:
+        code = main(["train", "--config", str(config), "--out", str(again)])
+    except SystemExit as exc:  # argparse's own usage errors exit 2 as well
+        code = exc.code
+    assert code == 2
+    assert "error: " in capsys.readouterr().err
+    assert not again.exists()
+
+
 def _checkpoint_meta_and_weights(path):
     params, meta, _ = load_checkpoint(path)
     return meta, {k: t.data for k, t in params.named_parameters().items()}

@@ -1,6 +1,8 @@
+import dataclasses
 import gc
 import weakref
 from functools import partial
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -355,7 +357,7 @@ def test_loss_gradients_through_pipeline(kind):
 
     named = params.named_parameters()
     subset = [named[k] for k in [
-        "pillar.weight", "positional.2.weight", "attention.0.head1.value",
+        "pillar.weight", "positional.2.weight", "attention.0.projection",
         "attention.1.output", "project.weight", "dustbin.score",
     ]]
     # h=1e-4: pipeline objectives are larger than single layers, so the
@@ -572,6 +574,30 @@ def test_load_optimizer_without_steps_needs_no_moments():
     assert state.step == 0 and state.first_moment == {} and state.second_moment == {}
     fresh = load_optimizer({}, {}, params.named_parameters())
     assert fresh == AdamState()
+
+
+# Written by the release that stored query, key and value weights per head
+# (commit e92d235): one nll step of toy_hyper() at learning rate 1e-3, seed
+# 4, batch 2, on toy pairs 0 and 1. That release resumed it for one more
+# epoch to a loss of 9.0579252243042.
+PER_HEAD_CHECKPOINT = Path(__file__).parent / "fixtures" / "toy_training_per_head.pmc"
+
+
+def test_per_head_checkpoint_loads_rewrites_byte_identical_and_resumes(tmp_path):
+    params, meta, extras = load_checkpoint(PER_HEAD_CHECKPOINT)
+    named = params.named_parameters()
+    optimizer = load_optimizer(meta, extras, named)
+    assert optimizer.step == 1
+    assert optimizer.first_moment.keys() == optimizer.second_moment.keys() == named.keys()
+    run = TrainRun(**meta["run"])
+    path = tmp_path / "rewritten.pmc"
+    write_training_checkpoint(path, params, run, optimizer, meta["next_epoch"])
+    assert path.read_bytes() == PER_HEAD_CHECKPOINT.read_bytes()
+    pairs = [toy_pair(seed=s, hyper=params.hyper) for s in (0, 1)]
+    resumed = train(pairs, dataclasses.replace(run, epochs=2), params.hyper, params=params,
+                    optimizer=optimizer, start_epoch=meta["next_epoch"])
+    assert resumed.steps == 2
+    assert resumed.history[-1]["loss"] == pytest.approx(9.0579252243042, rel=1e-6)
 
 
 @pytest.mark.parametrize("optimizer", [

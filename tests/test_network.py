@@ -25,7 +25,6 @@ from pillarmatch.network import (
     gnn_layer,
     init_nodes,
     load_checkpoint,
-    multi_head_attention,
     save_checkpoint,
 )
 from pillarmatch.pipeline import batch_assignments, match_pair
@@ -191,37 +190,49 @@ def test_init_nodes_shape_mismatch():
         init_nodes(Tensor(np.zeros((4, 8))), Tensor(np.zeros((3, 8))))
 
 
+def projections(q, k, v):
+    """Fused ``(queries, sources)`` arrays: q in the queries' Q columns, k and v
+    in the sources' K and V columns, zeros elsewhere."""
+    return (np.concatenate([q, np.zeros_like(q), np.zeros_like(q)], axis=-1),
+            np.concatenate([np.zeros_like(k), k, v], axis=-1))
+
+
+def qkv(projection):
+    """The Q, K and V column blocks of a fused projection."""
+    return np.split(projection, 3, axis=-1)
+
+
 def test_attention_single_key_returns_value(rng):
-    q = Tensor(rng.normal(size=(3, 4)))
-    k = Tensor(rng.normal(size=(1, 4)))
-    v = Tensor(rng.normal(size=(1, 4)))
-    out = attention(q, k, v)
-    np.testing.assert_allclose(out.data, np.tile(v.data, (3, 1)), atol=1e-12)
+    queries, sources = projections(*(rng.normal(size=(r, 4)) for r in (3, 1, 1)))
+    out = attention(Tensor(queries), Tensor(sources), depth=4)
+    np.testing.assert_allclose(out.data, np.tile(sources[:, 8:], (3, 1)), atol=1e-12)
 
 
 def test_attention_identical_keys_average_values(rng):
-    q = Tensor(rng.normal(size=(2, 4)))
     key = rng.normal(size=4)
-    k = Tensor(np.vstack([key, key]))
-    v = Tensor(rng.normal(size=(2, 4)))
-    out = attention(q, k, v)
-    np.testing.assert_allclose(out.data, np.tile(v.data.mean(axis=0), (2, 1)), atol=1e-12)
+    queries, sources = projections(rng.normal(size=(2, 4)), np.vstack([key, key]),
+                                   rng.normal(size=(2, 4)))
+    out = attention(Tensor(queries), Tensor(sources), depth=4)
+    np.testing.assert_allclose(out.data, np.tile(sources[:, 8:].mean(axis=0), (2, 1)),
+                               atol=1e-12)
 
 
 def test_attention_matches_brute_force(rng):
-    q, k, v = rng.normal(size=(3, 4)), rng.normal(size=(3, 4)), rng.normal(size=(3, 4))
+    queries, sources = rng.normal(size=(3, 12)), rng.normal(size=(3, 12))
+    q, (_, k, v) = queries[:, :4], qkv(sources)
     scores = q @ k.T / np.sqrt(4.0)
     weights = np.exp(scores - scores.max(axis=1, keepdims=True))
     weights /= weights.sum(axis=1, keepdims=True)
     np.testing.assert_allclose(
-        attention(Tensor(q), Tensor(k), Tensor(v)).data, weights @ v, atol=1e-10
+        attention(Tensor(queries), Tensor(sources), depth=4).data, weights @ v, atol=1e-10
     )
 
 
 def test_attention_scale_uses_full_depth(rng):
     # heads of width 2 scaled by sqrt(8): explicit depth must change the result
-    q, k, v = rng.normal(size=(3, 2)), rng.normal(size=(3, 2)), rng.normal(size=(3, 2))
-    full = attention(Tensor(q), Tensor(k), Tensor(v), depth=8)
+    queries, sources = projections(*(rng.normal(size=(3, 2)) for _ in range(3)))
+    full = attention(Tensor(queries), Tensor(sources), depth=8)
+    q, k, v = queries[:, :2], sources[:, 2:4], sources[:, 4:]
     scores = q @ k.T / np.sqrt(8.0)
     weights = np.exp(scores - scores.max(axis=1, keepdims=True))
     weights /= weights.sum(axis=1, keepdims=True)
@@ -244,63 +255,71 @@ def per_head_reference(q, k, v, depth, heads):
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
 @pytest.mark.parametrize("heads", [1, 2, 3])
 def test_attention_heads_bit_identical_to_per_head_reference(rng, heads, dtype):
-    q = rng.normal(size=(5, 4 * heads)).astype(dtype)
-    k = rng.normal(size=(7, 4 * heads)).astype(dtype)
-    v = rng.normal(size=(7, 3 * heads)).astype(dtype)
-    out = attention(Tensor(q), Tensor(k), Tensor(v), depth=8, heads=heads)
+    # cross form (Q of one graph, K and V of the other) and self form
+    queries = rng.normal(size=(5, 12 * heads)).astype(dtype)
+    sources = rng.normal(size=(7, 12 * heads)).astype(dtype)
+    out = attention(Tensor(queries), Tensor(sources), depth=8, heads=heads)
     assert out.dtype == dtype
+    (q, _, _), (_, k, v) = qkv(queries), qkv(sources)
     np.testing.assert_array_equal(out.data, per_head_reference(q, k, v, 8, heads))
+    own = Tensor(queries)
+    np.testing.assert_array_equal(attention(own, own, depth=8, heads=heads).data,
+                                  per_head_reference(*qkv(queries), 8, heads))
 
 
 @pytest.mark.parametrize("scale", ["full", "per-head"])
 def test_attention_multi_head_grad_check(rng, scale):
     heads = 3
-    q, k = t(rng.normal(size=(4, 2 * heads))), t(rng.normal(size=(5, 2 * heads)))
-    v = t(rng.normal(size=(5, 3 * heads)))
-    weights = rng.normal(size=(4, 3 * heads))
+    queries, sources = t(rng.normal(size=(4, 6 * heads))), t(rng.normal(size=(5, 6 * heads)))
+    weights = t(rng.normal(size=(4, 2 * heads)), grad=False)
     depth = 2 * heads if scale == "full" else 2
 
-    def objective():
-        return (attention(q, k, v, depth=depth, heads=heads) * t(weights, grad=False)).sum()
+    def cross():
+        return (attention(queries, sources, depth=depth, heads=heads) * weights).sum()
 
-    assert grad_check(objective, [q, k, v]) < 1e-6
+    def own():
+        return (attention(queries, queries, depth=depth, heads=heads) * weights).sum()
+
+    assert grad_check(cross, [queries, sources]) < 1e-6
+    assert grad_check(own, [queries]) < 1e-6
 
 
 def test_attention_batched_grad_check_and_per_slice_identity(rng):
     heads = 3
-    q, k = t(rng.normal(size=(2, 4, 2 * heads))), t(rng.normal(size=(2, 5, 2 * heads)))
-    v = t(rng.normal(size=(2, 5, 3 * heads)))
-    weights = t(rng.normal(size=(2, 4, 3 * heads)), grad=False)
+    queries, sources = t(rng.normal(size=(2, 4, 6 * heads))), t(rng.normal(size=(2, 5, 6 * heads)))
+    weights = t(rng.normal(size=(2, 4, 2 * heads)), grad=False)
 
     def objective():
-        return (attention(q, k, v, depth=2 * heads, heads=heads) * weights).sum()
+        return (attention(queries, sources, depth=2 * heads, heads=heads) * weights).sum()
 
-    assert grad_check(objective, [q, k, v]) < 1e-6
-    out = attention(q, k, v, depth=2 * heads, heads=heads)
+    assert grad_check(objective, [queries, sources]) < 1e-6
+    out = attention(queries, sources, depth=2 * heads, heads=heads)
     for b in range(2):
-        single = attention(t(q.data[b]), t(k.data[b]), t(v.data[b]), depth=2 * heads, heads=heads)
+        single = attention(t(queries.data[b]), t(sources.data[b]), depth=2 * heads, heads=heads)
         np.testing.assert_array_equal(out.data[b], single.data)
     with pytest.raises(ShapeError):
-        attention(q, t(k.data[:1]), t(v.data[:1]), heads=heads)
+        attention(queries, t(sources.data[:1]), depth=2 * heads, heads=heads)
 
 
 def test_attention_is_one_tape_node(rng):
-    q, k, v = (t(rng.normal(size=(3, 4))) for _ in range(3))
-    out = attention(q, k, v, heads=2)
-    assert out._parents == (q, k, v)
+    queries, sources = t(rng.normal(size=(3, 12))), t(rng.normal(size=(4, 12)))
+    assert attention(queries, sources, depth=2, heads=2)._parents == (queries, sources)
+    assert attention(queries, queries, depth=2, heads=2)._parents == (queries,)
 
 
 def test_attention_overflow_is_numeric_error_without_warning():
-    q = t(np.full((2, 4), 1e200))
+    projection = t(np.full((2, 12), 1e200))
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(NumericError):
-            attention(q, q, q, heads=2)
+            attention(projection, projection, depth=2, heads=2)
 
 
 def test_attention_heads_must_divide_depths():
     with pytest.raises(ShapeError):
-        attention(t(np.zeros((2, 4))), t(np.zeros((3, 4))), t(np.zeros((3, 5))), heads=2)
+        attention(t(np.zeros((2, 12))), t(np.zeros((3, 9))), depth=2, heads=2)
+    with pytest.raises(ShapeError):
+        attention(t(np.zeros((2, 15))), t(np.zeros((3, 15))), depth=2, heads=2)
 
 
 # ---------------------------------------------------------------------------
@@ -409,7 +428,7 @@ def test_full_network_grad_check():
     names = params.named_parameters()
     subset = [names[k] for k in [
         "pillar.weight", "pillar.norm.gamma", "positional.0.weight",
-        "attention.0.head0.query", "attention.1.output", "project.weight",
+        "attention.0.projection", "attention.1.output", "project.weight",
     ]]
     assert grad_check(objective, subset, step=1e-4) < 1e-4
 
@@ -431,27 +450,31 @@ def count_nodes(monkeypatch):
     return counter
 
 
-@pytest.mark.parametrize("mlp,expected", [(False, 8), (True, 11)])
-def test_multi_head_attention_node_budget(monkeypatch, rng, mlp, expected):
-    # three stacked-weight concats, three projections, attention, output
-    # projection; the optional MLP adds linear, relu, linear
+@pytest.mark.parametrize("mlp,expected", [(False, 8), (True, 14)])
+def test_gnn_layer_node_budget(monkeypatch, rng, mlp, expected):
+    # one fused projection per graph; per side the attention node, the output
+    # projection and the residual add; the optional MLP adds linear, relu,
+    # linear per side
     hyper = toy_hyper(post_attention_mlp=mlp)
     params = ModelParameters.initialize(hyper, seed=0)
-    nodes = Tensor(rng.normal(size=(4, hyper.feature_depth)).astype(np.float32))
-    counter = count_nodes(monkeypatch)
-    multi_head_attention(params.layers[0], nodes, nodes, hyper)
-    assert counter[0] == expected
+    a, b = (Tensor(rng.normal(size=(4, hyper.feature_depth)).astype(np.float32))
+            for _ in range(2))
+    for index in (0, 1):
+        counter = count_nodes(monkeypatch)
+        gnn_layer(a, b, params.layers[index], index, hyper)
+        assert counter[0] == expected
+        monkeypatch.undo()
 
 
 def test_batch_assignments_node_budget(monkeypatch):
     # encoders 3 + 7 + init 1; per (n, m) group: stack gathers 2, two layers
-    # of two attention calls (8 each) and two residual adds, projections 2,
-    # scores 2, dustbin 5, sinkhorn 1; per pair: the log_p view 1
+    # of 8, projections 2, scores 2, dustbin 5, sinkhorn 1; per pair: the
+    # log_p view 1
     pair = toy_pair(seed=3)
     params = ModelParameters.initialize(toy_hyper(), seed=0)
     counter = count_nodes(monkeypatch)
     batch_assignments(params, [pair], train=True)
-    assert counter[0] == 11 + 2 + 2 * (2 * 8 + 2) + 2 + 2 + 5 + 1 + 1
+    assert counter[0] == 11 + 2 + 2 * 8 + 2 + 2 + 5 + 1 + 1
 
 
 def test_batch_assignments_mixed_shapes_equal_per_pair_calls_in_input_order():
@@ -506,7 +529,7 @@ def test_finished_tape_is_freed_without_the_cycle_collector():
                 seen.add(id(node))
                 intermediates.append(weakref.ref(node))
                 stack.extend(node._parents)
-        assert len(intermediates) > 50
+        assert len(intermediates) > 30
         del loss, assignments, node, stack
         assert [ref for ref in intermediates if ref() is not None] == []
     finally:
@@ -523,17 +546,14 @@ def test_match_pair_records_no_tape():
     assert log_p._parents == () and log_p._backward is None
     with ad.no_grad():
         assert np.array_equal(log_p.data, batch_assignments(params, [pair])[0].log_p.data)
-    # the recording path iterates in the log domain, inference in scaling form
+    # recording or not, attention and Sinkhorn run one path
     recorded = batch_assignments(params, [pair])[0]
     assert recorded.log_p.requires_grad
-    error = np.max(np.abs(log_p.data - recorded.log_p.data))
-    assert error <= 1e-5 * np.max(np.abs(recorded.log_p.data))
+    np.testing.assert_array_equal(log_p.data, recorded.log_p.data)
     matches = extract_matches(recorded, params.hyper.match_threshold)
-    assert [(i, j) for i, j, _ in result.matches.pairs] == [(i, j) for i, j, _ in matches.pairs]
+    assert result.matches.pairs == matches.pairs
     assert result.matches.unmatched_rows == matches.unmatched_rows
     assert result.matches.unmatched_cols == matches.unmatched_cols
-    np.testing.assert_allclose([c for *_, c in result.matches.pairs],
-                               [c for *_, c in matches.pairs], rtol=1e-5)
 
 
 # ---------------------------------------------------------------------------
@@ -598,6 +618,25 @@ def test_checkpoint_requires_every_running_stat(tmp_path, stat, defect):
 
     rewrite_container(path, "checkpoint", edit)
     with pytest.raises(ConfigError, match="running statistic"):
+        load_checkpoint(path)
+
+
+@pytest.mark.parametrize("defect", ["missing", "misshapen", "extra-head"])
+def test_checkpoint_requires_every_attention_head(tmp_path, defect):
+    path = tmp_path / "model.pmc"
+    save_checkpoint(path, ModelParameters.initialize(toy_hyper(), seed=0))
+
+    def edit(meta, arrays):
+        key = "param.attention.1.head1.key"
+        if defect == "missing":
+            del arrays[key]
+        elif defect == "misshapen":
+            arrays[key] = arrays[key][:1]
+        else:
+            arrays["param.attention.1.head2.key"] = arrays[key]
+
+    rewrite_container(path, "checkpoint", edit)
+    with pytest.raises(ConfigError, match="attention.1.projection"):
         load_checkpoint(path)
 
 

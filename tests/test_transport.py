@@ -214,7 +214,7 @@ def unrolled_float64(matrix, weights, iterations, **kwargs):
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
 @pytest.mark.parametrize("shape,marginals", [((33, 33), "uniform"), ((101, 101), "uniform"),
                                              ((9, 14), "dustbin-weighted")])
-def test_sinkhorn_alternating_bit_identical_to_unrolled(rng, dtype, shape, marginals):
+def test_sinkhorn_alternating_matches_float64_unrolled(rng, dtype, shape, marginals):
     # the op runs in float64 scaling form: it matches the float64 unrolled
     # tape to rounding, and in float32 it stays within the output's rounding
     matrix = rng.uniform(-10.0, 10.0, size=shape).astype(dtype)
