@@ -20,6 +20,7 @@ import json
 import os
 import sys
 import time
+from dataclasses import fields, replace
 from pathlib import Path
 
 from . import learn, pairio, register, transport
@@ -39,7 +40,7 @@ from .errors import (
     NumericError,
     PillarMatchError,
 )
-from .network import HyperParams, load_checkpoint
+from .network import HYPER_CHOICES, HyperParams, load_checkpoint
 from .pipeline import match_pair
 
 RUN_ROOT_ENV = "PILLARMATCH_RUN_ROOT"
@@ -60,27 +61,32 @@ def _resolve(path: str) -> Path:
     return p
 
 
-def _add_hyper_flags(parser: argparse.ArgumentParser) -> None:
-    g = parser.add_argument_group("model")
-    g.add_argument("--keypoints", type=int, default=100, help="key-points per cloud")
-    g.add_argument("--pillar-points", type=int, default=100, help="max points per pillar")
-    g.add_argument("--pillar-radius", type=float, default=0.5, help="pillar radius in meters")
-    g.add_argument("--feature-depth", type=int, default=32)
-    g.add_argument("--heads", type=int, default=8)
-    g.add_argument("--layers", type=int, default=6)
-    g.add_argument("--sinkhorn-iters", type=int, default=100)
-    g.add_argument(
-        "--positional-hidden", type=str, default="32,64,128,256",
-        help="comma-separated hidden widths of the positional MLP",
-    )
-    g.add_argument("--attention-scale", choices=["full", "per-head"], default="full")
-    g.add_argument("--post-attention-mlp", action="store_true")
-    g.add_argument("--sinkhorn-mode", choices=["alternating", "simultaneous"],
-                   default="alternating")
-    g.add_argument("--sinkhorn-marginals", choices=["uniform", "dustbin-weighted"],
-                   default="uniform")
-    g.add_argument("--match-threshold", type=float, default=0.2)
-    g.add_argument("--dustbin-init", type=float, default=1.0)
+# HyperParams fields whose model flag has another name; every other field is
+# the flag of its own name, and each flag takes its default and type from
+# HyperParams() and its choices from HYPER_CHOICES
+_HYPER_FLAG = {"src_keypoints": "keypoints", "tgt_keypoints": "keypoints",
+               "attention_heads": "heads", "attention_layers": "layers",
+               "sinkhorn_iterations": "sinkhorn_iters"}
+# the SceneConfig fields synth sets, with their flags
+_SCENE_FLAG = {"point_count": "points", "overlap": "overlap", "rotation_bound": "rotation_bound",
+               "translation_bound": "translation_bound", "noise_sigma": "noise"}
+_FLAG_HELP = {
+    "keypoints": "key-points per cloud", "pillar_points": "max points per pillar",
+    "pillar_radius": "pillar radius in meters",
+    "positional_hidden": "comma-separated hidden widths of the positional MLP",
+}
+
+
+def _add_flags(group, defaults: dict) -> None:
+    """One flag per ``dest: default`` item: a switch for a bool default, else
+    a flag of the default's type and the dest's HYPER_CHOICES, if any."""
+    for dest, default in defaults.items():
+        if isinstance(default, bool):
+            kind = {"action": "store_true"}
+        else:
+            kind = {"type": type(default), "choices": HYPER_CHOICES.get(dest)}
+        group.add_argument("--" + dest.replace("_", "-"), default=default,
+                           help=_FLAG_HELP.get(dest), **kind)
 
 
 def _add_label_flags(parser: argparse.ArgumentParser) -> None:
@@ -93,44 +99,25 @@ def _add_label_flags(parser: argparse.ArgumentParser) -> None:
 
 
 def _hyper_from_args(args) -> HyperParams:
-    return HyperParams(
-        src_keypoints=args.keypoints,
-        tgt_keypoints=args.keypoints,
-        pillar_points=args.pillar_points,
-        pillar_radius=args.pillar_radius,
-        feature_depth=args.feature_depth,
-        attention_heads=args.heads,
-        attention_layers=args.layers,
-        sinkhorn_iterations=args.sinkhorn_iters,
-        positional_hidden=tuple(int(v) for v in args.positional_hidden.split(",") if v),
-        attention_scale=args.attention_scale,
-        post_attention_mlp=args.post_attention_mlp,
-        sinkhorn_mode=args.sinkhorn_mode,
-        sinkhorn_marginals=args.sinkhorn_marginals,
-        match_threshold=args.match_threshold,
-        dustbin_init=args.dustbin_init,
-    )
+    values = {f.name: getattr(args, _HYPER_FLAG.get(f.name, f.name)) for f in fields(HyperParams)}
+    try:
+        values["positional_hidden"] = tuple(int(v) for v in args.positional_hidden.split(",") if v)
+    except ValueError:
+        raise ConfigError("--positional-hidden must be a comma list of integers, "
+                          f"got {args.positional_hidden!r}") from None
+    return HyperParams(**values)
 
 
 def _hyper_flags(hyper: HyperParams) -> dict:
-    """The hyper flags' values, by ``args`` name, that :func:`_hyper_from_args`
+    """The model flags' values, by ``args`` name, that :func:`_hyper_from_args`
     turns back into ``hyper``."""
-    return dict(
-        keypoints=hyper.src_keypoints,
-        pillar_points=hyper.pillar_points,
-        pillar_radius=hyper.pillar_radius,
-        feature_depth=hyper.feature_depth,
-        heads=hyper.attention_heads,
-        layers=hyper.attention_layers,
-        sinkhorn_iters=hyper.sinkhorn_iterations,
-        positional_hidden=",".join(str(v) for v in hyper.positional_hidden),
-        attention_scale=hyper.attention_scale,
-        post_attention_mlp=hyper.post_attention_mlp,
-        sinkhorn_mode=hyper.sinkhorn_mode,
-        sinkhorn_marginals=hyper.sinkhorn_marginals,
-        match_threshold=hyper.match_threshold,
-        dustbin_init=hyper.dustbin_init,
-    )
+    flags = {}
+    for f in fields(hyper):
+        value = getattr(hyper, f.name)
+        if isinstance(value, tuple):
+            value = ",".join(str(v) for v in value)
+        flags.setdefault(_HYPER_FLAG.get(f.name, f.name), value)
+    return flags
 
 
 def _load_config_defaults(parser, argv):
@@ -259,13 +246,7 @@ def cmd_synth(args) -> int:
         raise ConfigError(f"--num-pairs must be >= 0, got {args.num_pairs}")
     out = _resolve(args.out)
     hyper = _hyper_from_args(args)
-    scene = SceneConfig(
-        point_count=args.points,
-        overlap=args.overlap,
-        rotation_bound=args.rotation_bound,
-        translation_bound=args.translation_bound,
-        noise_sigma=args.noise,
-    )
+    scene = SceneConfig(**{name: getattr(args, flag) for name, flag in _SCENE_FLAG.items()})
     with pairio.dataset_writer(out, _args_echo(args)) as write:
         for k in range(args.num_pairs):
             frame = generate_synthetic_pair(args.seed + k, scene)
@@ -404,9 +385,7 @@ def cmd_match(args) -> int:
         )
     _check_pillar_capacity(args.pair, [pair], hyper)
     if args.sinkhorn_mode:
-        import dataclasses
-
-        params.hyper = dataclasses.replace(params.hyper, sinkhorn_mode=args.sinkhorn_mode)
+        params.hyper = replace(params.hyper, sinkhorn_mode=args.sinkhorn_mode)
     threshold = args.match_threshold
     result = match_pair(params, pair, threshold=threshold,
                         sinkhorn_iterations=args.sinkhorn_iters)
@@ -513,18 +492,15 @@ def build_parser() -> argparse.ArgumentParser:
         description="Point-cloud key-point matching with attention and optimal transport",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    model = _hyper_flags(HyperParams())
 
     p = sub.add_parser("synth", help="generate a seeded synthetic pair dataset")
     p.add_argument("--config", type=str, default=None, help="JSON file of flag defaults")
     p.add_argument("--out", required=True)
     p.add_argument("--num-pairs", type=int, default=16)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--points", type=int, default=2000)
-    p.add_argument("--overlap", type=float, default=0.8)
-    p.add_argument("--rotation-bound", type=float, default=0.1)
-    p.add_argument("--translation-bound", type=float, default=0.5)
-    p.add_argument("--noise", type=float, default=0.005)
-    _add_hyper_flags(p)
+    _add_flags(p, {flag: getattr(SceneConfig(), name) for name, flag in _SCENE_FLAG.items()})
+    _add_flags(p.add_argument_group("model"), model)
     _add_label_flags(p)
     p.set_defaults(func=cmd_synth)
 
@@ -534,7 +510,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--poses", required=True, help="pose text file, 12 values per line")
     p.add_argument("--out", required=True)
     p.add_argument("--distances", type=str, default="1,5,10")
-    _add_hyper_flags(p)
+    _add_flags(p.add_argument_group("model"), model)
     _add_label_flags(p)
     p.set_defaults(func=cmd_preprocess)
 
@@ -557,7 +533,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--nllp-penalty", choices=["with-dustbin", "rows-only"],
                    default="with-dustbin",
                    help="dustbin handling in the unmatched-row penalty term")
-    _add_hyper_flags(p)
+    _add_flags(p.add_argument_group("model"), model)
     p.set_defaults(func=cmd_train)
 
     p = sub.add_parser("match", help="run inference on one preprocessed pair")
@@ -566,7 +542,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--pair", required=True)
     p.add_argument("--match-threshold", type=float, default=None)
     p.add_argument("--sinkhorn-iters", type=int, default=None)
-    p.add_argument("--sinkhorn-mode", choices=["alternating", "simultaneous"],
+    p.add_argument("--sinkhorn-mode", choices=HYPER_CHOICES["sinkhorn_mode"],
                    default=None, help="override the checkpoint's normalization mode")
     p.add_argument("--dump-assignment", type=str, default=None,
                    help="write the soft assignment as a CSV grid")

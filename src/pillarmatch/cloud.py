@@ -18,6 +18,7 @@ from functools import cached_property
 import numpy as np
 from scipy.spatial import cKDTree
 
+from .container import is_count
 from .errors import (
     ArgumentError,
     DegeneratePointError,
@@ -188,11 +189,11 @@ def load_kitti_scan(path, frame_id: str | None = None) -> PointCloud:
             f"{path}: {len(raw)} bytes is not a multiple of {SCAN_RECORD_BYTES}"
         )
     records = np.frombuffer(raw, dtype="<f4").reshape(-1, 4).astype(np.float64)
-    return PointCloud(
-        points=records[:, :3],
-        intensities=records[:, 3],
-        frame_id=frame_id if frame_id is not None else str(path),
-    )
+    try:
+        return PointCloud(records[:, :3], records[:, 3],
+                          frame_id=frame_id if frame_id is not None else str(path))
+    except ArgumentError as exc:
+        raise FormatError(f"{path}: {exc}") from None
 
 
 def save_kitti_scan(cloud: PointCloud, path) -> None:
@@ -400,8 +401,8 @@ def label_correspondences(
     key-points farther than ``unmatch_radius`` from everything as unmatched,
     and the band in between as ignored.
     """
-    if not match_radius < unmatch_radius:
-        raise ArgumentError("match_radius must be smaller than unmatch_radius")
+    if not 0.0 < match_radius < unmatch_radius:
+        raise ArgumentError("match_radius must be > 0 and smaller than unmatch_radius")
     gt = pair.gt_transform
     if not isinstance(gt, RigidTransform):
         raise ArgumentError("gt_transform must be a RigidTransform")
@@ -456,8 +457,11 @@ class SceneConfig:
             raise ArgumentError("overlap fraction must be in (0, 1]")
         if self.point_count < 1:
             raise ArgumentError("point_count must be positive")
-        if self.rotation_bound < 0 or self.translation_bound < 0 or self.noise_sigma < 0:
-            raise ArgumentError("bounds and noise sigma must be non-negative")
+        # a bound b is drawn from uniform(-b, b), whose width 2b must be a finite float
+        if not all(0.0 <= b and np.isfinite(2.0 * b)
+                   for b in (self.rotation_bound, self.translation_bound, self.noise_sigma)):
+            raise ArgumentError("bounds and noise sigma must be >= 0 and at most half the "
+                                "largest float")
 
 
 def _build_scene(rng: np.random.Generator, config: SceneConfig):
@@ -520,6 +524,8 @@ def generate_synthetic_pair(seed: int, config: SceneConfig | None = None) -> Fra
     and full overlap they are identical; the ground-truth transform maps the
     source frame into the target frame.
     """
+    if not is_count(seed):
+        raise ArgumentError(f"seed must be an integer >= 0, got {seed!r}")
     config = config or SceneConfig()
     rng = np.random.default_rng(seed)
     points, intensities = _build_scene(rng, config)

@@ -114,7 +114,8 @@ class AdamState:
 
 
 def adam_step(named_params: dict[str, Tensor], state: AdamState) -> None:
-    """Bias-corrected Adam update in place; raises on non-finite gradients."""
+    """Bias-corrected Adam update in place; raises on non-finite gradients and
+    on a step that leaves a parameter non-finite."""
     state.step += 1
     correct1 = 1.0 - state.beta1 ** state.step
     correct2 = 1.0 - state.beta2 ** state.step
@@ -132,7 +133,10 @@ def adam_step(named_params: dict[str, Tensor], state: AdamState) -> None:
         v += (1.0 - state.beta2) * (grad * grad - v)
         m_hat = m / correct1
         v_hat = v / correct2
-        tensor.data = tensor.data - state.learning_rate * m_hat / (np.sqrt(v_hat) + state.eps)
+        with np.errstate(over="ignore", invalid="ignore"):  # reported just below
+            tensor.data = tensor.data - state.learning_rate * m_hat / (np.sqrt(v_hat) + state.eps)
+        if not np.all(np.isfinite(tensor.data)):
+            raise NumericError(f"Adam step made parameter {name!r} non-finite")
 
 
 # ---------------------------------------------------------------------------
@@ -198,6 +202,8 @@ class TrainRun:
             raise ArgumentError(f"unknown loss kind {self.loss_kind!r}")
         if self.epochs < 0 or self.batch_size < 1:
             raise ArgumentError("epochs must be >= 0 and batch_size >= 1")
+        if not is_count(self.seed):
+            raise ArgumentError(f"seed must be an integer >= 0: {self.seed!r}")
         if not (is_finite_real(self.learning_rate) and self.learning_rate > 0):
             raise ArgumentError(f"learning_rate must be finite and > 0: {self.learning_rate!r}")
         if not (self.max_steps is None or is_count(self.max_steps, 1)):

@@ -38,6 +38,13 @@ _FIELD_CHECKS = {
     "bool": lambda v: isinstance(v, bool),
 }
 
+# the values of each HyperParams field that selects a behavioral variant
+HYPER_CHOICES = {
+    "attention_scale": ("full", "per-head"),
+    "sinkhorn_mode": ("alternating", "simultaneous"),
+    "sinkhorn_marginals": ("uniform", "dustbin-weighted"),
+}
+
 
 @dataclass(frozen=True)
 class HyperParams:
@@ -73,12 +80,11 @@ class HyperParams:
                 raise ConfigError(f"hyper field {f.name!r} must be a valid {f.type}, got {value!r}")
         if self.feature_depth % self.attention_heads != 0:
             raise ConfigError("feature_depth must be divisible by attention_heads")
-        if self.attention_scale not in ("full", "per-head"):
-            raise ConfigError(f"unknown attention_scale {self.attention_scale!r}")
-        if self.sinkhorn_mode not in ("alternating", "simultaneous"):
-            raise ConfigError(f"unknown sinkhorn_mode {self.sinkhorn_mode!r}")
-        if self.sinkhorn_marginals not in ("uniform", "dustbin-weighted"):
-            raise ConfigError(f"unknown sinkhorn_marginals {self.sinkhorn_marginals!r}")
+        for name, choices in HYPER_CHOICES.items():
+            if getattr(self, name) not in choices:
+                raise ConfigError(f"unknown {name} {getattr(self, name)!r}")
+        if not 0.0 <= self.match_threshold <= 1.0:
+            raise ConfigError(f"match_threshold must be in [0, 1], got {self.match_threshold!r}")
 
     @property
     def stack_depth(self) -> int:
@@ -176,9 +182,8 @@ class ModelParameters:
             layers.append(layer)
 
         project_weight = _xavier(rng, depth, depth, dtype, gain=PROJECT_GAIN)
-        dustbin_score = Tensor(
-            np.array(hyper.dustbin_init, dtype=dtype), requires_grad=True
-        )
+        with np.errstate(over="ignore"):  # Tensor reports an init the dtype cannot hold
+            dustbin_score = Tensor(np.array(hyper.dustbin_init, dtype=dtype), requires_grad=True)
         return cls(
             hyper=hyper,
             pillar_weight=pillar_weight,

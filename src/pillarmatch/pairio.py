@@ -278,6 +278,8 @@ def load_dataset(directory) -> list[PreprocessedPair]:
     if not isinstance(manifest, dict) or manifest.get("kind") != "pair-dataset":
         raise FormatError(f"{directory}: not a pair dataset")
     names = manifest.get("pairs")
-    if not isinstance(names, list) or not all(isinstance(n, str) for n in names):
-        raise FormatError(f"{manifest_path}: 'pairs' must be a list of file names")
+    # each entry names a file in the dataset directory itself, so none reaches outside it
+    if not isinstance(names, list) or not all(
+            isinstance(n, str) and Path(n).name == n != ".." for n in names):
+        raise FormatError(f"{manifest_path}: 'pairs' must be a list of file names in {directory}")
     return [read_pair(directory / name) for name in names]
