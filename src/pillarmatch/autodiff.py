@@ -24,16 +24,14 @@ import numpy as np
 
 from .errors import ArgumentError, NumericError, ShapeError
 
-# Validated on every op output; non-finite intermediate values are treated as
-# internal errors rather than being allowed to propagate.
-CHECK_FINITE = True
-
 # False inside ``no_grad``: op outputs then get no parents and no backward.
 _recording = True
 
 
+# Validated on every op output, always; non-finite intermediate values are
+# treated as internal errors rather than being allowed to propagate.
 def _check_finite(data: np.ndarray, op: str) -> None:
-    if CHECK_FINITE and not np.all(np.isfinite(data)):
+    if not np.all(np.isfinite(data)):
         raise NumericError(f"non-finite values produced by {op}")
 
 

@@ -98,19 +98,20 @@ def _add_label_flags(parser: argparse.ArgumentParser) -> None:
                    help="optional minimum spacing between selected key-points")
 
 
-def _hyper_from_args(args) -> HyperParams:
+def _hyper_fields(args) -> dict:
+    """The ``HyperParams`` field values that the model flags of ``args`` give."""
     values = {f.name: getattr(args, _HYPER_FLAG.get(f.name, f.name)) for f in fields(HyperParams)}
     try:
         values["positional_hidden"] = tuple(int(v) for v in args.positional_hidden.split(",") if v)
     except ValueError:
         raise ConfigError("--positional-hidden must be a comma list of integers, "
                           f"got {args.positional_hidden!r}") from None
-    return HyperParams(**values)
+    return values
 
 
 def _hyper_flags(hyper: HyperParams) -> dict:
-    """The model flags' values, by ``args`` name, that :func:`_hyper_from_args`
-    turns back into ``hyper``."""
+    """The model flags' values, by ``args`` name, that :func:`_hyper_fields`
+    turns back into the fields of ``hyper``."""
     flags = {}
     for f in fields(hyper):
         value = getattr(hyper, f.name)
@@ -118,6 +119,13 @@ def _hyper_flags(hyper: HyperParams) -> dict:
             value = ",".join(str(v) for v in value)
         flags.setdefault(_HYPER_FLAG.get(f.name, f.name), value)
     return flags
+
+
+def _override_hyper(params, args) -> None:
+    """Replace the ``params.hyper`` fields that ``match`` or ``eval`` was given a flag for."""
+    given = {name: getattr(args, _HYPER_FLAG.get(name, name), None)
+             for name in ("match_threshold", "sinkhorn_iterations", "sinkhorn_mode")}
+    params.hyper = replace(params.hyper, **{k: v for k, v in given.items() if v is not None})
 
 
 def _load_config_defaults(parser, argv):
@@ -245,7 +253,7 @@ def cmd_synth(args) -> int:
     if args.num_pairs < 0:
         raise ConfigError(f"--num-pairs must be >= 0, got {args.num_pairs}")
     out = _resolve(args.out)
-    hyper = _hyper_from_args(args)
+    hyper = HyperParams(**_hyper_fields(args))
     scene = SceneConfig(**{name: getattr(args, flag) for name, flag in _SCENE_FLAG.items()})
     with pairio.dataset_writer(out, _args_echo(args)) as write:
         for k in range(args.num_pairs):
@@ -268,7 +276,7 @@ def cmd_preprocess(args) -> int:
     ``offset`` counts the pairs of positions before ``k``.
     """
     out = _resolve(args.out)
-    hyper = _hyper_from_args(args)
+    hyper = HyperParams(**_hyper_fields(args))
     distances = _parse_distances(args.distances)
     scan_dir = Path(args.scans)
     scan_files = sorted(scan_dir.glob("*.bin"))
@@ -330,14 +338,21 @@ def cmd_train(args) -> int:
     if args.resume:
         params, meta, extras = load_checkpoint(_resolve(args.resume))
         hyper = params.hyper
+        # the network is the checkpoint's: a model flag it would drop is refused,
+        # and the echo records the checkpoint's values
+        for name, value in _hyper_fields(args).items():
+            if value not in (getattr(HyperParams(), name), getattr(hyper, name)):
+                flag = _HYPER_FLAG.get(name, name)
+                raise ConfigError(f"--{flag.replace('_', '-')} {getattr(args, flag)} differs "
+                                  f"from the checkpoint's {name} {getattr(hyper, name)!r}, "
+                                  "which --resume keeps")
         optimizer = learn.load_optimizer(meta, extras, params.named_parameters())
         start_epoch = meta.get("next_epoch", 0)
         if not is_count(start_epoch):
             raise ConfigError(f"checkpoint next_epoch must be a count, got {start_epoch!r}")
-        # the network is the checkpoint's, so the echo records its shape
         vars(args).update(_hyper_flags(hyper))
     else:
-        hyper = _hyper_from_args(args)
+        hyper = HyperParams(**_hyper_fields(args))
     if args.learning_rate is None:
         args.learning_rate = DEFAULT_LEARNING_RATE if optimizer is None else optimizer.learning_rate
     _check_pillar_capacity(args.data, pairs, hyper)
@@ -350,7 +365,6 @@ def cmd_train(args) -> int:
         learning_rate=args.learning_rate,
         max_steps=args.max_steps,
         checkpoint_every=args.checkpoint_every,
-        match_threshold=args.match_threshold,
         nllp_penalty_excludes_dustbin=args.nllp_penalty == "rows-only",
     )
     if optimizer is not None:
@@ -375,6 +389,7 @@ def cmd_match(args) -> int:
     if args.timing_runs < 0:
         raise ConfigError(f"--timing-runs must be >= 0, got {args.timing_runs}")
     params, meta, _ = load_checkpoint(_resolve(args.checkpoint))
+    _override_hyper(params, args)
     pair = pairio.read_pair(_resolve(args.pair))
     n, m = len(pair.src_keypoints), len(pair.tgt_keypoints)
     hyper = params.hyper
@@ -384,11 +399,7 @@ def cmd_match(args) -> int:
             f"{hyper.src_keypoints}/{hyper.tgt_keypoints}"
         )
     _check_pillar_capacity(args.pair, [pair], hyper)
-    if args.sinkhorn_mode:
-        params.hyper = replace(params.hyper, sinkhorn_mode=args.sinkhorn_mode)
-    threshold = args.match_threshold
-    result = match_pair(params, pair, threshold=threshold,
-                        sinkhorn_iterations=args.sinkhorn_iters)
+    result = match_pair(params, pair)
     report = {
         "pair": str(args.pair),
         "num_matches": len(result.matches.pairs),
@@ -403,8 +414,7 @@ def cmd_match(args) -> int:
     if args.timing_runs:
         start = time.perf_counter()
         for _ in range(args.timing_runs):
-            match_pair(params, pair, threshold=threshold,
-                       sinkhorn_iterations=args.sinkhorn_iters)
+            match_pair(params, pair)
         elapsed = time.perf_counter() - start
         report["mean_forward_ms"] = 1000.0 * elapsed / args.timing_runs
     if args.dump_assignment:
@@ -458,12 +468,12 @@ def cmd_eval(args) -> int:
         if not args.checkpoint:
             raise ConfigError("matcher 'ours' requires --checkpoint")
         params, _, _ = load_checkpoint(_resolve(args.checkpoint))
+        _override_hyper(params, args)
         _check_pillar_capacity(args.data, pairs, params.hyper)
     report = register.evaluate_matchers(
         pairs,
         matchers=matchers,
         params=params,
-        threshold=args.match_threshold,
         icp_reject_radius=args.icp_reject_radius,
     )
     table = register.format_report_table(report)
@@ -529,7 +539,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--checkpoint-every", type=int, default=0)
     p.add_argument("--resume", type=str, default=None,
                    help="continue from a training checkpoint; the network and its "
-                        "shape flags are the checkpoint's")
+                        "model flags are the checkpoint's, and a model flag given at "
+                        "another value is refused")
     p.add_argument("--nllp-penalty", choices=["with-dustbin", "rows-only"],
                    default="with-dustbin",
                    help="dustbin handling in the unmatched-row penalty term")

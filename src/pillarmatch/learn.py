@@ -194,7 +194,6 @@ class TrainRun:
     learning_rate: float = 1e-4
     max_steps: int | None = None
     checkpoint_every: int = 0  # epochs between checkpoints; 0 writes only the final one
-    match_threshold: float = 0.2
     nllp_penalty_excludes_dustbin: bool = False
 
     def __post_init__(self):
@@ -210,8 +209,6 @@ class TrainRun:
             raise ArgumentError(f"max_steps must be None or >= 1: {self.max_steps!r}")
         if not is_count(self.checkpoint_every):
             raise ArgumentError(f"checkpoint_every must be >= 0: {self.checkpoint_every!r}")
-        if not (is_finite_real(self.match_threshold) and 0.0 <= self.match_threshold <= 1.0):
-            raise ArgumentError(f"match_threshold must be in [0, 1]: {self.match_threshold!r}")
 
 
 @dataclass
@@ -236,7 +233,7 @@ def _train_step(batch, run: TrainRun, params: ModelParameters, named, optimizer:
     loss.backward()
     adam_step(named, optimizer)
     metrics = [
-        match_metrics(extract_matches(assign, run.match_threshold), pair.labels)
+        match_metrics(extract_matches(assign, params.hyper.match_threshold), pair.labels)
         for pair, assign in zip(batch, assignments)
     ]
     return loss.item(), metrics
@@ -328,7 +325,7 @@ def write_training_checkpoint(path, params, run: TrainRun, optimizer: AdamState,
             "seed": run.seed,
             "loss_kind": run.loss_kind,
             "learning_rate": run.learning_rate,
-            "match_threshold": run.match_threshold,
+            "match_threshold": params.hyper.match_threshold,
             "nllp_penalty_excludes_dustbin": run.nllp_penalty_excludes_dustbin,
         },
         "next_epoch": next_epoch,

@@ -85,6 +85,8 @@ class HyperParams:
                 raise ConfigError(f"unknown {name} {getattr(self, name)!r}")
         if not 0.0 <= self.match_threshold <= 1.0:
             raise ConfigError(f"match_threshold must be in [0, 1], got {self.match_threshold!r}")
+        if self.pillar_radius <= 0.0:
+            raise ConfigError(f"pillar_radius must be > 0, got {self.pillar_radius!r}")
 
     @property
     def stack_depth(self) -> int:

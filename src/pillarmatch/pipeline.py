@@ -29,15 +29,14 @@ def batch_assignments(
     params: ModelParameters,
     pairs: list[PreprocessedPair],
     train: bool = False,
-    sinkhorn_iterations: int | None = None,
 ) -> list[AssignmentMatrix]:
-    """One :class:`AssignmentMatrix` per pair, in input order.
+    """One :class:`AssignmentMatrix` per pair, in input order, with the
+    Sinkhorn settings of ``params.hyper``.
 
     Each pair's ``log_p`` is a one-node view of slice b of its group's
     batched Sinkhorn output, so gradients flow back through the group.
     """
     hyper = params.hyper
-    iters = hyper.sinkhorn_iterations if sinkhorn_iterations is None else sinkhorn_iterations
     stacks = [s for pair in pairs for s in pair.stacks]
     coords = [c for pair in pairs for c in pair.coords]
     assignments = [None] * len(pairs)
@@ -46,29 +45,21 @@ def batch_assignments(
         augmented = transport.augment_dustbin(raw, params.dustbin_score)
         log_p = transport.sinkhorn(
             augmented,
-            iterations=iters,
+            iterations=hyper.sinkhorn_iterations,
             mode=hyper.sinkhorn_mode,
             marginals=hyper.sinkhorn_marginals,
         ).log_p
         for b, index in enumerate(members):
-            assignments[index] = AssignmentMatrix(log_p.gather_rows(b), iters, hyper.sinkhorn_mode)
+            assignments[index] = AssignmentMatrix(log_p.gather_rows(b))
     return assignments
 
 
-def match_pair(
-    params: ModelParameters,
-    pair: PreprocessedPair,
-    threshold: float | None = None,
-    sinkhorn_iterations: int | None = None,
-) -> MatchResult:
-    """Inference for a single pair: assignment plus hard matches, recording no tape."""
+def match_pair(params: ModelParameters, pair: PreprocessedPair) -> MatchResult:
+    """Inference for a single pair: assignment plus hard matches, recording no
+    tape. Every setting, the match threshold included, is ``params.hyper``'s."""
     with ad.no_grad():
-        assignment = batch_assignments(
-            params, [pair], train=False, sinkhorn_iterations=sinkhorn_iterations
-        )[0]
-    if threshold is None:
-        threshold = params.hyper.match_threshold
+        assignment = batch_assignments(params, [pair])[0]
     return MatchResult(
         assignment=assignment,
-        matches=transport.extract_matches(assignment, threshold),
+        matches=transport.extract_matches(assignment, params.hyper.match_threshold),
     )

@@ -221,13 +221,13 @@ class EvalReport:
         return summary
 
 
-def _predicted_matchset(matcher: str, pair, params, threshold):
+def _predicted_matchset(matcher: str, pair, params):
     from .pipeline import match_pair  # local import keeps module load light
 
     if matcher == "ours":
         if params is None:
             raise ArgumentError("matcher 'ours' needs model parameters")
-        return match_pair(params, pair, threshold=threshold).matches
+        return match_pair(params, pair).matches
     if matcher == "nn":
         src, tgt = pair.coords
         return nn_matcher(src, tgt)
@@ -241,11 +241,10 @@ def evaluate_matchers(
     pairs,
     matchers=EVAL_MATCHERS,
     params=None,
-    threshold: float | None = None,
-    icp_max_iters: int = 50,
     icp_reject_radius: float = 2.0,
 ) -> EvalReport:
-    """Per-frame matching scores and transform errors for each matcher.
+    """Per-frame matching scores and transform errors for each matcher; the
+    learned matcher ``ours`` reads its settings from ``params.hyper``.
 
     Frames where transform estimation fails (too few matches, degenerate
     geometry) are recorded as failures, not dropped silently. Frames with no
@@ -269,17 +268,12 @@ def evaluate_matchers(
             num_matches = 0
             if matcher == "icp":
                 try:
-                    result = icp(
-                        src_pos,
-                        tgt_pos,
-                        max_iters=icp_max_iters,
-                        reject_radius=icp_reject_radius,
-                    )
+                    result = icp(src_pos, tgt_pos, reject_radius=icp_reject_radius)
                     t_err, r_err = transform_errors(result.transform, pair.gt_transform)
                 except (DegenerateGeometryError, InsufficientCorrespondencesError):
                     failed = True
             else:
-                matches = _predicted_matchset(matcher, pair, params, threshold)
+                matches = _predicted_matchset(matcher, pair, params)
                 num_matches = len(matches.pairs)
                 if pair.labels.matched:
                     score = matching_score(matches, pair.labels)

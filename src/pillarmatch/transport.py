@@ -30,8 +30,6 @@ class AssignmentMatrix:
     """Log-domain soft assignment with one dustbin row and column."""
 
     log_p: Tensor          # (n+1, m+1), or (..., n+1, m+1) for a batched Sinkhorn
-    iterations: int
-    mode: str = "alternating"
 
     @property
     def probabilities(self) -> np.ndarray:
@@ -161,7 +159,7 @@ def sinkhorn(augmented: Tensor, iterations: int = 100, mode: str = "alternating"
                     g[failed] = _log_domain_backward(grad[failed], steps, False)
             augmented._accumulate(g)
         out._backward = back
-    return AssignmentMatrix(log_p=out, iterations=iterations, mode=mode)
+    return AssignmentMatrix(log_p=out)
 
 
 def _log_domain_sinkhorn(data, iterations, simultaneous, log_mu, log_nu, steps=None):

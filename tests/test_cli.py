@@ -1,3 +1,4 @@
+import dataclasses
 import gc
 import json
 import os
@@ -179,6 +180,27 @@ def test_train_resume_echoes_the_checkpoint_network_shape(tmp_path):
     again = tmp_path / "run3"
     assert main(["train", "--config", str(config), "--data", str(data), "--out", str(again)]) == 0
     assert (again / "history.jsonl").read_text() == (resumed / "history.jsonl").read_text()
+
+
+@pytest.mark.parametrize("flag,value", [("--match-threshold", "0.7"), ("--sinkhorn-iters", "50"),
+                                        ("--positional-hidden", "8,32")])
+def test_train_resume_refuses_a_model_flag_it_would_drop(tmp_path, capsys, flag, value):
+    data = run_synth(tmp_path, "data", num_pairs=2, seed=4)
+    first = tmp_path / "run"
+    assert main(["train", "--data", str(data), "--out", str(first), "--max-steps", "1",
+                 "--batch-size", "2", *TOY_FLAGS]) == 0
+    checkpoint = str(first / "checkpoint_final.pmc")
+    # the checkpoint's own values, in another spelling, are no clash
+    same = tmp_path / "same"
+    assert main(["train", "--data", str(data), "--out", str(same), "--max-steps", "2",
+                 "--resume", checkpoint, "--positional-hidden", "8,16,", "--keypoints", "8"]) == 0
+    capsys.readouterr()
+    resumed = tmp_path / "run2"
+    code = main(["train", "--data", str(data), "--out", str(resumed), "--max-steps", "2",
+                 "--resume", checkpoint, flag, value])
+    assert code == 2
+    assert flag in capsys.readouterr().err
+    assert not resumed.exists()
 
 
 def test_train_reruns_from_its_own_config_echo(tmp_path):
@@ -610,6 +632,26 @@ def test_match_negative_timing_runs_is_config_error(tmp_path, capsys):
     assert "mean_forward_ms" not in json.loads(report.read_text())
 
 
+def test_match_overrides_replace_the_checkpoint_hyper_fields(tmp_path):
+    from pillarmatch.pipeline import match_pair
+
+    data = run_synth(tmp_path, "data", num_pairs=1, seed=5)
+    checkpoint = untrained_checkpoint(tmp_path)
+    pair_file = data / "pair_00000.ppair"
+    report = tmp_path / "match.json"
+    assert main(["match", "--checkpoint", str(checkpoint), "--pair", str(pair_file),
+                 "--report", str(report), "--match-threshold", "0.05", "--sinkhorn-iters", "3",
+                 "--sinkhorn-mode", "simultaneous"]) == 0
+    matches = json.loads(report.read_text())["matches"]
+    reported = [(m["i"], m["j"], m["confidence"]) for m in matches]
+    params, _, _ = load_checkpoint(checkpoint)
+    pair = pairio.read_pair(pair_file)
+    default = match_pair(params, pair).matches.pairs
+    params.hyper = dataclasses.replace(params.hyper, match_threshold=0.05, sinkhorn_iterations=3,
+                                       sinkhorn_mode="simultaneous")
+    assert reported == list(match_pair(params, pair).matches.pairs) != list(default)
+
+
 @pytest.mark.parametrize("flag,value", [
     ("--icp-reject-radius", "-1"), ("--icp-reject-radius", "0"), ("--icp-reject-radius", "nan"),
     ("--matchers", ","),
@@ -655,7 +697,7 @@ def test_match_self_pair_with_overfit_model(tmp_path):
     result = train(pairs, run, hyper)
     self_matched = []
     for pair in pairs:
-        matches = match_pair(result.params, pair, threshold=0.2).matches
+        matches = match_pair(result.params, pair).matches
         self_matched.append(
             sum(1 for i, j, _ in matches.pairs if i == j) / len(pair.src_keypoints)
         )

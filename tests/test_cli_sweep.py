@@ -34,6 +34,12 @@ REFUSED = {
     ("synth", "--match-radius"): ({"nan", "-inf", "-1", "0"}, 2),
     ("synth", "--match-threshold"): ({"nan", "inf", "-inf", "-1", "1e308"}, 2),
     ("preprocess", "--match-threshold"): ({"nan", "inf", "-inf", "-1", "1e308"}, 2),
+    ("match", "--match-threshold"): ({"nan", "inf", "-inf", "-1", "1e308"}, 2),
+    ("eval", "--match-threshold"): ({"nan", "inf", "-inf", "-1", "1e308"}, 2),
+    ("match", "--sinkhorn-iters"): ({"-1", "0"}, 2),
+    ("synth", "--pillar-radius"): ({"-inf", "-1", "0"}, 2),
+    ("preprocess", "--pillar-radius"): ({"-inf", "-1", "0"}, 2),
+    ("train", "--pillar-radius"): ({"-inf", "-1", "0"}, 2),
     # a float32 network cannot hold these: the first Adam step, or the
     # initialisation, would make a weight infinite
     ("train", "--learning-rate"): ({"1e308"}, 4),

@@ -31,7 +31,6 @@ from pillarmatch.transport import AssignmentMatrix, MatchSet, extract_matches
 def assign_from_log(log_p, grad=False):
     return AssignmentMatrix(
         log_p=Tensor(np.asarray(log_p, dtype=np.float64), requires_grad=grad),
-        iterations=0,
     )
 
 
@@ -589,7 +588,8 @@ def test_per_head_checkpoint_loads_rewrites_byte_identical_and_resumes(tmp_path)
     optimizer = load_optimizer(meta, extras, named)
     assert optimizer.step == 1
     assert optimizer.first_moment.keys() == optimizer.second_moment.keys() == named.keys()
-    run = TrainRun(**meta["run"])
+    # the run's match threshold is the network's, recorded in its hyper manifest
+    run = TrainRun(**{k: v for k, v in meta["run"].items() if k != "match_threshold"})
     path = tmp_path / "rewritten.pmc"
     write_training_checkpoint(path, params, run, optimizer, meta["next_epoch"])
     assert path.read_bytes() == PER_HEAD_CHECKPOINT.read_bytes()

@@ -524,7 +524,7 @@ def test_inference_sinkhorn_rejects_non_finite_input():
 
 def assign_from_probs(probs):
     probs = np.asarray(probs, dtype=np.float64)
-    return AssignmentMatrix(log_p=t(np.log(probs + 1e-300)), iterations=0)
+    return AssignmentMatrix(log_p=t(np.log(probs + 1e-300)))
 
 
 def test_extract_identity_permutation():
@@ -570,10 +570,8 @@ def test_extract_mutual_argmax_one_to_one(rng):
 
 def test_extract_shift_invariant_structure(rng):
     log_p = rng.normal(size=(6, 6))
-    base = extract_matches(AssignmentMatrix(log_p=t(log_p), iterations=0), threshold=0.0)
-    shifted = extract_matches(
-        AssignmentMatrix(log_p=t(log_p - 3.7), iterations=0), threshold=0.0
-    )
+    base = extract_matches(AssignmentMatrix(log_p=t(log_p)), threshold=0.0)
+    shifted = extract_matches(AssignmentMatrix(log_p=t(log_p - 3.7)), threshold=0.0)
     assert base.index_pairs == shifted.index_pairs
     assert base.unmatched_rows == shifted.unmatched_rows
 
