@@ -121,11 +121,11 @@ def _hyper_flags(hyper: HyperParams) -> dict:
     return flags
 
 
-def _override_hyper(params, args) -> None:
-    """Replace the ``params.hyper`` fields that ``match`` or ``eval`` was given a flag for."""
+def _override_hyper(hyper: HyperParams, args) -> HyperParams:
+    """``hyper`` with the fields that ``match`` or ``eval`` was given a flag for replaced."""
     given = {name: getattr(args, _HYPER_FLAG.get(name, name), None)
              for name in ("match_threshold", "sinkhorn_iterations", "sinkhorn_mode")}
-    params.hyper = replace(params.hyper, **{k: v for k, v in given.items() if v is not None})
+    return replace(hyper, **{k: v for k, v in given.items() if v is not None})
 
 
 def _load_config_defaults(parser, argv):
@@ -335,14 +335,19 @@ def cmd_train(args) -> int:
     params = None
     optimizer = None
     start_epoch = 0
+    # the model flags parse to None when left out, so a flag given at its
+    # default is told from an absent one; the absent ones take the default here
+    defaults = _hyper_flags(HyperParams())
+    given = {flag for flag in defaults if getattr(args, flag) is not None}
+    vars(args).update({flag: value for flag, value in defaults.items() if flag not in given})
     if args.resume:
         params, meta, extras = load_checkpoint(_resolve(args.resume))
         hyper = params.hyper
         # the network is the checkpoint's: a model flag it would drop is refused,
         # and the echo records the checkpoint's values
         for name, value in _hyper_fields(args).items():
-            if value not in (getattr(HyperParams(), name), getattr(hyper, name)):
-                flag = _HYPER_FLAG.get(name, name)
+            flag = _HYPER_FLAG.get(name, name)
+            if flag in given and value != getattr(hyper, name):
                 raise ConfigError(f"--{flag.replace('_', '-')} {getattr(args, flag)} differs "
                                   f"from the checkpoint's {name} {getattr(hyper, name)!r}, "
                                   "which --resume keeps")
@@ -389,7 +394,7 @@ def cmd_match(args) -> int:
     if args.timing_runs < 0:
         raise ConfigError(f"--timing-runs must be >= 0, got {args.timing_runs}")
     params, meta, _ = load_checkpoint(_resolve(args.checkpoint))
-    _override_hyper(params, args)
+    params.hyper = _override_hyper(params.hyper, args)
     pair = pairio.read_pair(_resolve(args.pair))
     n, m = len(pair.src_keypoints), len(pair.tgt_keypoints)
     hyper = params.hyper
@@ -462,13 +467,15 @@ def cmd_eval(args) -> int:
         raise ConfigError(
             f"--icp-reject-radius must be finite and > 0, got {args.icp_reject_radius}"
         )
+    # range-checked here, since no checkpoint takes them unless 'ours' runs
+    _override_hyper(HyperParams(), args)
     pairs = pairio.load_dataset(_resolve(args.data))
     params = None
     if "ours" in matchers:
         if not args.checkpoint:
             raise ConfigError("matcher 'ours' requires --checkpoint")
         params, _, _ = load_checkpoint(_resolve(args.checkpoint))
-        _override_hyper(params, args)
+        params.hyper = _override_hyper(params.hyper, args)
         _check_pillar_capacity(args.data, pairs, params.hyper)
     report = register.evaluate_matchers(
         pairs,
@@ -540,12 +547,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--resume", type=str, default=None,
                    help="continue from a training checkpoint; the network and its "
                         "model flags are the checkpoint's, and a model flag given at "
-                        "another value is refused")
+                        "a value other than the checkpoint's, even its default, is refused")
     p.add_argument("--nllp-penalty", choices=["with-dustbin", "rows-only"],
                    default="with-dustbin",
                    help="dustbin handling in the unmatched-row penalty term")
     _add_flags(p.add_argument_group("model"), model)
-    p.set_defaults(func=cmd_train)
+    p.set_defaults(func=cmd_train, **dict.fromkeys(model))
 
     p = sub.add_parser("match", help="run inference on one preprocessed pair")
     p.add_argument("--config", type=str, default=None)

@@ -1,9 +1,13 @@
 """Point-cloud data model, ingestion, key-point selection and labeling.
 
 Clouds are immutable once constructed and build their k-d tree once, on
-first use. The neighbor query behind the smoothness field runs on every core
-for large clouds, in the tree's leaf order; each point's result depends on
-neither the thread count nor the query order.
+first use. The smoothness field walks the points in the tree's leaf order.
+For large clouds it splits them into fixed chunks and runs each chunk's
+neighbor query and neighbor sums on a pool of one thread per core: the query
+releases the interpreter lock, so one chunk's query overlaps another's sums.
+Each point's result depends on neither the chunking, the thread count nor the
+query order. Key-point selection partitions the smoothness values and sorts
+only the candidates at each end that it reads.
 
 A cloud's key-points are one :class:`KeyPointSet` and its pillars one
 :class:`PillarSet`: frozen records of read-only arrays with one row per
@@ -12,6 +16,8 @@ single k-d tree query.
 """
 from __future__ import annotations
 
+import os
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -33,10 +39,15 @@ ORIGIN_EPS = 1e-6       # smoothness is singular at the sensor origin
 DEFAULT_NEIGHBORHOOD = 10
 DEFAULT_MATCH_RADIUS = 0.1
 DEFAULT_UNMATCH_RADIUS = 0.5
-# neighbor queries of at least this many points run on every core; below it,
-# starting the threads costs more than they save (on a 2-core x86 host the
-# threaded query was 1.4x slower at 1.3k points and 1.3x faster at 11k)
+# smoothness fields of at least this many points run in chunks of
+# QUERY_CHUNK_POINTS on a pool of one thread per core; below it, one chunk runs
+# on the calling thread, since starting threads costs more than they save (on
+# a 2-core x86 host a threaded query was 1.4x slower at 1.3k points and 1.3x
+# faster at 11k). A chunk holds its (n, k + 1) query results only while it
+# runs; on the same host, chunks of 2k to 16k points ran a 100k-point field
+# equally fast, and chunks of 1k or of half the cloud were slower
 PARALLEL_QUERY_POINTS = 10_000
+QUERY_CHUNK_POINTS = 4096
 
 
 @dataclass(frozen=True)
@@ -245,22 +256,41 @@ def _smoothness_at(cloud: PointCloud, indices: np.ndarray, k: int):
 
     Near zero on locally symmetric (planar) neighborhoods, large on edges.
     Returns ``(values, valid)``; points within ORIGIN_EPS of the origin are
-    invalid and get value 0.
+    invalid and get value 0. At least PARALLEL_QUERY_POINTS indices are
+    evaluated in chunks of QUERY_CHUNK_POINTS on one thread per core, in order.
     """
     if k < 1:
         raise ArgumentError(f"neighborhood size must be >= 1, got {k}")
     if len(cloud) <= k:
         raise InsufficientPointsError(f"cloud has {len(cloud)} points, need > {k}")
+    if len(indices) < PARALLEL_QUERY_POINTS:
+        return _smoothness_chunk(cloud, cloud.points.T, indices, k)
+    # one contiguous row per coordinate keeps the neighbor gathers of a
+    # coordinate in one compact array
+    coords = np.ascontiguousarray(cloud.points.T)
+    chunks = [indices[start:start + QUERY_CHUNK_POINTS]
+              for start in range(0, len(indices), QUERY_CHUNK_POINTS)]
+    with ThreadPoolExecutor(os.cpu_count() or 1) as pool:
+        parts = list(pool.map(lambda chunk: _smoothness_chunk(cloud, coords, chunk, k),
+                              chunks))
+    return np.concatenate([v for v, _ in parts]), np.concatenate([ok for _, ok in parts])
+
+
+def _smoothness_chunk(cloud: PointCloud, coords: np.ndarray, indices: np.ndarray, k: int):
+    """:func:`_smoothness_at` of ``indices`` on the calling thread; ``coords``
+    holds the cloud's points as ``(3, N)``, a view or a contiguous copy."""
     points = cloud.points[indices]
     norms = np.linalg.norm(points, axis=1)
     valid = norms > ORIGIN_EPS
     neighbors = _neighbor_indices(cloud, indices, k)
-    # summed one neighbor column at a time, in the order .sum(axis=1) adds
-    # them, without an (n, k, 3) gather
-    total = cloud.points[neighbors[:, 0]]
-    for column in range(1, k):
-        total += cloud.points[neighbors[:, column]]
-    sums = k * points - total
+    # summed per coordinate, one neighbor column at a time, in the order
+    # .sum(axis=1) adds them, without an (n, k, 3) gather
+    sums = np.empty_like(points)
+    for axis, coord in enumerate(coords):
+        total = coord[neighbors[:, 0]]
+        for column in range(1, k):
+            total += coord[neighbors[:, column]]
+        sums[:, axis] = k * points[:, axis] - total
     values = np.zeros(len(indices))
     values[valid] = np.linalg.norm(sums[valid], axis=1) / (k * norms[valid])
     return values, valid
@@ -284,8 +314,7 @@ def _neighbor_indices(cloud: PointCloud, indices: np.ndarray, k: int) -> np.ndar
     results; the first k are then kept as they are.
     """
     indices = np.asarray(indices)
-    workers = -1 if len(indices) >= PARALLEL_QUERY_POINTS else 1
-    idx = cloud.tree.query(cloud.points[indices], k=k + 1, workers=workers)[1]
+    idx = cloud.tree.query(cloud.points[indices], k=k + 1)[1]
     # drop the own column where it appears; every later column shifts left
     own_seen = np.logical_or.accumulate(idx[:, :k] == indices[:, None], axis=1)
     return np.where(own_seen, idx[:, 1:], idx[:, :k])
@@ -304,6 +333,22 @@ def smoothness_field(cloud: PointCloud, neighborhood_size: int = DEFAULT_NEIGHBO
     values, valid = np.empty_like(leaf_values), np.empty_like(leaf_valid)
     values[order], valid[order] = leaf_values, leaf_valid
     return values, valid
+
+
+def _ranked(keys: np.ndarray, index: np.ndarray, head: int):
+    """``index`` in ascending ``(key, index)`` order, as ``np.lexsort`` gives it.
+
+    The keys at or below the ``head``-th smallest, ties included, are the
+    order's exact prefix: they are sorted first, and the rest only when the
+    caller reads past them.
+    """
+    if 0 < head < len(keys):
+        # a NaN key, which lexsort puts last, fails the comparison and stays
+        # in the rest; a NaN cut leaves the whole order to the full sort
+        first = keys <= np.partition(keys, head - 1)[head - 1]
+        yield from index[first][np.lexsort((index[first], keys[first]))]
+        keys, index = keys[~first], index[~first]
+    yield from index[np.lexsort((index, keys))]
 
 
 def select_keypoints(
@@ -327,13 +372,14 @@ def select_keypoints(
             f"{len(valid_idx)} valid points < requested {count} key-points"
         )
     n_sharp = (count + 1) // 2
-    order_desc = valid_idx[np.lexsort((valid_idx, -values[valid_idx]))]
-    order_asc = valid_idx[np.lexsort((valid_idx, values[valid_idx]))]
+    valid_values = values[valid_idx]
     chosen: list[int] = []
-    for candidates, wanted, kind in ((order_desc, n_sharp, "sharp"),
-                                     (order_asc, count - n_sharp, "planar")):
+    for keys, wanted, kind in ((-valid_values, n_sharp, "sharp"),
+                               (valid_values, count - n_sharp, "planar")):
         got = 0
-        for i in candidates:
+        # an end skips at most the other end's picks, so 2 * count candidates
+        # are enough unless min_separation suppresses some
+        for i in _ranked(keys, valid_idx, 2 * count):
             if got == wanted:
                 break
             if i in chosen:

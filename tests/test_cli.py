@@ -203,6 +203,24 @@ def test_train_resume_refuses_a_model_flag_it_would_drop(tmp_path, capsys, flag,
     assert not resumed.exists()
 
 
+@pytest.mark.parametrize("flag,value", [("--keypoints", "100"), ("--sinkhorn-iters", "100"),
+                                        ("--positional-hidden", "32,64,128,256")])
+def test_train_resume_refuses_a_model_flag_given_at_its_default(tmp_path, capsys, flag, value):
+    # each value is the flag's HyperParams() default, and the toy checkpoint's differs
+    assert str(cli._hyper_flags(HyperParams())[flag[2:].replace("-", "_")]) == value
+    data = run_synth(tmp_path, "data", num_pairs=2, seed=4)
+    first = tmp_path / "run"
+    assert main(["train", "--data", str(data), "--out", str(first), "--max-steps", "1",
+                 "--batch-size", "2", *TOY_FLAGS]) == 0
+    capsys.readouterr()
+    resumed = tmp_path / "run2"
+    code = main(["train", "--data", str(data), "--out", str(resumed), "--max-steps", "2",
+                 "--resume", str(first / "checkpoint_final.pmc"), flag, value])
+    assert code == 2
+    assert flag in capsys.readouterr().err
+    assert not resumed.exists()
+
+
 def test_train_reruns_from_its_own_config_echo(tmp_path):
     data = run_synth(tmp_path, "data", num_pairs=2, seed=4)
     first = tmp_path / "run"

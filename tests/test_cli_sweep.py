@@ -123,6 +123,18 @@ def test_every_flag_at_every_edge_value_exits_with_a_documented_code(tmp_path, c
     assert not wrong, f"{len(wrong)} of the {command} runs: " + "; ".join(wrong)
 
 
+@pytest.mark.parametrize("value", sorted(REFUSED[("eval", "--match-threshold")][0]))
+def test_eval_refuses_a_bad_match_threshold_without_a_checkpoint(tmp_path, capsys, inputs, value):
+    # no matcher reads the threshold and no checkpoint is loaded; "=" passes
+    # "-inf" to the command rather than to argparse as an option
+    report = tmp_path / "report"
+    argv = ["eval", "--data", str(inputs["data"]), "--matchers", "nn,icp",
+            f"--match-threshold={value}", "--report", str(report)]
+    code, err = run(argv, capsys)
+    assert (code, err.startswith("error: ")) == (2, True), err
+    assert not report.exists()
+
+
 @pytest.mark.parametrize("error,code", EXIT_CODES.items(), ids=lambda v: getattr(v, "__name__", v))
 def test_each_error_class_exits_with_its_documented_code(monkeypatch, capsys, error, code):
     def fail(args):

@@ -1,10 +1,14 @@
+import threading
+
 import numpy as np
 import pytest
 
 from conftest import PILLAR_CASES
 
+from pillarmatch import cloud as cloud_module
 from pillarmatch.cloud import (
     PARALLEL_QUERY_POINTS,
+    QUERY_CHUNK_POINTS,
     CorrespondenceLabels,
     FramePair,
     KeyPointSet,
@@ -213,6 +217,32 @@ def test_neighbor_indices_threaded_query_matches_per_point_reference(rng):
     np.testing.assert_array_equal(neighbors, np.array(expected))
 
 
+def test_smoothness_field_in_threaded_chunks_equals_one_chunk_on_one_thread(rng, monkeypatch):
+    # exact duplicates, whose neighbors tie, and one invalid point at the origin
+    pts = np.vstack([rng.normal(size=(3 * QUERY_CHUNK_POINTS, 3)) * 4.0 + 10.0,
+                     np.repeat([[9.0, 10.5, 11.0]], 30, axis=0), [[0.0, 0.0, 0.0]]])
+    assert len(pts) >= PARALLEL_QUERY_POINTS
+    cloud = cloud_from(pts)
+    calls = []
+    chunk = cloud_module._smoothness_chunk
+
+    def recorded(cloud, coords, indices, k):
+        calls.append((threading.get_ident(), len(indices)))
+        return chunk(cloud, coords, indices, k)
+
+    monkeypatch.setattr(cloud_module, "_smoothness_chunk", recorded)
+    values, valid = smoothness_field(cloud, neighborhood_size=10)
+    assert len(calls) == -(-len(pts) // QUERY_CHUNK_POINTS)
+    assert all(ident != threading.get_ident() and n <= QUERY_CHUNK_POINTS for ident, n in calls)
+    calls.clear()
+    monkeypatch.setattr(cloud_module, "PARALLEL_QUERY_POINTS", len(pts) + 1)
+    one_values, one_valid = smoothness_field(cloud, neighborhood_size=10)
+    assert calls == [(threading.get_ident(), len(pts))]
+    assert values.tobytes() == one_values.tobytes()
+    np.testing.assert_array_equal(valid, one_valid)
+    assert not valid[-1] and valid[:-1].all()
+
+
 def test_smoothness_needs_enough_points():
     pts = [[1.0, 0.0, 0.0], [2.0, 0.0, 0.0]]
     with pytest.raises(InsufficientPointsError):
@@ -267,6 +297,107 @@ def test_select_keypoints_min_separation():
     dists = np.linalg.norm(pos[:, None] - pos[None, :], axis=2)
     np.fill_diagonal(dists, np.inf)
     assert dists.min() >= 1.0
+
+
+def select_by_full_sort(cloud, values, valid, count, min_separation=None):
+    """Reference for select_keypoints' ranking: both ends fully ordered by
+    ``np.lexsort`` on (key, index), then picked in that order."""
+    valid_idx = np.flatnonzero(valid)
+    if len(valid_idx) < count:
+        raise InsufficientPointsError(
+            f"{len(valid_idx)} valid points < requested {count} key-points"
+        )
+    n_sharp = (count + 1) // 2
+    order_desc = valid_idx[np.lexsort((valid_idx, -values[valid_idx]))]
+    order_asc = valid_idx[np.lexsort((valid_idx, values[valid_idx]))]
+    chosen = []
+    for candidates, wanted, kind in ((order_desc, n_sharp, "sharp"),
+                                     (order_asc, count - n_sharp, "planar")):
+        got = 0
+        for i in candidates:
+            if got == wanted:
+                break
+            if i in chosen:
+                continue
+            if min_separation is not None and chosen and np.min(np.linalg.norm(
+                    cloud.points[chosen] - cloud.points[i], axis=1)) < min_separation:
+                continue
+            chosen.append(int(i))
+            got += 1
+        if got < wanted:
+            raise InsufficientPointsError(f"only {got} of {wanted} {kind} key-points satisfiable")
+    return np.array(chosen, dtype=np.int64)
+
+
+def selection_outcome(select, *args, **kwargs):
+    """The chosen indices, or the message of the InsufficientPointsError raised."""
+    try:
+        chosen = select(*args, **kwargs)
+    except InsufficientPointsError as exc:
+        return str(exc)
+    return getattr(chosen, "index", chosen).tolist()
+
+
+def assert_ranked_as_full_sort(cloud, count, neighborhood_size, min_separation=None):
+    values, valid = smoothness_field(cloud, neighborhood_size)
+    expected = selection_outcome(select_by_full_sort, cloud, values, valid, count, min_separation)
+    got = selection_outcome(select_keypoints, cloud, count, neighborhood_size, min_separation)
+    assert got == expected
+    return got
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_select_keypoints_ranks_random_clouds_as_a_full_sort(seed):
+    rng = np.random.default_rng(seed)
+    pts = rng.normal(size=(300, 3)) + np.array([4.0, 0.0, 0.0])
+    cloud = cloud_from(np.vstack([pts, [[0.0, 0.0, 0.0]]]))
+    # at 150 the 2 * count head covers every valid point; 301 exceeds them
+    for count in (1, 2, 7, 20, 64, 150, 300, 301):
+        assert_ranked_as_full_sort(cloud, count, neighborhood_size=8)
+
+
+def test_select_keypoints_ranks_ties_at_the_cut_as_a_full_sort():
+    # a doubled integer lattice: with 13 neighbors, every interior point sums
+    # its copy and the full shell of face neighbors, so its smoothness is 0.0
+    axis = np.arange(6.0) + 10.0
+    lattice = np.stack(np.meshgrid(axis, axis, axis), axis=-1).reshape(-1, 3)
+    cloud = cloud_from(np.repeat(lattice, 2, axis=0))
+    values, valid = smoothness_field(cloud, neighborhood_size=13)
+    assert np.sum(values[valid] == 0.0) == 2 * 4 ** 3
+    for count in (5, 20, 40):
+        ascending = np.sort(values[valid])
+        assert ascending[2 * count - 1] == ascending[2 * count] == 0.0
+        chosen = assert_ranked_as_full_sort(cloud, count, neighborhood_size=13)
+        assert len(chosen) == count
+
+
+def test_select_keypoints_ranks_values_with_ties_at_both_cuts_as_a_full_sort(rng, monkeypatch):
+    # few distinct values: each end's cut falls inside a run of equal keys
+    cloud = cloud_from(rng.normal(size=(500, 3)) + np.array([4.0, 0.0, 0.0]))
+    values = rng.integers(0, 4, len(cloud)) / 4.0
+    valid = rng.uniform(size=len(cloud)) > 0.1
+    monkeypatch.setattr(cloud_module, "smoothness_field", lambda cloud, k: (values, valid))
+    for count in (1, 9, 40, 120, 300, 500):
+        expected = selection_outcome(select_by_full_sort, cloud, values, valid, count)
+        assert selection_outcome(select_keypoints, cloud, count) == expected
+
+
+def test_select_keypoints_min_separation_reads_past_the_head_as_a_full_sort():
+    rng = np.random.default_rng(3)
+    cloud = cloud_from(rng.uniform(-1.0, 1.0, size=(2000, 3)) + np.array([5.0, 0.0, 0.0]))
+    count = 10
+    chosen = assert_ranked_as_full_sort(cloud, count, neighborhood_size=8, min_separation=1.0)
+    values, valid = smoothness_field(cloud, 8)
+    valid_idx = np.flatnonzero(valid)
+    n_sharp = (count + 1) // 2
+    # each end picks a candidate past the 2 * count it sorts first
+    keys = values[valid_idx]
+    for picks, end_keys in ((chosen[:n_sharp], -keys), (chosen[n_sharp:], keys)):
+        order = valid_idx[np.lexsort((valid_idx, end_keys))].tolist()
+        assert max(order.index(i) for i in picks) >= 2 * count
+    # and a radius that leaves too few candidates fails with the full sort's error
+    message = assert_ranked_as_full_sort(cloud, count, neighborhood_size=8, min_separation=2.0)
+    assert message.startswith("only ")
 
 
 # ---------------------------------------------------------------------------
