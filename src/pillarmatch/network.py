@@ -241,15 +241,15 @@ def feature_stacks(pillars: PillarSet) -> np.ndarray:
     Each real member contributes [x, y, z, intensity, offset to pillar
     centroid, point norm, offset to key-point]; pad rows stay all zero.
     """
-    pts = pillars.members[:, :, :3]
-    features = np.concatenate([
-        pillars.members,
-        pts - pillars.centroids[:, None],
-        np.linalg.norm(pts, axis=2)[:, :, None],
-        pts - pillars.keypoints.positions[:, None],
-    ], axis=2)
-    real = np.arange(pillars.capacity) < pillars.real_count[:, None]
-    stacks = np.where(real[:, :, None], features, 0.0)
+    stacks = np.empty(pillars.members.shape[:2] + (POINT_FEATURE_DIM,))
+    stacks[:, :, :4] = pillars.members
+    coords = [pillars.members[:, :, c] for c in range(3)]
+    for c, coord in enumerate(coords):
+        np.subtract(coord, pillars.centroids[:, c, None], out=stacks[:, :, 4 + c])
+        np.subtract(coord, pillars.keypoints.positions[:, c, None], out=stacks[:, :, 8 + c])
+    # (x^2 + y^2) + z^2, the order in which np.linalg.norm sums three values
+    np.sqrt(sum(np.square(coord) for coord in coords), out=stacks[:, :, 7])
+    stacks[np.arange(pillars.capacity) >= pillars.real_count[:, None]] = 0.0
     return stacks.reshape(len(pillars), pillars.capacity * POINT_FEATURE_DIM)
 
 

@@ -12,7 +12,7 @@ from .errors import (
     DegenerateGeometryError,
     InsufficientCorrespondencesError,
 )
-from .transforms import RigidTransform, rotation_angle
+from .transforms import RigidTransform, rigid_inverse, rigid_matrix, rotation_angle
 from .transport import MatchSet, mutual_argmax
 
 # Published full-scale results for this architecture (KITTI, 300-epoch GPU
@@ -59,8 +59,14 @@ def estimate_transform_svd(src_points, tgt_points) -> RigidTransform:
     """Least-squares rigid transform mapping src onto tgt.
 
     Centroid subtraction, SVD of the cross covariance, reflection corrected
-    by the determinant sign; needs at least 3 non-collinear pairs.
+    by the determinant sign; needs at least 3 non-collinear pairs. The
+    estimate is validated as rigid once, when it is returned.
     """
+    return RigidTransform(_svd_rigid(src_points, tgt_points))
+
+
+def _svd_rigid(src_points, tgt_points) -> np.ndarray:
+    """The unchecked (4, 4) matrix of :func:`estimate_transform_svd`."""
     src = np.asarray(src_points, dtype=np.float64).reshape(-1, 3)
     tgt = np.asarray(tgt_points, dtype=np.float64).reshape(-1, 3)
     if src.shape != tgt.shape:
@@ -69,16 +75,16 @@ def estimate_transform_svd(src_points, tgt_points) -> RigidTransform:
         raise InsufficientCorrespondencesError(
             f"need at least 3 correspondences, got {len(src)}"
         )
-    src_centroid = src.mean(axis=0)
-    tgt_centroid = tgt.mean(axis=0)
+    # sum / count is np.mean's arithmetic, without its per-call overhead
+    src_centroid = src.sum(axis=0) / len(src)
+    tgt_centroid = tgt.sum(axis=0) / len(tgt)
     cov = (src - src_centroid).T @ (tgt - tgt_centroid)
     u, s, vt = np.linalg.svd(cov)
     if s[1] <= max(s[0] * 1e-9, 1e-12):
         raise DegenerateGeometryError("correspondences are (near-)collinear")
     d = np.sign(np.linalg.det(vt.T @ u.T))
     rotation = vt.T @ np.diag([1.0, 1.0, d]) @ u.T
-    translation = tgt_centroid - rotation @ src_centroid
-    return RigidTransform.from_rotation_translation(rotation, translation)
+    return rigid_matrix(rotation, tgt_centroid - rotation @ src_centroid)
 
 
 def nn_matcher(src_positions, tgt_positions) -> MatchSet:
@@ -88,8 +94,10 @@ def nn_matcher(src_positions, tgt_positions) -> MatchSet:
     tgt = np.asarray(tgt_positions, dtype=np.float64).reshape(-1, 3)
     if len(src) == 0 or len(tgt) == 0:
         raise ArgumentError("both key-point sets must be nonempty")
-    dists = np.linalg.norm(src[:, None, :] - tgt[None, :, :], axis=2)
-    rows, cols = mutual_argmax(-dists)
+    # (dx^2 + dy^2) + dz^2, the order in which np.linalg.norm sums three values,
+    # so the distances and their ties are exactly the norm's
+    squares = sum(np.square(src[:, None, c] - tgt[None, :, c]) for c in range(3))
+    rows, cols = mutual_argmax(-np.sqrt(squares))
     pairs = ((i, j, 1.0) for i, j in zip(rows.tolist(), cols.tolist()))
     return MatchSet.from_pairs(pairs, len(src), len(tgt))
 
@@ -114,6 +122,8 @@ def icp(
 
     Correspondences farther than ``reject_radius`` are discarded each
     iteration. Stops when the mean residual changes by less than ``tol``.
+    The iterations compose plain (4, 4) arrays; the returned transform is
+    validated as rigid once.
     """
     if max_iters < 1:
         raise ArgumentError("max_iters must be >= 1")
@@ -121,27 +131,27 @@ def icp(
         raise ArgumentError(f"reject_radius must be finite and > 0, got {reject_radius}")
     src = np.asarray(src_points, dtype=np.float64).reshape(-1, 3)
     tgt = np.asarray(tgt_points, dtype=np.float64).reshape(-1, 3)
-    current = init if init is not None else RigidTransform.identity()
+    current = init.matrix if init is not None else np.eye(4)
+    moved = src @ current[:3, :3].T + current[:3, 3]
     tree = cKDTree(tgt)
     residuals: list[float] = []
     converged = False
     iterations = 0
     for iterations in range(1, max_iters + 1):
-        moved = current.apply(src)
         dist, idx = tree.query(moved)
         keep = dist <= reject_radius
-        if keep.sum() < 3:
+        if np.count_nonzero(keep) < 3:
             raise DegenerateGeometryError("fewer than 3 ICP correspondences in range")
-        step = estimate_transform_svd(moved[keep], tgt[idx[keep]])
-        current = step.compose(current)
-        residual = float(np.mean(np.linalg.norm(current.apply(src)[keep] - tgt[idx[keep]], axis=1)))
-        residuals.append(residual)
+        matched = tgt[idx[keep]]
+        current = _svd_rigid(moved[keep], matched) @ current
+        moved = src @ current[:3, :3].T + current[:3, 3]
+        diff = moved[keep] - matched
+        # the mean point distance, summed as np.mean(np.linalg.norm(diff, axis=1)) sums
+        residuals.append(float(np.sqrt((diff * diff).sum(axis=1)).sum() / len(diff)))
         if len(residuals) >= 2 and abs(residuals[-2] - residuals[-1]) < tol:
             converged = True
             break
-    return IcpResult(
-        transform=current, residuals=residuals, iterations=iterations, converged=converged
-    )
+    return IcpResult(RigidTransform(current), residuals, iterations, converged)
 
 
 def matching_score(predicted: MatchSet, labels: CorrespondenceLabels) -> float:
@@ -158,8 +168,8 @@ def transform_errors(t_pred: RigidTransform, t_gt: RigidTransform) -> tuple[floa
     prediction and the ground truth, from their relative transform."""
     if not isinstance(t_pred, RigidTransform) or not isinstance(t_gt, RigidTransform):
         raise ArgumentError("transform_errors expects RigidTransform inputs")
-    relative = t_pred.inverse().compose(t_gt)
-    return float(np.linalg.norm(relative.translation)), rotation_angle(relative.rotation)
+    relative = rigid_inverse(t_pred.matrix) @ t_gt.matrix
+    return float(np.linalg.norm(relative[:3, 3])), rotation_angle(relative[:3, :3])
 
 
 # ---------------------------------------------------------------------------
@@ -179,6 +189,7 @@ class FrameRecord:
     rotational_error: float | None
     num_matches: int
     failed: bool = False
+    failure_reason: str | None = None   # "<ErrorClass>: <message>" of a failed frame
 
     def to_json(self) -> dict:
         return asdict(self)
@@ -264,27 +275,24 @@ def evaluate_matchers(
         for matcher in matchers:
             score = None
             t_err = r_err = None
-            failed = False
+            failure = None
             num_matches = 0
-            if matcher == "icp":
-                try:
-                    result = icp(src_pos, tgt_pos, reject_radius=icp_reject_radius)
-                    t_err, r_err = transform_errors(result.transform, pair.gt_transform)
-                except (DegenerateGeometryError, InsufficientCorrespondencesError):
-                    failed = True
-            else:
+            if matcher != "icp":
                 matches = _predicted_matchset(matcher, pair, params)
                 num_matches = len(matches.pairs)
                 if pair.labels.matched:
                     score = matching_score(matches, pair.labels)
-                try:
+            try:
+                if matcher == "icp":
+                    estimate = icp(src_pos, tgt_pos, reject_radius=icp_reject_radius).transform
+                else:
                     rows, cols = np.array(
                         [(i, j) for i, j, _ in matches.pairs], dtype=np.int64).reshape(-1, 2).T
                     estimate = estimate_transform_svd(src_pos[rows], tgt_pos[cols])
-                    t_err, r_err = transform_errors(estimate, pair.gt_transform)
-                except (DegenerateGeometryError, InsufficientCorrespondencesError):
-                    failed = True
-            if failed:
+                t_err, r_err = transform_errors(estimate, pair.gt_transform)
+            except (DegenerateGeometryError, InsufficientCorrespondencesError) as exc:
+                failure = f"{type(exc).__name__}: {exc}"
+            if failure is not None:
                 report.failures[matcher] += 1
             report.records.append(
                 FrameRecord(
@@ -295,7 +303,8 @@ def evaluate_matchers(
                     translational_error=t_err,
                     rotational_error=r_err,
                     num_matches=num_matches,
-                    failed=failed,
+                    failed=failure is not None,
+                    failure_reason=failure,
                 )
             )
     return report

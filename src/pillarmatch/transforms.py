@@ -7,26 +7,44 @@ import numpy as np
 
 from .errors import ArgumentError
 
-# loose tolerance used to accept externally supplied matrices (parsed text);
-# SVD-estimated transforms are orthonormal to machine precision anyway
+# loose tolerance used to accept externally supplied matrices (parsed text).
+# Rigidity is validated at the boundaries (pose and pair files, the public
+# constructors) and once on each result a public function returns; ICP and
+# the SVD estimate iterate on plain arrays in between
 CONSTRUCT_ATOL = 1e-6
 
 
 def _check_rigid(matrix: np.ndarray, atol: float) -> None:
     if matrix.shape != (4, 4):
         raise ArgumentError(f"transform must be 4x4, got {matrix.shape}")
-    if not np.all(np.isfinite(matrix)):
+    if not np.isfinite(matrix).all():
         raise ArgumentError("transform contains non-finite values")
-    if not np.array_equal(matrix[3], [0.0, 0.0, 0.0, 1.0]):
+    if matrix[3].tolist() != [0.0, 0.0, 0.0, 1.0]:
         raise ArgumentError("transform bottom row must be (0, 0, 0, 1)")
     rot = matrix[:3, :3]
-    # huge finite entries overflow rot.T @ rot to inf; that fails the test below
+    # np.allclose(rot.T @ rot, I, atol=atol) with its default rtol, spelt out;
+    # huge finite entries overflow rot.T @ rot to inf, which fails it
+    eye = np.eye(3)
     with np.errstate(over="ignore", invalid="ignore"):
-        orthonormal = np.allclose(rot.T @ rot, np.eye(3), atol=atol)
+        orthonormal = (np.abs(rot.T @ rot - eye) <= atol + 1e-5 * eye).all()
     if not orthonormal:
         raise ArgumentError("rotation block is not orthonormal")
     if np.linalg.det(rot) < 0.0:
         raise ArgumentError("rotation block has negative determinant (reflection)")
+
+
+def rigid_matrix(rotation, translation) -> np.ndarray:
+    """Unchecked (4, 4) homogeneous matrix from a rotation block and a translation."""
+    mat = np.eye(4)
+    mat[:3, :3] = rotation
+    mat[:3, 3] = translation
+    return mat
+
+
+def rigid_inverse(matrix: np.ndarray) -> np.ndarray:
+    """Unchecked inverse [R^T | -R^T t] of a rigid (4, 4) matrix."""
+    rot_t = matrix[:3, :3].T
+    return rigid_matrix(rot_t, -rot_t @ matrix[:3, 3])
 
 
 @dataclass(frozen=True)
@@ -47,10 +65,8 @@ class RigidTransform:
 
     @classmethod
     def from_rotation_translation(cls, rotation, translation) -> "RigidTransform":
-        mat = np.eye(4)
-        mat[:3, :3] = np.asarray(rotation, dtype=np.float64)
-        mat[:3, 3] = np.asarray(translation, dtype=np.float64)
-        return cls(mat)
+        return cls(rigid_matrix(np.asarray(rotation, dtype=np.float64),
+                                np.asarray(translation, dtype=np.float64)))
 
     @property
     def rotation(self) -> np.ndarray:
@@ -66,8 +82,7 @@ class RigidTransform:
         return pts @ self.rotation.T + self.translation
 
     def inverse(self) -> "RigidTransform":
-        rot_t = self.rotation.T
-        return RigidTransform.from_rotation_translation(rot_t, -rot_t @ self.translation)
+        return RigidTransform(rigid_inverse(self.matrix))
 
     def compose(self, other: "RigidTransform") -> "RigidTransform":
         """Return self applied after ``other`` (matrix product self @ other)."""

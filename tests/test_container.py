@@ -12,7 +12,7 @@ from pillarmatch.container import read_container, write_container
 from pillarmatch.errors import ArgumentError, ConfigError, FormatError
 from pillarmatch.network import ModelParameters, load_checkpoint, save_checkpoint
 from pillarmatch.pairio import read_pair, write_pair
-from pillarmatch.transforms import RigidTransform, rotation_about_axis, rotation_angle
+from pillarmatch.transforms import CONSTRUCT_ATOL, RigidTransform, rotation_about_axis, rotation_angle
 
 
 def test_container_round_trip(tmp_path, rng):
@@ -193,6 +193,26 @@ def test_transform_rejects_bad_bottom_row():
     mat[3, 0] = 0.1
     with pytest.raises(ArgumentError):
         RigidTransform(mat)
+
+
+@pytest.mark.parametrize("scale", [5.4e-6, 5.6e-6])
+@pytest.mark.parametrize("shear", [0.0, 0.99e-6, -1.01e-6])
+def test_transform_orthonormality_bound_is_allclose(scale, shear):
+    # a scaled and sheared rotation block puts rot.T @ rot near the bound of
+    # np.allclose(rot.T @ rot, I, atol=CONSTRUCT_ATOL): its diagonal near
+    # atol + rtol, its off-diagonal near atol
+    rot = rotation_about_axis([0.3, -0.5, 0.8], 0.7) * (1.0 + scale)
+    rot = rot @ np.array([[1.0, shear, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]])
+    mat = np.eye(4)
+    mat[:3, :3] = rot
+    expected = np.allclose(rot.T @ rot, np.eye(3), atol=CONSTRUCT_ATOL)
+    try:
+        RigidTransform(mat)
+        accepted = True
+    except ArgumentError as exc:
+        assert "orthonormal" in str(exc)
+        accepted = False
+    assert accepted == expected
 
 
 def huge_entry_transform():

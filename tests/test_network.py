@@ -87,6 +87,14 @@ def test_feature_stacks_equal_per_pillar_reference(pillar_cases, case):
         stacks, np.stack([reference_stack(pillars, i) for i in range(len(pillars))]))
 
 
+@pytest.mark.parametrize("case", ["scan-20k", "empty-pillars"])
+def test_feature_stacks_bytes_equal_per_pillar_reference(pillar_cases, case):
+    # bytes, not values: a pad row holds +0.0, never -0.0
+    pillars = sample_pillars(*pillar_cases[case])
+    expected = np.stack([reference_stack(pillars, i) for i in range(len(pillars))])
+    assert feature_stacks(pillars).tobytes() == expected.tobytes()
+
+
 # ---------------------------------------------------------------------------
 # encoders against brute-force oracles
 # ---------------------------------------------------------------------------

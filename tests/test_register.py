@@ -1,8 +1,10 @@
 import numpy as np
 import pytest
+from scipy.spatial import cKDTree
 
 from conftest import synthetic_labels, toy_hyper, toy_pair
 
+from pillarmatch import register
 from pillarmatch.cloud import SceneConfig, generate_synthetic_pair
 from pillarmatch.errors import (
     ArgumentError,
@@ -21,8 +23,8 @@ from pillarmatch.register import (
     nn_matcher,
     transform_errors,
 )
-from pillarmatch.transforms import RigidTransform, rotation_about_axis
-from pillarmatch.transport import MatchSet
+from pillarmatch.transforms import RigidTransform, rotation_about_axis, rotation_angle
+from pillarmatch.transport import MatchSet, mutual_argmax
 
 TETRAHEDRON = np.array(
     [[0.0, 0.0, 0.0], [1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]]
@@ -125,6 +127,35 @@ def test_nn_matcher_empty_input():
         nn_matcher(np.zeros((0, 3)), TETRAHEDRON)
 
 
+def tie_heavy_sets():
+    """Two 100-point sets on a 0.1-spaced lattice, with duplicate points and
+    many distances that are equal in exact arithmetic but round apart."""
+    axis = np.arange(5) * 0.1 + 0.37
+    lattice = np.stack(np.meshgrid(axis, axis, axis[:4], indexing="ij"), -1).reshape(-1, 3)
+    src = lattice.copy()
+    src[50:60] = src[:10]                       # exact duplicates
+    tgt = lattice[::-1] + [0.05, 0.0, -0.05]    # half-spacing offsets: equidistant pairs
+    tgt[::7] = src[::7]                         # some coincident points
+    return src, tgt
+
+
+def test_nn_matcher_distances_equal_linalg_norm_on_ties(monkeypatch):
+    src, tgt = tie_heavy_sets()
+    seen = []
+
+    def recording(scores):
+        seen.append(scores.copy())
+        return mutual_argmax(scores)
+
+    monkeypatch.setattr(register, "mutual_argmax", recording)
+    out = nn_matcher(src, tgt)
+    reference = np.linalg.norm(src[:, None, :] - tgt[None, :, :], axis=2)
+    assert len(seen) == 1
+    assert seen[0].tobytes() == (-reference).tobytes()
+    rows, cols = mutual_argmax(-reference)
+    assert out.index_pairs == set(zip(rows.tolist(), cols.tolist()))
+
+
 # ---------------------------------------------------------------------------
 # ICP
 # ---------------------------------------------------------------------------
@@ -168,6 +199,66 @@ def test_icp_reject_radius_must_be_finite_and_positive(radius):
         icp(TETRAHEDRON, TETRAHEDRON, reject_radius=radius)
 
 
+def icp_by_transforms(src, tgt, init=None, max_iters=50, tol=1e-8, reject_radius=2.0):
+    """ICP as a loop over validated transforms: one ``RigidTransform`` per
+    step, composed and applied to the source twice an iteration."""
+    current = init if init is not None else RigidTransform.identity()
+    tree = cKDTree(tgt)
+    residuals = []
+    converged = False
+    for iterations in range(1, max_iters + 1):
+        moved = current.apply(src)
+        dist, idx = tree.query(moved)
+        keep = dist <= reject_radius
+        if keep.sum() < 3:
+            raise DegenerateGeometryError("fewer than 3 ICP correspondences in range")
+        step = estimate_transform_svd(moved[keep], tgt[idx[keep]])
+        current = step.compose(current)
+        residuals.append(float(np.mean(np.linalg.norm(
+            current.apply(src)[keep] - tgt[idx[keep]], axis=1))))
+        if len(residuals) >= 2 and abs(residuals[-2] - residuals[-1]) < tol:
+            converged = True
+            break
+    return current, residuals, iterations, converged
+
+
+def icp_case(rng, count=200):
+    src = rng.uniform(-4.0, 4.0, size=(count, 3))
+    gt = RigidTransform.from_rotation_translation(
+        rotation_about_axis([0.3, -0.2, 0.9], 0.15), [0.4, -0.3, 0.1])
+    tgt = gt.apply(src) + rng.normal(0.0, 0.02, size=src.shape)
+    return src, tgt
+
+
+@pytest.mark.parametrize("kwargs", [
+    {},
+    {"init": RigidTransform.from_rotation_translation(
+        rotation_about_axis([1.0, 0.0, 1.0], 0.1), [0.3, -0.2, 0.05])},
+    {"reject_radius": 0.3, "tol": 1e-12},
+    {"max_iters": 3},
+], ids=["identity-init", "non-identity-init", "radius-drops-points", "iteration-cap"])
+def test_icp_equals_transform_loop_bit_for_bit(rng, kwargs):
+    src, tgt = icp_case(rng)
+    if "reject_radius" in kwargs:
+        moved = src if "init" not in kwargs else kwargs["init"].apply(src)
+        dist, _ = cKDTree(tgt).query(moved)
+        assert 3 <= np.sum(dist <= kwargs["reject_radius"]) < len(src)
+    result = icp(src, tgt, **kwargs)
+    transform, residuals, iterations, converged = icp_by_transforms(src, tgt, **kwargs)
+    assert np.array_equal(result.transform.matrix, transform.matrix)
+    assert result.transform.matrix.tobytes() == transform.matrix.tobytes()
+    assert result.residuals == residuals
+    assert (result.iterations, result.converged) == (iterations, converged)
+
+
+def test_icp_too_few_in_range_raises_as_transform_loop(rng):
+    src, tgt = icp_case(rng)
+    far = RigidTransform.from_rotation_translation(np.eye(3), [50.0, 0.0, 0.0])
+    for run in (icp, icp_by_transforms):
+        with pytest.raises(DegenerateGeometryError, match="fewer than 3 ICP"):
+            run(src, tgt, init=far)
+
+
 # ---------------------------------------------------------------------------
 # metrics
 # ---------------------------------------------------------------------------
@@ -209,6 +300,17 @@ def test_transform_errors_known_rotation(rng):
 def test_transform_errors_type_checked():
     with pytest.raises(ArgumentError):
         transform_errors(np.eye(4), RigidTransform.identity())
+
+
+def test_transform_errors_equal_validated_composition(rng):
+    for _ in range(20):
+        pred, gt = (RigidTransform.from_rotation_translation(
+            rotation_about_axis(rng.normal(size=3), rng.uniform(0, np.pi)),
+            rng.normal(size=3) * 10.0) for _ in range(2))
+        relative = pred.inverse().compose(gt)
+        expected = (float(np.linalg.norm(relative.translation)),
+                    rotation_angle(relative.rotation))
+        assert transform_errors(pred, gt) == expected
 
 
 # ---------------------------------------------------------------------------
@@ -274,6 +376,27 @@ def test_eval_reports_svd_failures_not_skips():
     failed = [r for r in report.records if r.failed]
     assert len(failed) == 1 and failed[0].matcher == "vm"
     assert "failures: vm=1" in format_report_table(report)
+
+
+def test_eval_records_the_reason_a_frame_failed():
+    # vm on a frame with 2 GT matches is short of correspondences; ICP with
+    # a tiny radius keeps fewer than 3 points in range on every frame
+    pairs = eval_dataset(2)
+    two = sorted(pairs[0].labels.matched)[:2]
+    pairs[0].labels = synthetic_labels(
+        len(pairs[0].src_keypoints), len(pairs[0].tgt_keypoints), set(two)
+    )
+    report = evaluate_matchers(pairs, matchers=("vm", "icp"), icp_reject_radius=1e-9)
+    reasons = {(r.index, r.matcher): r.failure_reason for r in report.records}
+    assert reasons == {
+        (0, "vm"): "InsufficientCorrespondencesError: need at least 3 correspondences, got 2",
+        (1, "vm"): None,
+        (0, "icp"): "DegenerateGeometryError: fewer than 3 ICP correspondences in range",
+        (1, "icp"): "DegenerateGeometryError: fewer than 3 ICP correspondences in range",
+    }
+    for rec in report.records:
+        assert rec.failed == (rec.failure_reason is not None)
+        assert rec.to_json()["failure_reason"] == rec.failure_reason
 
 
 def test_reference_values_recorded_not_asserted():
