@@ -5,8 +5,8 @@ cross-entropy signs (subtract the true-cell score, add a log-sum-exp), so
 each is bounded below by zero and minimized on a one-hot assignment that
 agrees with the labels. Each is a weighted sum of assignment cells plus
 weighted row and column log-sum-exps: :func:`loss_weights` builds the
-weights of a loss kind and :func:`weighted_assignment_loss` evaluates them
-as one tape node with a hand-written backward.
+weights of a loss kind and :func:`weighted_assignment_loss` evaluates them, on
+a matrix or a Sinkhorn stack, as one tape node with a hand-written backward.
 """
 from __future__ import annotations
 
@@ -24,7 +24,7 @@ from .errors import ArgumentError, ConfigError, NumericError, ShapeError
 from .network import HyperParams, ModelParameters, save_checkpoint
 from .pairio import PreprocessedPair
 from .pipeline import batch_assignments
-from .transport import MatchSet, extract_matches
+from .transport import AssignmentMatrix, MatchSet, extract_matches
 
 LOSS_KINDS = ("nll", "nllp", "dce")
 
@@ -50,8 +50,8 @@ def loss_weights(kind: str, labels: CorrespondenceLabels, n: int, m: int,
     un_cols = np.fromiter(labels.unmatched_cols, dtype=np.intp)
     row_index = np.concatenate([pairs[:, 0], un_rows])
     col_index = np.concatenate([pairs[:, 1], un_cols])
-    if not (np.all((row_index >= 0) & (row_index <= n))
-            and np.all((col_index >= 0) & (col_index <= m))):
+    if not (np.all((row_index >= 0) & (row_index < n))
+            and np.all((col_index >= 0) & (col_index < m))):
         raise ArgumentError("label index outside the assignment matrix")
     cells, rows, cols = np.zeros((n + 1, m + 1)), np.zeros(n + 1), np.zeros(m + 1)
     cells[pairs[:, 0], pairs[:, 1]] = 2.0 if kind == "dce" else 1.0
@@ -65,37 +65,42 @@ def loss_weights(kind: str, labels: CorrespondenceLabels, n: int, m: int,
 
 
 def weighted_assignment_loss(log_p: Tensor, cells, rows, cols, row_span: int) -> Tensor:
-    """``-(cells * log_p).sum() + (rows * lse_row).sum() + (cols * lse_col).sum()``
-    on one ``(n+1, m+1)`` assignment, as one tape node. ``lse_row`` runs over
-    each row's first ``row_span`` columns; the gradient is ``-cells + rows *
-    softmax_row + cols * softmax_col``."""
-    data = log_p.data
-    cells, rows, cols = (np.asarray(w, dtype=data.dtype) for w in (cells, rows, cols))
-    block = data[:, :row_span]
-    row_lse = ad.logsumexp_array(block, axis=1)
-    col_lse = ad.logsumexp_array(data, axis=0)
-    value = np.sum(rows * row_lse[:, 0]) + np.sum(cols * col_lse[0]) - np.sum(cells * data)
-    grad = cols * np.exp(data - col_lse) - cells
-    grad[:, :row_span] += rows[:, None] * np.exp(block - row_lse)
-    out = ad._node(np.asarray(value, dtype=data.dtype), (log_p,), "assignment_loss")
+    """``-(cells * log_p).sum() + (rows * lse_row).sum() + (cols * lse_col).sum()`` per
+    matrix of a ``(B, n+1, m+1)`` stack and weights stacked alike, added in stack order, as
+    one tape node; one ``(n+1, m+1)`` matrix is B = 1. ``lse_row`` spans each row's first
+    ``row_span`` columns; the gradient is ``-cells + rows * softmax_row + cols * softmax_col``."""
+    cells, rows, cols = (np.asarray(w, dtype=log_p.dtype) for w in (cells, rows, cols))
+    data = log_p.data.reshape(cells.shape)
+    block = data[..., :row_span]
+    row_lse = ad.logsumexp_array(block, axis=-1)
+    col_lse = ad.logsumexp_array(data, axis=-2)
+    terms = (np.sum(rows * row_lse[..., 0], axis=-1) + np.sum(cols * col_lse[:, 0], axis=-1)
+             - np.sum((cells * data).reshape(len(data), -1), axis=-1))
+    grad = cols[:, None] * np.exp(data - col_lse) - cells
+    grad[..., :row_span] += rows[..., None] * np.exp(block - row_lse)
+    out = ad._node(np.asarray(sum(terms[1:], terms[0])), (log_p,), "assignment_loss")
     if out.requires_grad:
         def back(g):
-            log_p._accumulate(g * grad)
+            log_p._accumulate((g * grad).reshape(log_p.shape))
         out._backward = back
     return out
 
 
 def compute_loss(kind: str, assign, labels, penalty_excludes_dustbin: bool = False) -> Tensor:
-    """Loss ``kind`` (one of :data:`LOSS_KINDS`) of ``assign`` against
-    ``labels``. By default the ``nllp`` penalty's log-sum spans the whole row,
-    which keeps the loss non-negative and zero on a correctly assigned row;
-    ``penalty_excludes_dustbin`` (the literal summation bound) loses that bound."""
+    """Loss ``kind`` (one of :data:`LOSS_KINDS`) of an ``(n+1, m+1)`` ``assign`` against
+    ``labels``, or of a ``(B, n+1, m+1)`` stack against B labels. By default the ``nllp``
+    penalty's log-sum spans the whole row, which keeps the loss non-negative and zero on a
+    correctly assigned row; ``penalty_excludes_dustbin`` (the literal bound) loses that."""
     log_p = assign.log_p
-    if log_p.ndim != 2:
-        raise ShapeError("a loss needs one (n+1, m+1) assignment matrix")
-    n, m = log_p.shape[0] - 1, log_p.shape[1] - 1
-    weights = loss_weights(kind, labels, n, m, penalty_excludes_dustbin)
-    return weighted_assignment_loss(log_p, *weights)
+    if log_p.ndim not in (2, 3):
+        raise ShapeError("a loss needs an (n+1, m+1) matrix or a (B, n+1, m+1) stack")
+    batch = [labels] if log_p.ndim == 2 else list(labels)
+    if log_p.ndim == 3 and len(batch) != log_p.shape[0]:
+        raise ArgumentError(f"{len(batch)} labels for a stack of {log_p.shape[0]} matrices")
+    n, m = log_p.shape[-2] - 1, log_p.shape[-1] - 1
+    weights = (loss_weights(kind, one, n, m, penalty_excludes_dustbin) for one in batch)
+    cells, rows, cols, spans = map(np.stack, zip(*weights))
+    return weighted_assignment_loss(log_p, cells, rows, cols, spans[0])
 
 
 # ---------------------------------------------------------------------------
@@ -223,20 +228,18 @@ def _train_step(batch, run: TrainRun, params: ModelParameters, named, optimizer:
     """One optimizer step on ``batch``; returns the batch loss and each pair's
     match metrics as plain numbers, so the step's tape is freed when it
     returns, before the next step builds its own."""
-    assignments = batch_assignments(params, batch, train=True)
-    loss = None
-    for pair, assign in zip(batch, assignments):
-        term = compute_loss(run.loss_kind, assign, pair.labels, run.nllp_penalty_excludes_dustbin)
-        loss = term if loss is None else loss + term
-    loss = loss * (1.0 / len(batch))
+    groups = batch_assignments(params, batch, train=True)
+    terms = [compute_loss(run.loss_kind, assign, [batch[i].labels for i in members],
+                          run.nllp_penalty_excludes_dustbin) for members, assign in groups]
+    loss = sum(terms[1:], terms[0]) * (1.0 / len(batch))
     params.zero_grad()
     loss.backward()
     adam_step(named, optimizer)
-    metrics = [
-        match_metrics(extract_matches(assign, params.hyper.match_threshold), pair.labels)
-        for pair, assign in zip(batch, assignments)
-    ]
-    return loss.item(), metrics
+    threshold = params.hyper.match_threshold
+    metrics = {i: match_metrics(extract_matches(AssignmentMatrix(Tensor(log_p)), threshold),
+                                batch[i].labels)
+               for members, assign in groups for i, log_p in zip(members, assign.log_p.data)}
+    return loss.item(), [metrics[i] for i in range(len(batch))]
 
 
 def train(

@@ -129,6 +129,8 @@ def icp(
         raise ArgumentError("max_iters must be >= 1")
     if not 0.0 < reject_radius < np.inf:
         raise ArgumentError(f"reject_radius must be finite and > 0, got {reject_radius}")
+    if not (init is None or isinstance(init, RigidTransform)):
+        raise ArgumentError(f"init must be None or a RigidTransform, got {type(init).__name__}")
     src = np.asarray(src_points, dtype=np.float64).reshape(-1, 3)
     tgt = np.asarray(tgt_points, dtype=np.float64).reshape(-1, 3)
     current = init.matrix if init is not None else np.eye(4)

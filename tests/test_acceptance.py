@@ -89,8 +89,8 @@ def test_criterion_2_full_pipeline_grad_check():
     errors = {}
     for kind in ("nll", "nllp", "dce"):
         def objective(kind=kind):
-            assign = batch_assignments(params, [pair], train=True)[0]
-            return compute_loss(kind, assign, pair.labels)
+            [(_, assign)] = batch_assignments(params, [pair], train=True)
+            return compute_loss(kind, assign, [pair.labels])
 
         # step 1e-4: the end-to-end objective is larger than any single layer,
         # so central differences need the bigger step to beat cancellation

@@ -202,8 +202,9 @@ def test_smoothness_scalar_equals_field_with_duplicate_points(rng):
 
 
 def test_neighbor_indices_threaded_query_matches_per_point_reference(rng):
-    # large enough for the query to run on every core; the reference queries
-    # on one thread and drops the own index per point
+    # as large as the clouds smoothness_field splits into threaded chunks; the
+    # k-d tree query itself runs on the calling thread. The reference drops
+    # the own index point by point
     pts = np.vstack([rng.normal(size=(20_000, 3)) * 4.0 + 10.0,
                      np.repeat([[9.0, 10.5, 11.0]], 30, axis=0)])
     assert len(pts) >= PARALLEL_QUERY_POINTS

@@ -328,12 +328,86 @@ def test_each_loss_is_one_tape_node(kind, monkeypatch, rng):
     assert calls == ["assignment_loss"]
 
 
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("kind", sorted(REFERENCE_LOSSES))
+def test_stacked_loss_equals_sequential_sum_of_matrix_losses(kind, dtype, monkeypatch, rng):
+    # one node for the stack; its value is the per-matrix losses added in
+    # stack order in the stack's dtype, and its gradient their gradients
+    # stacked, bit for bit
+    loss = REFERENCE_LOSSES[kind][1]
+    # 8 and more matrices: numpy's own sum would add those pairwise
+    for n, m, batch in ((3, 5, 6), (12, 9, 9), (32, 32, 8)):
+        labels = [random_labels(rng, n, m) for _ in range(batch)]
+        data = (rng.normal(size=(batch, n + 1, m + 1)) * 3.0).astype(dtype)
+        stack = AssignmentMatrix(Tensor(data.copy(), requires_grad=True))
+        calls = []
+        record = ad._node
+        monkeypatch.setattr(ad, "_node", lambda *args: calls.append(args[2]) or record(*args))
+        stacked = loss(stack, labels)
+        monkeypatch.undo()
+        assert calls == ["assignment_loss"]
+        stacked.backward()
+        singles = [AssignmentMatrix(Tensor(matrix.copy(), requires_grad=True)) for matrix in data]
+        values = [loss(single, one) for single, one in zip(singles, labels)]
+        expected = values[0].data
+        for value in values[1:]:
+            expected = expected + value.data
+        for value in values:
+            value.backward()
+        assert stacked.data.dtype == dtype and stacked.data.tobytes() == expected.tobytes()
+        assert stack.log_p.grad.dtype == dtype
+        np.testing.assert_array_equal(stack.log_p.grad, [single.log_p.grad for single in singles])
+
+
+@pytest.mark.parametrize("count", [0, 2, 4])
+def test_stacked_loss_needs_one_labels_per_matrix(count):
+    labels = synthetic_labels(3, 3, matched={(0, 1)}, unmatched_rows={2})
+    stack = AssignmentMatrix(Tensor(np.stack([uniform_log(3, 3)] * 3)))
+    with pytest.raises(ArgumentError):
+        compute_loss("nll", stack, [labels] * count)
+
+
+def test_mixed_shape_step_equals_per_pair_reference(monkeypatch):
+    # groups add up group by group, so a batch of several (n, m) shapes may
+    # move the loss by float32 rounding against adding pair by pair in input
+    # order; the gradients and each pair's metrics stay the pair's own
+    shapes = [(4, 4), (3, 5), (4, 4), (5, 3), (3, 5)]
+    pairs = [toy_pair(seed=40 + i, hyper=toy_hyper(src_keypoints=n, tgt_keypoints=m))
+             for i, (n, m) in enumerate(shapes)]
+    params = ModelParameters.initialize(toy_hyper(), seed=6)
+    named = params.named_parameters()
+    step_grads = {}
+    monkeypatch.setattr(learn, "adam_step", lambda named, state: step_grads.update(
+        {name: tensor.grad.copy() for name, tensor in named.items()}))
+    run = TrainRun(batch_size=len(pairs), loss_kind="nllp")
+    loss, metrics = learn._train_step(pairs, run, params, named, AdamState())
+
+    terms = [None] * len(pairs)
+    for members, assign in batch_assignments(params, pairs, train=True):
+        for b, index in enumerate(members):
+            matrix = AssignmentMatrix(assign.log_p.gather_rows(b))
+            terms[index] = (compute_loss("nllp", matrix, pairs[index].labels), matrix)
+    reference = sum((term for term, _ in terms[1:]), terms[0][0]) * (1.0 / len(pairs))
+    params.zero_grad()
+    reference.backward()
+    assert loss == pytest.approx(reference.item(), rel=1e-6)
+    for name, tensor in named.items():
+        scale = np.abs(tensor.grad).max()
+        np.testing.assert_allclose(step_grads[name], tensor.grad, rtol=1e-6, atol=1e-6 * scale)
+    assert metrics == [
+        match_metrics(extract_matches(matrix, params.hyper.match_threshold), pair.labels)
+        for pair, (_, matrix) in zip(pairs, terms)]
+
+
 @pytest.mark.parametrize("labels", [
     synthetic_labels(3, 3, matched=set()),
     synthetic_labels(3, 3, matched={(4, 0)}),
     synthetic_labels(3, 3, matched={(0, 0)}, unmatched_cols={4}),
     synthetic_labels(3, 3, matched={(0, 0)}, unmatched_rows={-1}),
-], ids=["empty", "row-outside", "column-outside", "negative-row"])
+    synthetic_labels(3, 3, matched={(3, 0)}),
+    synthetic_labels(3, 3, matched={(0, 0)}, unmatched_cols={3}),
+], ids=["empty", "row-outside", "column-outside", "negative-row", "row-at-dustbin",
+        "column-at-dustbin"])
 @pytest.mark.parametrize("kind", learn.LOSS_KINDS)
 def test_loss_label_errors(kind, labels):
     with pytest.raises(ArgumentError):
@@ -351,8 +425,8 @@ def test_loss_gradients_through_pipeline(kind):
     pair = toy_pair(seed=6, hyper=hyper)
 
     def objective():
-        assign = batch_assignments(params, [pair], train=True)[0]
-        return compute_loss(kind, assign, pair.labels)
+        [(_, assign)] = batch_assignments(params, [pair], train=True)
+        return compute_loss(kind, assign, [pair.labels])
 
     named = params.named_parameters()
     subset = [named[k] for k in [
@@ -463,8 +537,8 @@ def test_train_single_step_decreases_batch_loss():
     params = ModelParameters.initialize(hyper, seed=3, dtype=np.float64)
 
     def batch_loss():
-        assign = batch_assignments(params, pairs, train=True)[0]
-        return compute_loss("nll", assign, pairs[0].labels)
+        [(_, assign)] = batch_assignments(params, pairs, train=True)
+        return compute_loss("nll", assign, [pairs[0].labels])
 
     before = batch_loss()
     params.zero_grad()
@@ -483,9 +557,9 @@ def test_train_frees_each_step_tape_before_the_next(monkeypatch):
 
     def watched(*args, **kwargs):
         alive_at_start.append(sum(ref() is not None for ref in refs))
-        assignments = batch_assignments(*args, **kwargs)
-        refs.extend(weakref.ref(a.log_p) for a in assignments)
-        return assignments
+        groups = batch_assignments(*args, **kwargs)
+        refs.extend(weakref.ref(assign.log_p) for _, assign in groups)
+        return groups
 
     monkeypatch.setattr(learn, "batch_assignments", watched)
     run = TrainRun(epochs=1, batch_size=2, seed=4, loss_kind="nllp", learning_rate=1e-3)
@@ -496,7 +570,7 @@ def test_train_frees_each_step_tape_before_the_next(monkeypatch):
     finally:
         if was_enabled:
             gc.enable()
-    assert alive_at_start == [0, 0, 0]
+    assert alive_at_start == [0, 0, 0] and len(refs) == 3
 
 
 def test_train_rejects_empty_dataset():
@@ -519,12 +593,8 @@ def test_train_batch_order_invariant_loss():
 
     def batch_loss(ordering):
         batch = [pairs[i] for i in ordering]
-        assigns = batch_assignments(params, batch, train=True)
-        total = None
-        for pair, assign in zip(batch, assigns):
-            term = compute_loss("nll", assign, pair.labels)
-            total = term if total is None else total + term
-        return total.item() / len(batch)
+        [(members, assign)] = batch_assignments(params, batch, train=True)
+        return compute_loss("nll", assign, [batch[i].labels for i in members]).item() / len(batch)
 
     assert batch_loss([0, 1, 2]) == pytest.approx(batch_loss([2, 0, 1]), rel=1e-9)
 

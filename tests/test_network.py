@@ -28,7 +28,13 @@ from pillarmatch.network import (
     save_checkpoint,
 )
 from pillarmatch.pipeline import batch_assignments, match_pair
-from pillarmatch.transport import augment_dustbin, extract_matches, score_matrix, sinkhorn
+from pillarmatch.transport import (
+    AssignmentMatrix,
+    augment_dustbin,
+    extract_matches,
+    score_matrix,
+    sinkhorn,
+)
 
 
 def t(values, grad=True):
@@ -476,13 +482,12 @@ def test_gnn_layer_node_budget(monkeypatch, rng, mlp, expected):
 
 def test_batch_assignments_node_budget(monkeypatch):
     # encoders 3 + 7 + init 1; per (n, m) group: stack gathers 2, two layers
-    # of 8, projections 2, scores 2, dustbin 5, sinkhorn 1; per pair: the
-    # log_p view 1
+    # of 8, projections 2, scores 2, dustbin 5, sinkhorn 1; nothing per pair
     pair = toy_pair(seed=3)
     params = ModelParameters.initialize(toy_hyper(), seed=0)
     counter = count_nodes(monkeypatch)
     batch_assignments(params, [pair], train=True)
-    assert counter[0] == 11 + 2 + 2 * 8 + 2 + 2 + 5 + 1 + 1
+    assert counter[0] == 11 + 2 + 2 * 8 + 2 + 2 + 5 + 1
 
 
 def test_batch_assignments_mixed_shapes_equal_per_pair_calls_in_input_order():
@@ -492,17 +497,20 @@ def test_batch_assignments_mixed_shapes_equal_per_pair_calls_in_input_order():
     pairs = [toy_pair(seed=10 + i, hyper=toy_hyper(src_keypoints=n, tgt_keypoints=m))
              for i, (n, m) in enumerate(shapes)]
     params = ModelParameters.initialize(toy_hyper(), seed=2, dtype=np.float64)
-    batched = batch_assignments(params, pairs)
-    assert [a.log_p.shape for a in batched] == [(n + 1, m + 1) for n, m in shapes]
-    for pair, assign in zip(pairs, batched):
-        single = batch_assignments(params, [pair])[0]
-        np.testing.assert_allclose(assign.log_p.data, single.log_p.data, rtol=0, atol=1e-12)
+    groups = batch_assignments(params, pairs)
+    # one stack per (n, m) group, in first-seen order; matrix b is pairs[members[b]]
+    assert [members for members, _ in groups] == [[0, 2], [1, 4], [3]]
+    for members, assign in groups:
+        n, m = shapes[members[0]]
+        assert assign.log_p.shape == (len(members), n + 1, m + 1)
+        for matrix, index in zip(assign.log_p.data, members):
+            [(_, single)] = batch_assignments(params, [pairs[index]])
+            np.testing.assert_allclose(matrix, single.log_p.data[0], rtol=0, atol=1e-12)
 
 
-def test_train_step_nodes_grow_only_by_per_pair_views_and_losses(monkeypatch):
-    # the graph and transport record once per (n, m) group whatever the batch
-    # size; each pair adds its log_p view, its loss node and one add into
-    # the batch loss
+def test_train_step_nodes_do_not_grow_with_batch_size(monkeypatch):
+    # the graph, transport and loss record once per (n, m) group whatever the
+    # batch size: one loss node per group, then the 1 / B scale
     pairs = [toy_pair(seed=s) for s in range(8)]
     assert len({(len(p.src_keypoints), len(p.tgt_keypoints)) for p in pairs}) == 1
     params = ModelParameters.initialize(toy_hyper(), seed=0)
@@ -516,8 +524,7 @@ def test_train_step_nodes_grow_only_by_per_pair_views_and_losses(monkeypatch):
         monkeypatch.undo()
         return counter[0]
 
-    per_pair = 1 + 1 + 1
-    assert step_nodes(8) - step_nodes(4) == 4 * per_pair
+    assert step_nodes(8) == step_nodes(4)
 
 
 def test_finished_tape_is_freed_without_the_cycle_collector():
@@ -526,8 +533,8 @@ def test_finished_tape_is_freed_without_the_cycle_collector():
     was_enabled = gc.isenabled()
     gc.disable()
     try:
-        assignments = batch_assignments(params, [pair], train=True)
-        loss = compute_loss("nllp", assignments[0], pair.labels)
+        [(_, assign)] = batch_assignments(params, [pair], train=True)
+        loss = compute_loss("nllp", assign, [pair.labels])
         loss.backward()
         # every op output on the tape, from the loss back to the first encoder
         intermediates, stack, seen = [], [loss], set()
@@ -538,7 +545,7 @@ def test_finished_tape_is_freed_without_the_cycle_collector():
                 intermediates.append(weakref.ref(node))
                 stack.extend(node._parents)
         assert len(intermediates) > 30
-        del loss, assignments, node, stack
+        del loss, assign, node, stack
         assert [ref for ref in intermediates if ref() is not None] == []
     finally:
         if was_enabled:
@@ -550,15 +557,18 @@ def test_match_pair_records_no_tape():
     params = ModelParameters.initialize(toy_hyper(), seed=0)
     result = match_pair(params, pair)
     log_p = result.assignment.log_p
+    assert log_p.shape == (len(pair.src_keypoints) + 1, len(pair.tgt_keypoints) + 1)
     assert not log_p.requires_grad
     assert log_p._parents == () and log_p._backward is None
     with ad.no_grad():
-        assert np.array_equal(log_p.data, batch_assignments(params, [pair])[0].log_p.data)
+        [(_, group)] = batch_assignments(params, [pair])
+        assert np.array_equal(log_p.data, group.log_p.data[0])
     # recording or not, attention and Sinkhorn run one path
-    recorded = batch_assignments(params, [pair])[0]
+    [(_, recorded)] = batch_assignments(params, [pair])
     assert recorded.log_p.requires_grad
-    np.testing.assert_array_equal(log_p.data, recorded.log_p.data)
-    matches = extract_matches(recorded, params.hyper.match_threshold)
+    np.testing.assert_array_equal(log_p.data, recorded.log_p.data[0])
+    matches = extract_matches(AssignmentMatrix(Tensor(recorded.log_p.data[0])),
+                              params.hyper.match_threshold)
     assert result.matches.pairs == matches.pairs
     assert result.matches.unmatched_rows == matches.unmatched_rows
     assert result.matches.unmatched_cols == matches.unmatched_cols

@@ -199,6 +199,13 @@ def test_icp_reject_radius_must_be_finite_and_positive(radius):
         icp(TETRAHEDRON, TETRAHEDRON, reject_radius=radius)
 
 
+@pytest.mark.parametrize("init", [np.eye(4), np.eye(4).tolist(), "identity"],
+                         ids=["array", "list", "string"])
+def test_icp_init_must_be_a_rigid_transform(init):
+    with pytest.raises(ArgumentError, match="RigidTransform"):
+        icp(np.eye(3), np.eye(3), init=init)
+
+
 def icp_by_transforms(src, tgt, init=None, max_iters=50, tol=1e-8, reject_radius=2.0):
     """ICP as a loop over validated transforms: one ``RigidTransform`` per
     step, composed and applied to the source twice an iteration."""
