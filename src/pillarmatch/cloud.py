@@ -1,13 +1,19 @@
 """Point-cloud data model, ingestion, key-point selection and labeling.
 
 Clouds are immutable once constructed and build their k-d tree once, on
-first use. The smoothness field walks the points in the tree's leaf order.
-For large clouds it splits them into fixed chunks and runs each chunk's
-neighbor query and neighbor sums on a pool of one thread per core: the query
-releases the interpreter lock, so one chunk's query overlaps another's sums.
-Each point's result depends on neither the chunking, the thread count nor the
-query order. Key-point selection partitions the smoothness values and sorts
-only the candidates at each end that it reads.
+first use. The tree follows the sliding-midpoint rule (Maneewongvatana and
+Mount, 1999): a cell splits at the middle of its widest side, and the plane
+slides to the nearest point when one side would be empty. It builds in about
+two thirds of the time of a median-split tree, and its queries are no slower.
+The smoothness field walks the points in the tree's leaf order. For large
+clouds it splits them into fixed chunks and runs each chunk's neighbor query
+and neighbor sums on a pool of one thread per core: the query releases the
+interpreter lock, so one chunk's query overlaps another's sums. Each point's
+result depends on neither the chunking, the thread count nor the query order.
+Among exactly equidistant neighbors, which ones count toward a smoothness
+sum or fill a pillar's last slots follows the tree's search order. Key-point
+selection partitions the smoothness values and sorts only the candidates at
+each end that it reads.
 
 A cloud's key-points are one :class:`KeyPointSet` and its pillars one
 :class:`PillarSet`: frozen records of read-only arrays with one row per
@@ -39,13 +45,23 @@ ORIGIN_EPS = 1e-6       # smoothness is singular at the sensor origin
 DEFAULT_NEIGHBORHOOD = 10
 DEFAULT_MATCH_RADIUS = 0.1
 DEFAULT_UNMATCH_RADIUS = 0.5
+# points per leaf of a cloud's sliding-midpoint k-d tree. On a 2-core x86
+# host with one BLAS thread and a 100k-point bench frame, the tree built in
+# 19 to 27 ms at 16, 24 or 32 points a leaf, against 31 to 42 ms for scipy's
+# default median-split tree of 16-point leaves. Tree plus key-point selection
+# took 135 to 165 ms at 16 and at 24, 142 to 184 ms at 32 (slower queries)
+# and 150 to 188 ms for the median-split tree, over three runs of 20 to 40
+# frames. At 16 the tree had 17.9k nodes, and its build raised peak memory by
+# 3.1 MB; at 24 (12.4k nodes) by 1.6 MB, and the median-split tree (16.4k)
+# by 1.8 MB
+TREE_LEAF_POINTS = 24
 # smoothness fields of at least this many points run in chunks of
 # QUERY_CHUNK_POINTS on a pool of one thread per core; below it, one chunk runs
 # on the calling thread, since starting threads costs more than they save (on
-# a 2-core x86 host a threaded query was 1.4x slower at 1.3k points and 1.3x
-# faster at 11k). A chunk holds its (n, k + 1) query results only while it
-# runs; on the same host, chunks of 2k to 16k points ran a 100k-point field
-# equally fast, and chunks of 1k or of half the cloud were slower
+# the same host and tree, a threaded field was 1.2 to 1.7x slower at 1.3k
+# points and 1.4x faster at 11k). A chunk holds its (n, k + 1) query results
+# only while it runs; chunks of 2k to 8k points ran a 100k-point field equally
+# fast, and chunks of 1k, of 16k or of half the cloud were slower
 PARALLEL_QUERY_POINTS = 10_000
 QUERY_CHUNK_POINTS = 4096
 
@@ -80,7 +96,7 @@ class PointCloud:
 
     @cached_property
     def tree(self) -> cKDTree:
-        return cKDTree(self.points)
+        return cKDTree(self.points, balanced_tree=False, leafsize=TREE_LEAF_POINTS)
 
 
 def _freeze(record, **dtypes) -> None:
@@ -259,8 +275,8 @@ def _smoothness_at(cloud: PointCloud, indices: np.ndarray, k: int):
     invalid and get value 0. At least PARALLEL_QUERY_POINTS indices are
     evaluated in chunks of QUERY_CHUNK_POINTS on one thread per core, in order.
     """
-    if k < 1:
-        raise ArgumentError(f"neighborhood size must be >= 1, got {k}")
+    if not is_count(k, 1):
+        raise ArgumentError(f"neighborhood_size must be an integer >= 1, got {k!r}")
     if len(cloud) <= k:
         raise InsufficientPointsError(f"cloud has {len(cloud)} points, need > {k}")
     if len(indices) < PARALLEL_QUERY_POINTS:
@@ -279,20 +295,23 @@ def _smoothness_at(cloud: PointCloud, indices: np.ndarray, k: int):
 def _smoothness_chunk(cloud: PointCloud, coords: np.ndarray, indices: np.ndarray, k: int):
     """:func:`_smoothness_at` of ``indices`` on the calling thread; ``coords``
     holds the cloud's points as ``(3, N)``, a view or a contiguous copy."""
-    points = cloud.points[indices]
-    norms = np.linalg.norm(points, axis=1)
-    valid = norms > ORIGIN_EPS
     neighbors = _neighbor_indices(cloud, indices, k)
-    # summed per coordinate, one neighbor column at a time, in the order
-    # .sum(axis=1) adds them, without an (n, k, 3) gather
-    sums = np.empty_like(points)
-    for axis, coord in enumerate(coords):
+    # one coordinate at a time, without (n, 3) gathers: the neighbor columns
+    # are added in the order .sum(axis=1) adds them, and both norms are
+    # sqrt((x*x + y*y) + z*z), the order np.linalg.norm adds three squares in
+    # (0.0 plus a square is the square)
+    point_sq = offset_sq = 0.0
+    for coord in coords:
+        point = coord[indices]
         total = coord[neighbors[:, 0]]
         for column in range(1, k):
             total += coord[neighbors[:, column]]
-        sums[:, axis] = k * points[:, axis] - total
-    values = np.zeros(len(indices))
-    values[valid] = np.linalg.norm(sums[valid], axis=1) / (k * norms[valid])
+        offset = k * point - total
+        point_sq = point_sq + point * point
+        offset_sq = offset_sq + offset * offset
+    norms = np.sqrt(point_sq)
+    valid = norms > ORIGIN_EPS
+    values = np.divide(np.sqrt(offset_sq), k * norms, out=np.zeros(len(indices)), where=valid)
     return values, valid
 
 
@@ -301,6 +320,8 @@ def smoothness(cloud: PointCloud, index: int, neighborhood_size: int = DEFAULT_N
 
     Raises DegeneratePointError for points within ORIGIN_EPS of the origin.
     """
+    if not (is_count(index) and index < len(cloud)):
+        raise ArgumentError(f"index must be an integer in [0, {len(cloud)}), got {index!r}")
     values, valid = _smoothness_at(cloud, np.array([index]), neighborhood_size)
     if not valid[0]:
         raise DegeneratePointError(f"point {index} is within {ORIGIN_EPS} m of the origin")
@@ -311,10 +332,13 @@ def _neighbor_indices(cloud: PointCloud, indices: np.ndarray, k: int) -> np.ndar
     """k nearest neighbors per query point, excluding the point's own index.
 
     Exact duplicates can push a point's own index out of its k+1 nearest
-    results; the first k are then kept as they are.
+    results; the first k are then kept as they are. When every point's first
+    result is its own index, the rest of the results are returned as a view.
     """
     indices = np.asarray(indices)
     idx = cloud.tree.query(cloud.points[indices], k=k + 1)[1]
+    if np.array_equal(idx[:, 0], indices):
+        return idx[:, 1:]
     # drop the own column where it appears; every later column shifts left
     own_seen = np.logical_or.accumulate(idx[:, :k] == indices[:, None], axis=1)
     return np.where(own_seen, idx[:, 1:], idx[:, :k])
@@ -363,6 +387,8 @@ def select_keypoints(
     ``min_separation`` optionally suppresses candidates within that radius of
     an already selected key-point (off by default).
     """
+    if not is_count(count):
+        raise ArgumentError(f"count must be an integer >= 0, got {count!r}")
     if min_separation is not None and not 0.0 < min_separation < np.inf:
         raise ArgumentError(f"min_separation must be finite and > 0, got {min_separation}")
     values, valid = smoothness_field(cloud, neighborhood_size)
@@ -409,10 +435,11 @@ def sample_pillars(
     Members are sorted by ascending distance (ties by point index); unused
     slots stay zero. An empty pillar is legal and centers on its key-point.
     """
-    if capacity < 1:
-        raise ArgumentError("pillar capacity must be >= 1")
-    if radius <= 0.0:
-        raise ArgumentError("pillar radius must be positive")
+    if not is_count(capacity, 1):
+        raise ArgumentError(f"capacity must be an integer >= 1, got {capacity!r}")
+    # a NaN radius fails the comparison too
+    if not radius > 0.0:
+        raise ArgumentError(f"radius must be positive, got {radius!r}")
     n, k = len(keypoints), min(capacity, len(cloud))
     members = np.zeros((n, capacity, 4))
     inside = np.zeros((n, capacity), dtype=bool)

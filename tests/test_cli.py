@@ -1,4 +1,5 @@
 import dataclasses
+import functools
 import gc
 import json
 import os
@@ -6,6 +7,7 @@ import weakref
 
 import numpy as np
 import pytest
+from scipy.spatial import cKDTree
 
 from conftest import rewrite_container
 
@@ -13,6 +15,7 @@ from pillarmatch import cli, pairio
 from pillarmatch.cli import main
 from pillarmatch.cloud import load_kitti_poses, load_kitti_scan, save_kitti_poses, save_kitti_scan
 from pillarmatch.cloud import FramePair, PointCloud, SceneConfig, generate_synthetic_pair
+from pillarmatch.cloud import PARALLEL_QUERY_POINTS
 from pillarmatch.network import HyperParams, ModelParameters, load_checkpoint, save_checkpoint
 from pillarmatch.pairio import load_dataset
 from pillarmatch.transforms import RigidTransform, rotation_about_axis
@@ -325,18 +328,26 @@ PREPROCESS_FLAGS = [
 ]
 
 
-def write_scan_sequence(tmp_path, rng, frames=4):
-    """KITTI-format scans of the same world points from ``frames`` poses."""
+def write_scan_sequence(tmp_path, rng, frames=4, points=300, copies=0):
+    """KITTI-format scans of the same world points from ``frames`` poses.
+
+    With ``copies``, each scan ends in that many exact copies of its first
+    record and a point at the sensor origin.
+    """
     scans = tmp_path / "scans"
     scans.mkdir()
     poses = []
-    base = rng.uniform(2.0, 6.0, size=(300, 3))
+    base = rng.uniform(2.0, 6.0, size=(points, 3))
     for k in range(frames):
         pose = RigidTransform.from_rotation_translation(
             rotation_about_axis([0, 0, 1], 0.01 * k), [0.2 * k, 0.0, 0.0])
         poses.append(pose)
         pts = pose.apply(base) + rng.normal(0.0, 0.01, base.shape)
-        save_kitti_scan(PointCloud(pts, rng.uniform(size=len(pts))), scans / f"{k:06d}.bin")
+        intensities = rng.uniform(size=len(pts))
+        if copies:
+            pts = np.vstack([pts, np.repeat(pts[:1], copies, axis=0), [[0.0, 0.0, 0.0]]])
+            intensities = np.concatenate([intensities, np.repeat(intensities[:1], copies), [0.5]])
+        save_kitti_scan(PointCloud(pts, intensities), scans / f"{k:06d}.bin")
     pose_file = tmp_path / "poses.txt"
     save_kitti_poses(poses, pose_file)
     return scans, pose_file
@@ -383,6 +394,31 @@ def test_preprocess_reuses_frames_and_matches_per_pair_preprocessing(tmp_path, r
                                                                 neighborhood_size=6))
             assert (out / names[index]).read_bytes() == reference.read_bytes()
             index += 1
+
+
+def test_preprocess_writes_the_pairs_a_median_split_tree_gives(tmp_path, rng, monkeypatch):
+    # frames large enough for the chunked smoothness field, rounded to float32
+    # as scans store them; the copies are the most planar points, so they are
+    # key-points and fill each other's pillars
+    scans, pose_file = write_scan_sequence(tmp_path, rng, frames=3,
+                                           points=PARALLEL_QUERY_POINTS + 500, copies=30)
+    assert run_preprocess(scans, pose_file, tmp_path / "sliding", "1,2") == 0
+    built = []
+
+    def median_split(cloud):
+        built.append(cloud.frame_id)
+        return cKDTree(cloud.points)
+
+    balanced = functools.cached_property(median_split)
+    balanced.__set_name__(PointCloud, "tree")
+    monkeypatch.setattr(PointCloud, "tree", balanced)
+    assert run_preprocess(scans, pose_file, tmp_path / "balanced", "1,2") == 0
+    assert built == ["000000", "000001", "000002"]
+    names = sorted(p.name for p in (tmp_path / "sliding").glob("*.ppair"))
+    assert len(names) == 3
+    for name in names:
+        assert ((tmp_path / "sliding" / name).read_bytes()
+                == (tmp_path / "balanced" / name).read_bytes())
 
 
 @pytest.mark.parametrize("distances", ["1,x", "-1", "", "0", ",", "1,1"])

@@ -2,11 +2,13 @@ import threading
 
 import numpy as np
 import pytest
+from scipy.spatial import cKDTree
 
 from conftest import PILLAR_CASES
 
 from pillarmatch import cloud as cloud_module
 from pillarmatch.cloud import (
+    ORIGIN_EPS,
     PARALLEL_QUERY_POINTS,
     QUERY_CHUNK_POINTS,
     CorrespondenceLabels,
@@ -177,6 +179,49 @@ def test_smoothness_rotation_invariant(rng):
         np.testing.assert_allclose(rot_values[valid], values[valid], rtol=1e-9)
 
 
+def drop_own_per_point(nearest, k):
+    """Each point's k neighbors from its k+1 nearest results: the own index
+    dropped if present, else the first k kept."""
+    expected = []
+    for own, cand in enumerate(nearest):
+        keep = cand[cand != own]
+        expected.append(keep[:k] if len(keep) >= k else cand[:k])
+    return np.array(expected)
+
+
+def smoothness_by_balanced_tree(points, k):
+    """The smoothness field as computed from a median-split tree, an
+    (n, k, 3) neighbor gather, ``.sum(axis=1)`` and ``np.linalg.norm``."""
+    neighbors = drop_own_per_point(cKDTree(points).query(points, k=k + 1)[1], k)
+    sums = k * points - points[neighbors].sum(axis=1)
+    norms = np.linalg.norm(points, axis=1)
+    valid = norms > ORIGIN_EPS
+    values = np.zeros(len(points))
+    values[valid] = np.linalg.norm(sums[valid], axis=1) / (k * norms[valid])
+    return values, valid
+
+
+def tie_free_points(rng, n):
+    """``n`` float32-rounded points away from the origin, then 30 exact
+    copies of one of them and the origin itself. Only the copies tie: every
+    equal distance among a point's 11 nearest is to equal coordinates."""
+    pts = (rng.normal(size=(n, 3)) * 4.0 + 10.0).astype(np.float32).astype(np.float64)
+    pts = np.vstack([pts, np.repeat(pts[:1], 30, axis=0), [[0.0, 0.0, 0.0]]])
+    dist, nearest = cKDTree(pts).query(pts, k=11)
+    same = np.all(pts[nearest[:, 1:]] == pts[nearest[:, :-1]], axis=2)
+    assert np.all((np.diff(dist, axis=1) > 0.0) | same)
+    return pts
+
+
+def test_smoothness_field_equals_balanced_tree_reference_bytes(rng):
+    pts = tie_free_points(rng, PARALLEL_QUERY_POINTS + 2000)
+    values, valid = smoothness_field(cloud_from(pts), neighborhood_size=10)
+    ref_values, ref_valid = smoothness_by_balanced_tree(pts, 10)
+    assert values.tobytes() == ref_values.tobytes()
+    np.testing.assert_array_equal(valid, ref_valid)
+    assert not valid[-1] and valid[:-1].all()
+
+
 def test_smoothness_scalar_equals_field_with_duplicate_points(rng):
     # 15 exact copies of one point: a copy's k+1 nearest results can all be
     # other copies, so its own index falls outside them
@@ -188,34 +233,40 @@ def test_smoothness_scalar_equals_field_with_duplicate_points(rng):
     cloud = cloud_from(pts)
     _, nearest = cloud.tree.query(pts, k=11)
     assert any(i not in nearest[i] for i in range(60, 75))
-    # per-point reference: drop the own index if present, else keep the first k
-    expected = []
-    for own, cand in enumerate(nearest):
-        keep = cand[cand != own]
-        expected.append(keep[:10] if len(keep) >= 10 else cand[:10])
     neighbors = _neighbor_indices(cloud, np.arange(len(pts)), 10)
-    np.testing.assert_array_equal(neighbors, np.array(expected))
+    np.testing.assert_array_equal(neighbors, drop_own_per_point(nearest, 10))
     values, valid = smoothness_field(cloud, neighborhood_size=10)
     assert not valid[-1]
     for i in np.flatnonzero(valid):
         assert smoothness(cloud, i, neighborhood_size=10) == values[i]
 
 
-def test_neighbor_indices_threaded_query_matches_per_point_reference(rng):
-    # as large as the clouds smoothness_field splits into threaded chunks; the
-    # k-d tree query itself runs on the calling thread. The reference drops
-    # the own index point by point
-    pts = np.vstack([rng.normal(size=(20_000, 3)) * 4.0 + 10.0,
-                     np.repeat([[9.0, 10.5, 11.0]], 30, axis=0)])
+def assert_neighbors_match_per_point_reference(pts):
+    """``_neighbor_indices`` of every point against the per-point reference,
+    on a cloud as large as the clouds smoothness_field splits into threaded
+    chunks; the k-d tree query itself runs on the calling thread. Returns
+    whether every point came first in its own results."""
     assert len(pts) >= PARALLEL_QUERY_POINTS
     cloud = cloud_from(pts)
     _, nearest = cloud.tree.query(pts, k=11, workers=1)
-    expected = []
-    for own, cand in enumerate(nearest):
-        keep = cand[cand != own]
-        expected.append(keep[:10] if len(keep) >= 10 else cand[:10])
     neighbors = _neighbor_indices(cloud, np.arange(len(pts)), 10)
-    np.testing.assert_array_equal(neighbors, np.array(expected))
+    np.testing.assert_array_equal(neighbors, drop_own_per_point(nearest, 10))
+    own_first = np.array_equal(nearest[:, 0], np.arange(len(pts)))
+    # the own column is sliced off a view only when it comes first everywhere
+    assert neighbors.flags.owndata != own_first
+    return own_first
+
+
+def test_neighbor_indices_threaded_query_matches_per_point_reference(rng):
+    # a copy can come after another copy in its own results
+    pts = np.vstack([rng.normal(size=(20_000, 3)) * 4.0 + 10.0,
+                     np.repeat([[9.0, 10.5, 11.0]], 30, axis=0)])
+    assert not assert_neighbors_match_per_point_reference(pts)
+
+
+def test_neighbor_indices_without_copies_slice_off_the_own_column(rng):
+    pts = rng.normal(size=(20_000, 3)) * 4.0 + 10.0
+    assert assert_neighbors_match_per_point_reference(pts)
 
 
 def test_smoothness_field_in_threaded_chunks_equals_one_chunk_on_one_thread(rng, monkeypatch):
@@ -438,6 +489,25 @@ def test_sample_pillar_distances_sorted_and_inside(rng):
     dists = np.linalg.norm(pillars.members[0, :real, :3] - pts[17], axis=1)
     assert np.all(np.diff(dists) >= 0.0)
     assert np.all(dists < 0.8)
+
+
+@pytest.mark.parametrize("name, call", [
+    ("count", lambda cloud: select_keypoints(cloud, -1)),
+    ("count", lambda cloud: select_keypoints(cloud, 2.5)),
+    ("neighborhood_size", lambda cloud: select_keypoints(cloud, 4, neighborhood_size=2.5)),
+    ("neighborhood_size", lambda cloud: smoothness_field(cloud, neighborhood_size=0)),
+    ("capacity", lambda cloud: sample_pillars(cloud, kps_at([[5.0, 5.0, 0.0]]), 2.5, 0.5)),
+    ("radius", lambda cloud: sample_pillars(cloud, kps_at([[5.0, 5.0, 0.0]]), 4, float("nan"))),
+    ("radius", lambda cloud: sample_pillars(cloud, kps_at([[5.0, 5.0, 0.0]]), 4, 0.0)),
+    ("index", lambda cloud: smoothness(cloud, 10**6)),
+    ("index", lambda cloud: smoothness(cloud, -1)),
+    ("index", lambda cloud: smoothness(cloud, 1.0)),
+], ids=["count-negative", "count-fraction", "neighborhood-fraction", "neighborhood-zero",
+        "capacity-fraction", "radius-nan", "radius-zero", "index-past-end", "index-negative",
+        "index-float"])
+def test_malformed_argument_is_refused_by_name(name, call):
+    with pytest.raises(ArgumentError, match=f"^{name} "):
+        call(grid_cloud())
 
 
 def reference_pillar(cloud, position, capacity, radius):
