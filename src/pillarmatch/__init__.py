@@ -8,7 +8,7 @@ estimated from the matches by SVD; classical NN and ICP baselines plus an
 evaluation harness are included.
 """
 
-from .autodiff import BatchNormState, Tensor, batchnorm, batchnorm_relu, grad_check, linear
+from .autodiff import BatchNormState, Tensor, grad_check, linear, linear_batchnorm_relu
 from .cloud import (
     CorrespondenceLabels,
     FramePair,

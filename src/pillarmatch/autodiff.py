@@ -6,11 +6,12 @@ closures in reverse topological order exactly once, passing each its node's
 gradient; a second call on the same root tensor raises. No closure refers to
 the tensor it belongs to, so the tape holds no reference cycle and is freed
 by reference counting as soon as its last tensor goes. Inside
-:func:`no_grad` ops record nothing at all. There is no broadcasting beyond
-the few explicit ops that need it (``broadcast_to``, bias addition inside
-``linear``), which keeps the tape auditable. ``@``, ``.T`` and ``linear``
-work on stacks: leading axes index independent matrices (one per pair of a
-batch), so a whole batch records one node per op.
+:func:`no_grad` ops record nothing at all. No op broadcasts except
+``broadcast_to``, which keeps the tape auditable. ``@``, ``.T`` and
+``linear`` work on stacks: leading axes index independent matrices (one per
+pair of a batch), so a whole batch records one node per op. An encoder block,
+linear then batch-norm then ReLU, is the one node of
+:func:`linear_batchnorm_relu`.
 
 Training and inference run in 32-bit; gradient checking requires 64-bit
 tensors because central differences are unreliable in single precision.
@@ -340,54 +341,33 @@ def as_tensor(value, requires_grad: bool = False, dtype=None) -> Tensor:
     return Tensor(arr, requires_grad=requires_grad)
 
 
-def concat(tensors, axis: int = 0) -> Tensor:
-    tensors = list(tensors)
-    if not tensors:
-        raise ArgumentError("concat of zero tensors")
-    axis = _check_axis(axis, tensors[0].ndim, "concat")
-    out = _node(np.concatenate([t.data for t in tensors], axis=axis), tuple(tensors), "concat")
-    if out.requires_grad:
-        sizes = [t.shape[axis] for t in tensors]
-        offsets = np.cumsum([0] + sizes)
-        def back(grad):
-            for t, lo, hi in zip(tensors, offsets[:-1], offsets[1:]):
-                if t.requires_grad:
-                    index = [slice(None)] * grad.ndim
-                    index[axis] = slice(lo, hi)
-                    t._accumulate(grad[tuple(index)])
-        out._backward = back
-    return out
-
-
-def linear(x: Tensor, weight: Tensor, bias: Tensor | None = None) -> Tensor:
-    """``x @ weight.T + bias`` over the last axis of ``x``; weight is (out, in).
+def linear(x: Tensor, weight: Tensor) -> Tensor:
+    """``x @ weight.T`` over the last axis of ``x``; weight is (out, in).
 
     Leading axes of ``x`` are flattened into rows, so a ``(B, n, in)`` stack
     runs as one ``(B * n, in)`` product.
     """
+    _check_linear(x, weight)
+    out_shape = x.shape[:-1] + weight.shape[:1]
+    out = _node((_rows(x.data) @ weight.data.T).reshape(out_shape), (x, weight), "linear")
+    if out.requires_grad:
+        out._backward = lambda g: _linear_backward(x, weight, g)
+    return out
+
+
+def _check_linear(x: Tensor, weight: Tensor) -> None:
     if weight.ndim != 2:
         raise ShapeError("linear weight must be 2-D (out, in)")
     if x.shape[-1] != weight.shape[1]:
         raise ShapeError(f"linear: input depth {x.shape[-1]} != weight depth {weight.shape[1]}")
-    if bias is not None and bias.shape != (weight.shape[0],):
-        raise ShapeError("linear: bias shape must be (out,)")
-    out_shape = x.shape[:-1] + weight.shape[:1]
-    data = (_rows(x.data) @ weight.data.T).reshape(out_shape)
-    if bias is not None:
-        data = data + bias.data
-    parents = (x, weight) if bias is None else (x, weight, bias)
-    out = _node(data, parents, "linear")
-    if out.requires_grad:
-        def back(g):
-            rows = _rows(g)
-            if x.requires_grad:
-                x._accumulate((rows @ weight.data).reshape(x.shape))
-            if weight.requires_grad:
-                weight._accumulate(rows.T @ _rows(x.data))
-            if bias is not None and bias.requires_grad:
-                bias._accumulate(rows.sum(axis=0))
-        out._backward = back
-    return out
+
+
+def _linear_backward(x: Tensor, weight: Tensor, g: np.ndarray) -> None:
+    rows = _rows(g)
+    if x.requires_grad:
+        x._accumulate((rows @ weight.data).reshape(x.shape))
+    if weight.requires_grad:
+        weight._accumulate(rows.T @ _rows(x.data))
 
 
 @dataclass
@@ -417,52 +397,52 @@ class BatchNormState:
         )
 
 
-def batchnorm(x: Tensor, state: BatchNormState, train: bool) -> Tensor:
-    """Normalize (batch, channels) per channel; see :class:`BatchNormState`."""
-    if x.ndim != 2:
-        raise ShapeError("batchnorm expects a (batch, channels) tensor")
-    if x.shape[1] != state.gamma.shape[0]:
-        raise ShapeError(f"batchnorm: {x.shape[1]} channels vs state {state.gamma.shape[0]}")
+def linear_batchnorm_relu(x: Tensor, weight: Tensor, state: BatchNormState,
+                          train: bool) -> Tensor:
+    """``relu(batchnorm(x @ weight.T))`` over a (batch, in) ``x`` as one node,
+    batch-norm as :class:`BatchNormState` says. The backward applies the ReLU
+    mask, then the batch-norm gradient, then :func:`linear`'s two products."""
+    _check_linear(x, weight)
     gamma, beta = state.gamma, state.beta
+    if x.ndim != 2 or weight.shape[0] != gamma.shape[0]:
+        raise ShapeError(f"linear_batchnorm_relu needs a (batch, {weight.shape[1]}) input and "
+                         f"{gamma.shape[0]} weight rows, got {x.shape} and {weight.shape}")
+    if train and x.shape[0] < 2:
+        raise ArgumentError("batch-norm train mode needs batch >= 2")
+    with np.errstate(over="ignore", invalid="ignore"):  # reported just below
+        y = x.data @ weight.data.T
+        if train:
+            mean, var = y.mean(axis=0), y.var(axis=0)
+            inv = 1.0 / np.sqrt(var + state.eps)
+        else:
+            mean = state.running_mean.astype(y.dtype)
+            inv = 1.0 / np.sqrt(state.running_var.astype(y.dtype) + state.eps)
+        xhat = (y - mean) * inv
+        normed = xhat * gamma.data + beta.data
+    _check_finite(normed, "linear_batchnorm_relu")  # before the ReLU turns -inf into 0
     if train:
-        if x.shape[0] < 2:
-            raise ArgumentError("batchnorm train mode needs batch >= 2")
-        mean = x.data.mean(axis=0)
-        var = x.data.var(axis=0)
-        inv = 1.0 / np.sqrt(var + state.eps)
-        m = state.momentum
-        state.running_mean = (m * state.running_mean + (1.0 - m) * mean).astype(
-            state.running_mean.dtype
-        )
-        state.running_var = (m * state.running_var + (1.0 - m) * var).astype(
-            state.running_var.dtype
-        )
-    else:
-        mean = state.running_mean.astype(x.dtype)
-        inv = 1.0 / np.sqrt(state.running_var.astype(x.dtype) + state.eps)
-    xhat = (x.data - mean) * inv
-    out = _node(xhat * gamma.data + beta.data, (x, gamma, beta), "batchnorm")
+        _check_finite(var, "batch-norm statistics")  # non-finite whenever the mean is
+        m, running_mean, running_var = state.momentum, state.running_mean, state.running_var
+        state.running_mean = (m * running_mean + (1.0 - m) * mean).astype(running_mean.dtype)
+        state.running_var = (m * running_var + (1.0 - m) * var).astype(running_var.dtype)
+    out = _node(np.maximum(normed, 0.0), (x, weight, gamma, beta), "linear_batchnorm_relu")
     if out.requires_grad:
+        mask = normed > 0.0
         n = x.shape[0]
         def back(g):
+            g = g * mask
             if gamma.requires_grad:
                 gamma._accumulate((g * xhat).sum(axis=0))
             if beta.requires_grad:
                 beta._accumulate(g.sum(axis=0))
-            if x.requires_grad:
-                gxhat = g * gamma.data
-                if train:
-                    x._accumulate(
-                        inv / n * (n * gxhat - gxhat.sum(axis=0) - xhat * (gxhat * xhat).sum(axis=0))
-                    )
-                else:
-                    x._accumulate(gxhat * inv)
+            gxhat = g * gamma.data
+            if train:
+                g = inv / n * (n * gxhat - gxhat.sum(axis=0) - xhat * (gxhat * xhat).sum(axis=0))
+            else:
+                g = gxhat * inv
+            _linear_backward(x, weight, g)
         out._backward = back
     return out
-
-
-def batchnorm_relu(x: Tensor, state: BatchNormState, train: bool) -> Tensor:
-    return batchnorm(x, state, train).relu()
 
 
 def grad_check(f, params, step: float = 1e-5) -> float:

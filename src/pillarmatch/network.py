@@ -254,19 +254,19 @@ def feature_stacks(pillars: PillarSet) -> np.ndarray:
 
 
 def encode_pillars(stacks: Tensor, params: ModelParameters, train: bool) -> Tensor:
-    """Shared linear projection + batchnorm + ReLU over (pillars, stack_depth)."""
+    """Shared linear projection + batch-norm + ReLU over (pillars, stack_depth)."""
     if stacks.shape[-1] != params.hyper.stack_depth:
         raise ShapeError(
             f"stack depth {stacks.shape[-1]} != expected {params.hyper.stack_depth}"
         )
-    return ad.batchnorm_relu(ad.linear(stacks, params.pillar_weight), params.pillar_norm, train)
+    return ad.linear_batchnorm_relu(stacks, params.pillar_weight, params.pillar_norm, train)
 
 
 def encode_positions(coords: Tensor, params: ModelParameters, train: bool) -> Tensor:
     """Shared MLP over raw (pillars, 3) key-point coordinates."""
     x = coords
     for w, norm in zip(params.positional_weights[:-1], params.positional_norms):
-        x = ad.batchnorm_relu(ad.linear(x, w), norm, train)
+        x = ad.linear_batchnorm_relu(x, w, norm, train)
     return ad.linear(x, params.positional_weights[-1])
 
 
@@ -497,34 +497,31 @@ def save_checkpoint(path, params: ModelParameters, extra_meta: dict | None = Non
 
 def load_checkpoint(path, dtype=np.float32):
     """Return ``(params, meta, extra_arrays)`` for a checkpoint file; extra
-    arrays named after a fused projection come back stacked too."""
+    arrays named after a fused projection come back stacked too. A missing,
+    misshapen or non-finite parameter or running statistic, or a negative
+    running variance, is a :class:`ConfigError` naming the array."""
     meta, arrays = read_container(path, expect_kind="checkpoint")
     hyper = HyperParams.from_manifest(meta.get("hyper"))
     arrays = _stack_projections(arrays, hyper.attention_heads)
     params = ModelParameters.initialize(hyper, seed=0, dtype=dtype)
-    named = params.named_parameters()
-    for name, tensor in named.items():
-        key = f"param.{name}"
+    targets = {("param", "parameter", name): tensor.data
+               for name, tensor in params.named_parameters().items()}
+    targets.update({("stat", "running statistic", name): stat
+                    for name, stat in params.running_stats().items()})
+    for (prefix, kind, name), target in targets.items():
+        key = f"{prefix}.{name}"
         if key not in arrays:
             stored = " (a full set of equal per-head arrays)" if _FUSED_KEY.fullmatch(key) else ""
-            raise ConfigError(f"checkpoint missing parameter {name!r}{stored}")
-        value = arrays[key].astype(dtype)
-        if value.shape != tensor.data.shape:
-            raise ConfigError(
-                f"checkpoint parameter {name!r} has shape {value.shape}, "
-                f"expected {tensor.data.shape}"
-            )
-        tensor.data = value
-    for name, stat in params.running_stats().items():
-        key = f"stat.{name}"
-        if key not in arrays:
-            raise ConfigError(f"checkpoint missing running statistic {name!r}")
-        if arrays[key].shape != stat.shape:
-            raise ConfigError(
-                f"checkpoint running statistic {name!r} has shape {arrays[key].shape}, "
-                f"expected {stat.shape}"
-            )
-        stat[...] = arrays[key].astype(stat.dtype)
+            raise ConfigError(f"checkpoint missing {kind} {name!r}{stored}")
+        if arrays[key].shape != target.shape:
+            raise ConfigError(f"checkpoint {kind} {name!r} has shape {arrays[key].shape}, "
+                              f"expected {target.shape}")
+        with np.errstate(over="ignore"):  # beyond the dtype's range: inf, refused below
+            value = arrays[key].astype(target.dtype)
+        if not np.all(np.isfinite(value)) or (name.endswith("running_var") and np.any(value < 0)):
+            raise ConfigError(f"checkpoint {kind} {name!r} must be finite, "
+                              "and >= 0 for a running variance")
+        target[...] = value
     extras = {
         name[len("extra.") :]: arr
         for name, arr in arrays.items()

@@ -75,15 +75,29 @@ def score_matrix(desc_src: Tensor, desc_tgt: Tensor) -> Tensor:
 
 def augment_dustbin(raw: Tensor, dustbin: Tensor) -> Tensor:
     """Append one dustbin column and row holding the shared learnable scalar
-    to each (n, m) matrix of a (..., n, m) stack."""
+    to each (n, m) matrix of a (..., n, m) stack, as one tape node."""
     if raw.ndim < 2:
         raise ShapeError("raw score matrix must be at least 2-D")
     if dustbin.size != 1:
         raise ShapeError("dustbin score must be a scalar")
     *lead, n, m = raw.shape
-    flat = dustbin if dustbin.ndim == 1 else dustbin.broadcast_to((1,))
-    with_col = ad.concat([raw, flat.broadcast_to((*lead, n, 1))], axis=-1)
-    return ad.concat([with_col, flat.broadcast_to((*lead, 1, m + 1))], axis=-2)
+    data = np.empty((*lead, n + 1, m + 1), dtype=np.result_type(raw.data, dustbin.data))
+    data[..., :n, :m] = raw.data
+    data[..., :n, m] = data[..., n, :] = dustbin.data.reshape(())
+    out = ad._node(data, (raw, dustbin), "augment_dustbin")
+    if out.requires_grad:
+        def back(grad):
+            if raw.requires_grad:
+                raw._accumulate(grad[..., :n, :m])
+            if dustbin.requires_grad:
+                # float32 sums depend on their order, and a test pins this
+                # one: training runs recorded with it repeat bit for bit
+                axes = tuple(range(grad.ndim - 1))
+                col = np.ascontiguousarray(grad[..., :n, m:]).sum(axis=axes)
+                row = np.ascontiguousarray(grad[..., n:, :]).sum(axis=axes).sum(keepdims=True)
+                dustbin._accumulate((col + row).reshape(dustbin.shape))
+        out._backward = back
+    return out
 
 
 def _log_marginals(n_rows: int, n_cols: int, marginals: str, dtype):

@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pillarmatch import autodiff as ad
-from pillarmatch.autodiff import BatchNormState, Tensor, batchnorm, batchnorm_relu, grad_check, linear
+from pillarmatch.autodiff import BatchNormState, Tensor, grad_check, linear, linear_batchnorm_relu
 from pillarmatch.errors import ArgumentError, NumericError, ShapeError
 from pillarmatch.network import attention
 
@@ -19,15 +19,13 @@ def t(values, grad=True):
 
 def test_linear_identity_passthrough():
     x = t([[1.0, 2.0], [3.0, -4.0]])
-    w = t(np.eye(2))
-    b = t([0.0, 0.0])
-    out = linear(x, w, b)
+    out = linear(x, t(np.eye(2)))
     np.testing.assert_array_equal(out.data, x.data)
 
 
 def test_linear_hand_value():
     # rows of the weight are output units: [1*1+1*2, 1*1-1*2] = [3, -1]
-    out = linear(t([1.0, 2.0]), t([[1.0, 1.0], [1.0, -1.0]]), t([0.0, 0.0]))
+    out = linear(t([1.0, 2.0]), t([[1.0, 1.0], [1.0, -1.0]]))
     np.testing.assert_allclose(out.data, [3.0, -1.0])
 
 
@@ -39,13 +37,12 @@ def test_linear_shape_mismatch():
 def test_linear_batched_grad_check_and_rows(rng):
     x = t(rng.normal(size=(2, 3, 5)))
     w = t(rng.normal(size=(4, 5)))
-    bias = t(rng.normal(size=4))
     weights = t(rng.normal(size=(2, 3, 4)), grad=False)
-    assert grad_check(lambda: (linear(x, w, bias) * weights).sum(), [x, w, bias]) < 1e-6
+    assert grad_check(lambda: (linear(x, w) * weights).sum(), [x, w]) < 1e-6
     # each leading index is the 2-D op on its own rows
-    out = linear(x, w, bias)
+    out = linear(x, w)
     for b in range(2):
-        np.testing.assert_allclose(out.data[b], linear(t(x.data[b]), w, bias).data,
+        np.testing.assert_allclose(out.data[b], linear(t(x.data[b]), w).data,
                                    rtol=0, atol=1e-14)
 
 
@@ -99,8 +96,13 @@ def test_softmax_rows_sum_to_one(values):
 
 
 # ---------------------------------------------------------------------------
-# batchnorm
+# encoder block: linear, batch-norm, ReLU
 # ---------------------------------------------------------------------------
+
+def batchnorm_relu(x, state, train):
+    """The block with an identity weight: batch-norm then ReLU of ``x``."""
+    return linear_batchnorm_relu(x, t(np.eye(x.shape[1]), grad=False), state, train)
+
 
 def test_batchnorm_constant_channel_gives_shift():
     state = BatchNormState.create(2, dtype=np.float64)
@@ -121,25 +123,74 @@ def test_batchnorm_eval_identity_stats():
 
 def test_batchnorm_train_moments(rng):
     state = BatchNormState.create(4, dtype=np.float64)
+    # a standardized value of 64 samples lies within sqrt(63) < 10 of zero,
+    # so a shift of 10 keeps the ReLU from clipping
+    state.beta.data = np.full(4, 10.0)
     x = t(rng.normal(2.0, 3.0, size=(64, 4)))
-    out = batchnorm(x, state, train=True)
-    np.testing.assert_allclose(out.data.mean(axis=0), 0.0, atol=1e-6)
+    out = batchnorm_relu(x, state, train=True)
+    np.testing.assert_allclose(out.data.mean(axis=0), 10.0, atol=1e-6)
     np.testing.assert_allclose(out.data.var(axis=0), 1.0, atol=1e-4)
 
 
 def test_batchnorm_train_needs_batch():
     state = BatchNormState.create(2, dtype=np.float64)
     with pytest.raises(ArgumentError):
-        batchnorm(t(np.ones((1, 2))), state, train=True)
+        batchnorm_relu(t(np.ones((1, 2))), state, train=True)
 
 
 def test_batchnorm_running_stats_update():
     state = BatchNormState.create(1, dtype=np.float64)
     x = t(np.array([[0.0], [10.0]]))
-    batchnorm(x, state, train=True)
+    batchnorm_relu(x, state, train=True)
     np.testing.assert_allclose(state.running_mean, [0.5])  # 0.9*0 + 0.1*5
     batch_var = 25.0
     np.testing.assert_allclose(state.running_var, [0.9 + 0.1 * batch_var])
+
+
+@pytest.mark.parametrize("train", [True, False])
+def test_block_matches_numpy_relu_batchnorm_linear(rng, train):
+    x, w = t(rng.normal(size=(7, 5))), t(rng.normal(size=(3, 5)))
+    state = BatchNormState.create(3, dtype=np.float64)
+    state.gamma.data, state.beta.data = rng.normal(1.0, 0.2, size=3), rng.normal(size=3)
+    state.running_mean, state.running_var = rng.normal(size=3), rng.uniform(0.5, 2.0, size=3)
+    running = state.running_mean.copy(), state.running_var.copy()
+    out = linear_batchnorm_relu(x, w, state, train)
+
+    y = x.data @ w.data.T
+    mean, var = (y.mean(axis=0), y.var(axis=0)) if train else running
+    expected = np.maximum((y - mean) / np.sqrt(var + 1e-5) * state.gamma.data
+                          + state.beta.data, 0.0)
+    np.testing.assert_allclose(out.data, expected, rtol=0, atol=1e-12)
+    assert out._parents == (x, w, state.gamma, state.beta)
+    if not train:
+        np.testing.assert_array_equal(state.running_mean, running[0])
+        np.testing.assert_array_equal(state.running_var, running[1])
+
+
+def test_block_shapes_checked():
+    state = BatchNormState.create(3, dtype=np.float64)
+    with pytest.raises(ShapeError):
+        linear_batchnorm_relu(t(np.zeros((2, 4, 5))), t(np.zeros((3, 5))), state, True)
+    with pytest.raises(ShapeError):
+        linear_batchnorm_relu(t(np.zeros((4, 5))), t(np.zeros((2, 5))), state, True)
+    with pytest.raises(ShapeError):
+        linear_batchnorm_relu(t(np.zeros((4, 5))), t(np.zeros((3, 4))), state, True)
+
+
+def test_block_refuses_non_finite_values_before_the_relu_and_stats():
+    # a NumericError, not a numpy overflow warning
+    state = BatchNormState.create(1, dtype=np.float64)
+    with pytest.raises(NumericError):
+        # an overflowing product is -inf before the ReLU, which would make it 0
+        linear_batchnorm_relu(t([[-1e200], [1.0]]), t([[1e200]]), state, train=False)
+    with pytest.raises(NumericError):
+        # an overflowing variance normalizes to zeros, but must not reach the stats
+        linear_batchnorm_relu(t([[1e200], [-1e200]]), t([[1.0]]), state, train=True)
+    np.testing.assert_array_equal(state.running_mean, [0.0])
+    np.testing.assert_array_equal(state.running_var, [1.0])
+    state.running_var = np.array([-1.0])
+    with pytest.raises(NumericError):
+        linear_batchnorm_relu(t([[1.0], [2.0]]), t([[1.0]]), state, train=False)
 
 
 # ---------------------------------------------------------------------------
@@ -165,7 +216,7 @@ def test_grad_check_constant():
 
 @pytest.mark.parametrize("op_name", [
     "add", "sub", "mul", "matmul", "linear", "relu", "softmax",
-    "logsumexp", "concat", "broadcast", "gather", "batchnorm_train",
+    "logsumexp", "broadcast", "gather", "batchnorm_train",
     "batchnorm_eval", "transpose",
 ])
 def test_grad_check_layers(op_name, rng):
@@ -173,7 +224,7 @@ def test_grad_check_layers(op_name, rng):
     b = t(rng.normal(size=(4, 5)))
     c = t(rng.normal(size=(5, 3)))
     w = t(rng.normal(size=(6, 5)))
-    bias = t(rng.normal(size=6))
+    v = t(rng.normal(size=(5, 5)))
     state = BatchNormState.create(5, dtype=np.float64)
     state.gamma.data = rng.normal(1.0, 0.1, size=5)
     state.beta.data = rng.normal(size=5)
@@ -187,15 +238,16 @@ def test_grad_check_layers(op_name, rng):
         "sub": (lambda: scalarize(a - b), [a, b]),
         "mul": (lambda: scalarize(a * b), [a, b]),
         "matmul": (lambda: (a @ c).sum(), [a, c]),
-        "linear": (lambda: linear(a, w, bias).sum(), [a, w, bias]),
+        "linear": (lambda: linear(a, w).sum(), [a, w]),
         "relu": (lambda: scalarize(a.relu()), [a]),
         "softmax": (lambda: scalarize(softmax_rows(a)), [a]),
         "logsumexp": (lambda: a.logsumexp(axis=1).sum() + a.logsumexp(axis=0).sum(), [a]),
-        "concat": (lambda: ad.concat([a, b], axis=0).logsumexp(axis=0).sum(), [a, b]),
         "broadcast": (lambda: (a - a.logsumexp(axis=1, keepdims=True).broadcast_to(a.shape)).sum(), [a]),
         "gather": (lambda: a.gather_rows([2, 0, 2]).sum(), [a]),
-        "batchnorm_train": (lambda: scalarize(batchnorm(a, state, train=True)), [a, state.gamma, state.beta]),
-        "batchnorm_eval": (lambda: scalarize(batchnorm(a, state, train=False)), [a, state.gamma, state.beta]),
+        "batchnorm_train": (lambda: scalarize(linear_batchnorm_relu(a, v, state, train=True)),
+                            [a, v, state.gamma, state.beta]),
+        "batchnorm_eval": (lambda: scalarize(linear_batchnorm_relu(a, v, state, train=False)),
+                           [a, v, state.gamma, state.beta]),
         "transpose": (lambda: (a.T @ b).sum(), [a, b]),
     }
     fn, params = cases[op_name]

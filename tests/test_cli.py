@@ -801,11 +801,27 @@ def untrained_checkpoint(tmp_path):
     return path
 
 
+def set_first(key, value):
+    """A checkpoint edit that sets the first element of array ``key``, stored
+    as float64 so that values beyond float32 can be written."""
+    def edit(meta, arrays):
+        arrays[key] = arrays[key].astype(np.float64)
+        arrays[key].flat[0] = value
+    return edit
+
+
 @pytest.mark.parametrize("edit", [
     lambda meta, arrays: meta["hyper"].update(attention_dropout=0.1),
     lambda meta, arrays: meta["hyper"].pop("dustbin_init"),
     lambda meta, arrays: arrays.pop("stat.pillar.norm.running_mean"),
-], ids=["unknown-hyper", "missing-hyper", "missing-stat"])
+    set_first("param.pillar.weight", np.nan),
+    set_first("param.dustbin.score", np.inf),
+    set_first("param.positional.0.weight", 1e300),
+    set_first("stat.positional.0.norm.running_mean", np.nan),
+    set_first("stat.pillar.norm.running_var", -np.inf),
+    set_first("stat.pillar.norm.running_var", -0.67),
+], ids=["unknown-hyper", "missing-hyper", "missing-stat", "nan-param", "inf-param",
+        "param-beyond-float32", "nan-stat", "inf-stat", "negative-variance"])
 def test_malformed_checkpoint_is_config_error(tmp_path, capsys, edit):
     data = run_synth(tmp_path, "data", num_pairs=1, seed=5)
     checkpoint = untrained_checkpoint(tmp_path)
@@ -815,6 +831,32 @@ def test_malformed_checkpoint_is_config_error(tmp_path, capsys, edit):
     capsys.readouterr()
     assert main(args) == 2
     assert capsys.readouterr().err.startswith("error: ")
+    report = tmp_path / "report"
+    assert main(["eval", "--data", str(data), "--matchers", "ours,nn",
+                 "--checkpoint", str(checkpoint), "--report", str(report)]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+    assert not report.exists()
+
+
+@pytest.mark.parametrize("key,value", [
+    ("stat.positional.0.norm.running_mean", np.nan),
+    ("stat.pillar.norm.running_var", -0.67),
+    ("param.pillar.weight", np.nan),
+])
+def test_resume_from_a_non_finite_checkpoint_writes_nothing(tmp_path, capsys, key, value):
+    data = run_synth(tmp_path, "data", num_pairs=2, seed=4)
+    first = tmp_path / "run"
+    assert main(["train", "--data", str(data), "--out", str(first), "--max-steps", "1",
+                 "--batch-size", "2", *TOY_FLAGS]) == 0
+    checkpoint = first / "checkpoint_final.pmc"
+    rewrite_container(checkpoint, "checkpoint", set_first(key, value))
+    capsys.readouterr()
+    resumed = tmp_path / "run2"
+    assert main(["train", "--data", str(data), "--out", str(resumed), "--max-steps", "2",
+                 "--resume", str(checkpoint)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and key.split(".", 1)[1] in err
+    assert not resumed.exists()
 
 
 def test_malformed_pair_and_dataset_are_data_errors(tmp_path, capsys):

@@ -481,13 +481,14 @@ def test_gnn_layer_node_budget(monkeypatch, rng, mlp, expected):
 
 
 def test_batch_assignments_node_budget(monkeypatch):
-    # encoders 3 + 7 + init 1; per (n, m) group: stack gathers 2, two layers
-    # of 8, projections 2, scores 2, dustbin 5, sinkhorn 1; nothing per pair
+    # encoders 1 + 3 (a node per block, one final linear) + init 1; per (n, m)
+    # group: stack gathers 2, two layers of 8, projections 2, scores 2,
+    # dustbin 1, sinkhorn 1; nothing per pair
     pair = toy_pair(seed=3)
     params = ModelParameters.initialize(toy_hyper(), seed=0)
     counter = count_nodes(monkeypatch)
     batch_assignments(params, [pair], train=True)
-    assert counter[0] == 11 + 2 + 2 * 8 + 2 + 2 + 5 + 1
+    assert counter[0] == 5 + 2 + 2 * 8 + 2 + 2 + 1 + 1
 
 
 def test_batch_assignments_mixed_shapes_equal_per_pair_calls_in_input_order():
@@ -536,7 +537,8 @@ def test_finished_tape_is_freed_without_the_cycle_collector():
         [(_, assign)] = batch_assignments(params, [pair], train=True)
         loss = compute_loss("nllp", assign, [pair.labels])
         loss.backward()
-        # every op output on the tape, from the loss back to the first encoder
+        # every op output on the tape, from the loss back to the first encoder:
+        # the 29 nodes of test_batch_assignments_node_budget and the loss
         intermediates, stack, seen = [], [loss], set()
         while stack:
             node = stack.pop()
@@ -544,7 +546,7 @@ def test_finished_tape_is_freed_without_the_cycle_collector():
                 seen.add(id(node))
                 intermediates.append(weakref.ref(node))
                 stack.extend(node._parents)
-        assert len(intermediates) > 30
+        assert len(intermediates) == 30
         del loss, assign, node, stack
         assert [ref for ref in intermediates if ref() is not None] == []
     finally:

@@ -94,6 +94,33 @@ def test_dustbin_gradient_sums_over_cells(rng):
     assert w.grad == pytest.approx(dust_weight_sum, rel=1e-12)
 
 
+@pytest.mark.parametrize("shape", [(4, 5), (3, 4, 5)])
+def test_augment_dustbin_is_one_node_matching_numpy(rng, shape):
+    raw, w = t(rng.normal(size=shape), grad=True), t(-0.4, grad=True)
+    weights = rng.normal(size=shape[:-2] + (shape[-2] + 1, shape[-1] + 1))
+    out = augment_dustbin(raw, w)
+    pad = [(0, 0)] * (len(shape) - 2) + [(0, 1), (0, 1)]
+    np.testing.assert_array_equal(out.data, np.pad(raw.data, pad, constant_values=-0.4))
+    assert out._parents == (raw, w)
+    assert grad_check(lambda: (augment_dustbin(raw, w) * t(weights)).sum(), [raw, w]) < 1e-6
+
+
+def test_dustbin_gradient_sums_column_then_row_in_a_fixed_order(rng):
+    # float32 sums depend on their order: the column cells are summed over
+    # every leading axis at once, the row cells over the leading axes and
+    # then along the row, and the column part comes first
+    n, m = 5, 6
+    raw = Tensor(rng.normal(size=(8, n, m)).astype(np.float32), requires_grad=True)
+    w = Tensor(np.float32(0.5), requires_grad=True)
+    grad = rng.normal(size=(8, n + 1, m + 1)).astype(np.float32)
+    augment_dustbin(raw, w).backward(grad)
+    col = np.ascontiguousarray(grad[:, :n, m:]).sum(axis=(0, 1))
+    row = np.ascontiguousarray(grad[:, n:, :]).sum(axis=(0, 1)).sum(keepdims=True)
+    assert w.grad.dtype == np.float32
+    assert w.grad.tobytes() == (col + row).reshape(()).tobytes()
+    np.testing.assert_array_equal(raw.grad, grad[:, :n, :m])
+
+
 # ---------------------------------------------------------------------------
 # sinkhorn
 # ---------------------------------------------------------------------------
