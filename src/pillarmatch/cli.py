@@ -235,10 +235,14 @@ def _parse_distances(text: str) -> list[int]:
     return distances
 
 
-def _check_pillar_capacity(source: str, pairs, hyper: HyperParams) -> None:
-    """Pairs read from ``source``, a pair file or a dataset, must have pillars
-    of the capacity the model encodes."""
+def _check_pair_shapes(source: str, pairs, hyper: HyperParams) -> None:
+    """Pairs read from ``source``, a pair file or a dataset, must have the
+    key-point counts and the pillar capacity of the model."""
     for index, pair in enumerate(pairs):
+        n, m = len(pair.src_keypoints), len(pair.tgt_keypoints)
+        if (n, m) != (hyper.src_keypoints, hyper.tgt_keypoints):
+            raise ConfigError(f"{source}: pair {index} has {n}/{m} key-points (source/target) "
+                              f"but the model expects {hyper.src_keypoints}/{hyper.tgt_keypoints}")
         src, tgt = pair.src_pillars.capacity, pair.tgt_pillars.capacity
         if src != hyper.pillar_points or tgt != hyper.pillar_points:
             raise ConfigError(f"{source}: pair {index} has pillar capacity {src}/{tgt} "
@@ -360,7 +364,7 @@ def cmd_train(args) -> int:
         hyper = HyperParams(**_hyper_fields(args))
     if args.learning_rate is None:
         args.learning_rate = DEFAULT_LEARNING_RATE if optimizer is None else optimizer.learning_rate
-    _check_pillar_capacity(args.data, pairs, hyper)
+    _check_pair_shapes(args.data, pairs, hyper)
     run = learn.TrainRun(
         dataset_id=str(args.data),
         epochs=args.epochs,
@@ -396,14 +400,7 @@ def cmd_match(args) -> int:
     params, meta, _ = load_checkpoint(_resolve(args.checkpoint))
     params.hyper = _override_hyper(params.hyper, args)
     pair = pairio.read_pair(_resolve(args.pair))
-    n, m = len(pair.src_keypoints), len(pair.tgt_keypoints)
-    hyper = params.hyper
-    if (n, m) != (hyper.src_keypoints, hyper.tgt_keypoints):
-        raise ConfigError(
-            f"pair has {n}/{m} key-points but checkpoint expects "
-            f"{hyper.src_keypoints}/{hyper.tgt_keypoints}"
-        )
-    _check_pillar_capacity(args.pair, [pair], hyper)
+    _check_pair_shapes(args.pair, [pair], params.hyper)
     result = match_pair(params, pair)
     report = {
         "pair": str(args.pair),
@@ -476,7 +473,7 @@ def cmd_eval(args) -> int:
             raise ConfigError("matcher 'ours' requires --checkpoint")
         params, _, _ = load_checkpoint(_resolve(args.checkpoint))
         params.hyper = _override_hyper(params.hyper, args)
-        _check_pillar_capacity(args.data, pairs, params.hyper)
+        _check_pair_shapes(args.data, pairs, params.hyper)
     report = register.evaluate_matchers(
         pairs,
         matchers=matchers,

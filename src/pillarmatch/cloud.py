@@ -38,7 +38,7 @@ from .errors import (
     InsufficientPointsError,
 )
 from .transforms import RigidTransform, random_rotation
-from .transport import mutual_argmax
+from .transport import mutual_nearest
 
 SCAN_RECORD_BYTES = 16  # 4 little-endian float32 per point: x, y, z, reflectance
 ORIGIN_EPS = 1e-6       # smoothness is singular at the sensor origin
@@ -485,8 +485,7 @@ def label_correspondences(
         raise ArgumentError("both key-point sets must be nonempty")
 
     # brute-force distances keep tie-breaking exact (lowest index wins)
-    dists = np.linalg.norm(src[:, None, :] - tgt[None, :, :], axis=2)
-    rows, cols = mutual_argmax(-dists)
+    rows, cols, dists = mutual_nearest(src, tgt)
     close = dists[rows, cols] < match_radius
     matched_rows, matched_cols = rows[close].tolist(), cols[close].tolist()
     unmatched_rows = np.flatnonzero(dists.min(axis=1) > unmatch_radius).tolist()

@@ -66,9 +66,9 @@ def loss_weights(kind: str, labels: CorrespondenceLabels, n: int, m: int,
 
 def weighted_assignment_loss(log_p: Tensor, cells, rows, cols, row_span: int) -> Tensor:
     """``-(cells * log_p).sum() + (rows * lse_row).sum() + (cols * lse_col).sum()`` per
-    matrix of a ``(B, n+1, m+1)`` stack and weights stacked alike, added in stack order, as
-    one tape node; one ``(n+1, m+1)`` matrix is B = 1. ``lse_row`` spans each row's first
-    ``row_span`` columns; the gradient is ``-cells + rows * softmax_row + cols * softmax_col``."""
+    matrix of a ``(B, n+1, m+1)`` stack and weights stacked alike, added in stack order, times
+    ``1.0 / B``, as one tape node; a matrix is B = 1. ``lse_row`` spans the first ``row_span``
+    columns of a row; the gradient is ``(-cells + rows * softmax_row + cols * softmax_col) / B``."""
     cells, rows, cols = (np.asarray(w, dtype=log_p.dtype) for w in (cells, rows, cols))
     data = log_p.data.reshape(cells.shape)
     block = data[..., :row_span]
@@ -78,19 +78,20 @@ def weighted_assignment_loss(log_p: Tensor, cells, rows, cols, row_span: int) ->
              - np.sum((cells * data).reshape(len(data), -1), axis=-1))
     grad = cols[:, None] * np.exp(data - col_lse) - cells
     grad[..., :row_span] += rows[..., None] * np.exp(block - row_lse)
-    out = ad._node(np.asarray(sum(terms[1:], terms[0])), (log_p,), "assignment_loss")
+    mean = 1.0 / len(data)
+    out = ad._node(np.asarray(sum(terms[1:], terms[0]) * mean), (log_p,), "assignment_loss")
     if out.requires_grad:
         def back(g):
-            log_p._accumulate((g * grad).reshape(log_p.shape))
+            log_p._accumulate((g * mean * grad).reshape(log_p.shape))
         out._backward = back
     return out
 
 
 def compute_loss(kind: str, assign, labels, penalty_excludes_dustbin: bool = False) -> Tensor:
     """Loss ``kind`` (one of :data:`LOSS_KINDS`) of an ``(n+1, m+1)`` ``assign`` against
-    ``labels``, or of a ``(B, n+1, m+1)`` stack against B labels. By default the ``nllp``
-    penalty's log-sum spans the whole row, which keeps the loss non-negative and zero on a
-    correctly assigned row; ``penalty_excludes_dustbin`` (the literal bound) loses that."""
+    ``labels``, or its mean over a ``(B, n+1, m+1)`` stack against B labels. By default the
+    ``nllp`` penalty's log-sum spans the whole row, which keeps the loss non-negative and zero
+    on a correctly assigned row; ``penalty_excludes_dustbin`` (the literal bound) loses that."""
     log_p = assign.log_p
     if log_p.ndim not in (2, 3):
         raise ShapeError("a loss needs an (n+1, m+1) matrix or a (B, n+1, m+1) stack")
@@ -225,21 +226,19 @@ class TrainResult:
 
 
 def _train_step(batch, run: TrainRun, params: ModelParameters, named, optimizer: AdamState):
-    """One optimizer step on ``batch``; returns the batch loss and each pair's
-    match metrics as plain numbers, so the step's tape is freed when it
-    returns, before the next step builds its own."""
-    groups = batch_assignments(params, batch, train=True)
-    terms = [compute_loss(run.loss_kind, assign, [batch[i].labels for i in members],
-                          run.nllp_penalty_excludes_dustbin) for members, assign in groups]
-    loss = sum(terms[1:], terms[0]) * (1.0 / len(batch))
+    """One optimizer step on ``batch``; returns the mean loss over the batch and
+    each pair's match metrics as plain numbers, so the step's tape is freed when
+    it returns, before the next step builds its own."""
+    assign = batch_assignments(params, batch, train=True)
+    loss = compute_loss(run.loss_kind, assign, [pair.labels for pair in batch],
+                        run.nllp_penalty_excludes_dustbin)
     params.zero_grad()
     loss.backward()
     adam_step(named, optimizer)
     threshold = params.hyper.match_threshold
-    metrics = {i: match_metrics(extract_matches(AssignmentMatrix(Tensor(log_p)), threshold),
-                                batch[i].labels)
-               for members, assign in groups for i, log_p in zip(members, assign.log_p.data)}
-    return loss.item(), [metrics[i] for i in range(len(batch))]
+    metrics = [match_metrics(extract_matches(AssignmentMatrix(Tensor(log_p)), threshold),
+                             pair.labels) for pair, log_p in zip(batch, assign.log_p.data)]
+    return loss.item(), metrics
 
 
 def train(
@@ -252,11 +251,14 @@ def train(
     run_dir=None,
     log=None,
 ) -> TrainResult:
-    """Train over preprocessed pairs; per-epoch shuffling derives from
-    ``(seed, epoch)`` so runs resume deterministically from checkpoints.
+    """Train over preprocessed pairs of one key-point count; per-epoch shuffling
+    derives from ``(seed, epoch)`` so runs resume deterministically from checkpoints.
     """
     if not pairs:
         raise ArgumentError("training dataset is empty")
+    shapes = sorted({(len(pair.src_keypoints), len(pair.tgt_keypoints)) for pair in pairs})
+    if len(shapes) > 1:
+        raise ArgumentError(f"training pairs must share one key-point count, got {shapes}")
     for pair in pairs:
         if pair.labels.total_cells() == 0:
             raise ArgumentError("a training pair has zero ground-truth cells")

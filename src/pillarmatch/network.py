@@ -8,9 +8,9 @@ shared between the two clouds within a layer. A layer stores its query, key
 and value weights as one fused projection, projects each graph once and runs
 every head of one side in a single :func:`attention` tape node. Checkpoints
 keep the per-head arrays of earlier releases. The graph runs on ``(B, n,
-d)`` stacks: the pairs of a batch that share key-point counts go through
-every layer together, so a layer records the same nodes for one pair as for
-a whole batch.
+d)`` stacks: the pairs of a batch, which share one key-point count ``(n,
+m)``, go through every layer together, so a layer records the same nodes for
+one pair as for a whole batch.
 """
 from __future__ import annotations
 
@@ -381,39 +381,34 @@ def final_projection(nodes: Tensor, params: ModelParameters) -> Tensor:
 
 def batch_descriptors(
     params: ModelParameters, stacks: list, coords: list, train: bool = False
-) -> list[tuple[list[int], Tensor, Tensor]]:
-    """Descriptor pipeline for a batch of pairs, run once per pair shape.
+) -> tuple[Tensor, Tensor]:
+    """Descriptor pipeline for a batch of pairs of one key-point count ``(n, m)``.
 
     ``stacks`` and ``coords`` list the clouds in order source, target, source,
     target, ... Pillar and positional encodings run jointly over every pillar
     of every cloud so batch-norm statistics pool across the whole batch. The
-    pairs are then grouped by key-point counts ``(n, m)`` in first-seen
-    order, and each group's attention graph runs once on a ``(B, n, d)``
-    source and a ``(B, m, d)`` target stack. Returns one ``(pair indices,
-    desc_src, desc_tgt)`` per group; slice b of both stacks belongs to the
-    pair at ``indices[b]`` of the input.
+    attention graph then runs once on a ``(B, n, d)`` source and a ``(B, m,
+    d)`` target stack, and ``(desc_src, desc_tgt)`` are its projections; slice
+    b of both belongs to pair b. An empty batch, or one whose pairs differ in
+    key-point counts, is a :class:`ShapeError`.
     """
+    shapes = set(zip(map(len, stacks[0::2]), map(len, stacks[1::2])))
+    if len(shapes) != 1:
+        raise ShapeError(f"a batch needs pairs of one key-point count, got {sorted(shapes)}")
+    (n_src, n_tgt), = shapes
     dtype = params.pillar_weight.dtype
     all_stacks = ad.as_tensor(np.concatenate(stacks), dtype=dtype)
     all_coords = ad.as_tensor(np.concatenate(coords), dtype=dtype)
     encoded = encode_pillars(all_stacks, params, train)
     positional = encode_positions(all_coords, params, train)
     nodes = init_nodes(encoded, positional)
-    starts = np.cumsum([0] + [len(s) for s in stacks])
-    groups: dict[tuple[int, int], list[int]] = {}
-    for index, shape in enumerate(zip(map(len, stacks[0::2]), map(len, stacks[1::2]))):
-        groups.setdefault(shape, []).append(index)
-    out = []
-    for (n_src, n_tgt), members in groups.items():
-        # (B, n) rows of each member's source and target cloud in ``nodes``
-        clouds = 2 * np.asarray(members)
-        nodes_src = nodes.gather_rows(starts[clouds, None] + np.arange(n_src))
-        nodes_tgt = nodes.gather_rows(starts[clouds + 1, None] + np.arange(n_tgt))
-        for index, layer in enumerate(params.layers):
-            nodes_src, nodes_tgt = gnn_layer(nodes_src, nodes_tgt, layer, index, params.hyper)
-        out.append((members, final_projection(nodes_src, params),
-                    final_projection(nodes_tgt, params)))
-    return out
+    # the (B, n) rows of each pair's source and target cloud in ``nodes``
+    starts = (n_src + n_tgt) * np.arange(len(stacks) // 2)[:, None]
+    nodes_src = nodes.gather_rows(starts + np.arange(n_src))
+    nodes_tgt = nodes.gather_rows(starts + n_src + np.arange(n_tgt))
+    for index, layer in enumerate(params.layers):
+        nodes_src, nodes_tgt = gnn_layer(nodes_src, nodes_tgt, layer, index, params.hyper)
+    return final_projection(nodes_src, params), final_projection(nodes_tgt, params)
 
 
 def forward_descriptors(
@@ -425,7 +420,7 @@ def forward_descriptors(
     train: bool = False,
 ) -> tuple[Tensor, Tensor]:
     """``(desc_src, desc_tgt)`` of one pair; see :func:`batch_descriptors`."""
-    (_, desc_src, desc_tgt), = batch_descriptors(
+    desc_src, desc_tgt = batch_descriptors(
         params, [stacks_src, stacks_tgt], [coords_src, coords_tgt], train
     )
     return desc_src.gather_rows(0), desc_tgt.gather_rows(0)

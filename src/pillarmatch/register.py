@@ -6,6 +6,7 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 from scipy.spatial import cKDTree
 
+from . import pipeline
 from .cloud import CorrespondenceLabels
 from .errors import (
     ArgumentError,
@@ -13,7 +14,7 @@ from .errors import (
     InsufficientCorrespondencesError,
 )
 from .transforms import RigidTransform, rigid_inverse, rigid_matrix, rotation_angle
-from .transport import MatchSet, mutual_argmax
+from .transport import MatchSet, mutual_nearest
 
 # Published full-scale results for this architecture (KITTI, 300-epoch GPU
 # training). They require that setup and are recorded here as reference
@@ -94,10 +95,7 @@ def nn_matcher(src_positions, tgt_positions) -> MatchSet:
     tgt = np.asarray(tgt_positions, dtype=np.float64).reshape(-1, 3)
     if len(src) == 0 or len(tgt) == 0:
         raise ArgumentError("both key-point sets must be nonempty")
-    # (dx^2 + dy^2) + dz^2, the order in which np.linalg.norm sums three values,
-    # so the distances and their ties are exactly the norm's
-    squares = sum(np.square(src[:, None, c] - tgt[None, :, c]) for c in range(3))
-    rows, cols = mutual_argmax(-np.sqrt(squares))
+    rows, cols, _ = mutual_nearest(src, tgt)
     pairs = ((i, j, 1.0) for i, j in zip(rows.tolist(), cols.tolist()))
     return MatchSet.from_pairs(pairs, len(src), len(tgt))
 
@@ -235,12 +233,11 @@ class EvalReport:
 
 
 def _predicted_matchset(matcher: str, pair, params):
-    from .pipeline import match_pair  # local import keeps module load light
-
     if matcher == "ours":
         if params is None:
             raise ArgumentError("matcher 'ours' needs model parameters")
-        return match_pair(params, pair).matches
+        # looked up at call time, so a wrapper installed on pipeline.match_pair sees the call
+        return pipeline.match_pair(params, pair).matches
     if matcher == "nn":
         src, tgt = pair.coords
         return nn_matcher(src, tgt)

@@ -335,6 +335,16 @@ def mutual_argmax(scores: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return rows, row_best[rows]
 
 
+def mutual_nearest(src: np.ndarray, tgt: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``(rows, cols, dists)``: the ``(n, m)`` distances of two 3-D point sets and their
+    brute-force mutual nearest neighbours, read by :func:`mutual_argmax` from ``-dists``."""
+    # (dx^2 + dy^2) + dz^2, the order in which np.linalg.norm sums three values,
+    # so the distances and their ties are exactly the norm's
+    dists = np.sqrt(sum(np.square(src[:, None, c] - tgt[None, :, c]) for c in range(3)))
+    rows, cols = mutual_argmax(-dists)
+    return rows, cols, dists
+
+
 def extract_matches(assign: AssignmentMatrix, threshold: float = 0.2) -> MatchSet:
     """Mutual-argmax readout of the soft assignment.
 

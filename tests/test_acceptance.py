@@ -89,7 +89,7 @@ def test_criterion_2_full_pipeline_grad_check():
     errors = {}
     for kind in ("nll", "nllp", "dce"):
         def objective(kind=kind):
-            [(_, assign)] = batch_assignments(params, [pair], train=True)
+            assign = batch_assignments(params, [pair], train=True)
             return compute_loss(kind, assign, [pair.labels])
 
         # step 1e-4: the end-to-end objective is larger than any single layer,

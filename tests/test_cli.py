@@ -624,6 +624,30 @@ def test_pillar_capacity_mismatch_is_config_error_in_train_and_eval(tmp_path, ca
     assert "the model expects 4" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["train", "resume", "eval"])
+def test_key_point_count_mismatch_is_config_error_and_writes_nothing(tmp_path, capsys, command):
+    # the dataset has 8/8 key-points and the model 6/6, at the dataset's pillar capacity
+    data = run_synth(tmp_path, "data", num_pairs=2, seed=5)
+    hyper = HyperParams(src_keypoints=6, tgt_keypoints=6, pillar_points=6, feature_depth=8,
+                        attention_heads=2, attention_layers=2, sinkhorn_iterations=10,
+                        positional_hidden=(8, 16))
+    checkpoint = tmp_path / "model.pmc"
+    save_checkpoint(checkpoint, ModelParameters.initialize(hyper, seed=0))
+    out = tmp_path / "out"
+    argv = {
+        "train": ["train", "--data", str(data), "--out", str(out), "--epochs", "1",
+                  "--batch-size", "2", *TOY_FLAGS, "--keypoints", "6"],
+        "resume": ["train", "--data", str(data), "--out", str(out), "--epochs", "1",
+                   "--resume", str(checkpoint)],
+        "eval": ["eval", "--data", str(data), "--checkpoint", str(checkpoint),
+                 "--matchers", "ours", "--report", str(out)],
+    }[command]
+    assert main(argv) == 2
+    assert "pair 0 has 8/8 key-points (source/target) but the model expects 6/6" in \
+        capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_config_file_provides_defaults(tmp_path):
     config = tmp_path / "cfg.json"
     config.write_text(json.dumps({

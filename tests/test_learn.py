@@ -332,8 +332,8 @@ def test_each_loss_is_one_tape_node(kind, monkeypatch, rng):
 @pytest.mark.parametrize("kind", sorted(REFERENCE_LOSSES))
 def test_stacked_loss_equals_sequential_sum_of_matrix_losses(kind, dtype, monkeypatch, rng):
     # one node for the stack; its value is the per-matrix losses added in
-    # stack order in the stack's dtype, and its gradient their gradients
-    # stacked, bit for bit
+    # stack order in the stack's dtype, times 1 / B, and its gradient their
+    # gradients stacked, each times that factor, bit for bit
     loss = REFERENCE_LOSSES[kind][1]
     # 8 and more matrices: numpy's own sum would add those pairwise
     for n, m, batch in ((3, 5, 6), (12, 9, 9), (32, 32, 8)):
@@ -354,9 +354,13 @@ def test_stacked_loss_equals_sequential_sum_of_matrix_losses(kind, dtype, monkey
             expected = expected + value.data
         for value in values:
             value.backward()
-        assert stacked.data.dtype == dtype and stacked.data.tobytes() == expected.tobytes()
+        factor = np.ones((), dtype) * (1.0 / batch)
+        mean = np.asarray(expected * (1.0 / batch))
+        assert mean.dtype == factor.dtype == dtype
+        assert stacked.data.dtype == dtype and stacked.data.tobytes() == mean.tobytes()
         assert stack.log_p.grad.dtype == dtype
-        np.testing.assert_array_equal(stack.log_p.grad, [single.log_p.grad for single in singles])
+        np.testing.assert_array_equal(stack.log_p.grad,
+                                      [factor * single.log_p.grad for single in singles])
 
 
 @pytest.mark.parametrize("count", [0, 2, 4])
@@ -367,13 +371,11 @@ def test_stacked_loss_needs_one_labels_per_matrix(count):
         compute_loss("nll", stack, [labels] * count)
 
 
-def test_mixed_shape_step_equals_per_pair_reference(monkeypatch):
-    # groups add up group by group, so a batch of several (n, m) shapes may
-    # move the loss by float32 rounding against adding pair by pair in input
-    # order; the gradients and each pair's metrics stay the pair's own
-    shapes = [(4, 4), (3, 5), (4, 4), (5, 3), (3, 5)]
-    pairs = [toy_pair(seed=40 + i, hyper=toy_hyper(src_keypoints=n, tgt_keypoints=m))
-             for i, (n, m) in enumerate(shapes)]
+def test_step_equals_per_pair_reference(monkeypatch):
+    # the step's loss is the mean of its pairs' losses, up to float32 rounding
+    # against adding them pair by pair; the gradients and each pair's metrics
+    # stay the pair's own, in input order
+    pairs = [toy_pair(seed=40 + i) for i in range(5)]
     params = ModelParameters.initialize(toy_hyper(), seed=6)
     named = params.named_parameters()
     step_grads = {}
@@ -382,12 +384,10 @@ def test_mixed_shape_step_equals_per_pair_reference(monkeypatch):
     run = TrainRun(batch_size=len(pairs), loss_kind="nllp")
     loss, metrics = learn._train_step(pairs, run, params, named, AdamState())
 
-    terms = [None] * len(pairs)
-    for members, assign in batch_assignments(params, pairs, train=True):
-        for b, index in enumerate(members):
-            matrix = AssignmentMatrix(assign.log_p.gather_rows(b))
-            terms[index] = (compute_loss("nllp", matrix, pairs[index].labels), matrix)
-    reference = sum((term for term, _ in terms[1:]), terms[0][0]) * (1.0 / len(pairs))
+    assign = batch_assignments(params, pairs, train=True)
+    matrices = [AssignmentMatrix(assign.log_p.gather_rows(b)) for b in range(len(pairs))]
+    terms = [compute_loss("nllp", matrix, pair.labels) for matrix, pair in zip(matrices, pairs)]
+    reference = sum(terms[1:], terms[0]) * (1.0 / len(pairs))
     params.zero_grad()
     reference.backward()
     assert loss == pytest.approx(reference.item(), rel=1e-6)
@@ -396,7 +396,7 @@ def test_mixed_shape_step_equals_per_pair_reference(monkeypatch):
         np.testing.assert_allclose(step_grads[name], tensor.grad, rtol=1e-6, atol=1e-6 * scale)
     assert metrics == [
         match_metrics(extract_matches(matrix, params.hyper.match_threshold), pair.labels)
-        for pair, (_, matrix) in zip(pairs, terms)]
+        for pair, matrix in zip(pairs, matrices)]
 
 
 @pytest.mark.parametrize("labels", [
@@ -425,7 +425,7 @@ def test_loss_gradients_through_pipeline(kind):
     pair = toy_pair(seed=6, hyper=hyper)
 
     def objective():
-        [(_, assign)] = batch_assignments(params, [pair], train=True)
+        assign = batch_assignments(params, [pair], train=True)
         return compute_loss(kind, assign, [pair.labels])
 
     named = params.named_parameters()
@@ -537,7 +537,7 @@ def test_train_single_step_decreases_batch_loss():
     params = ModelParameters.initialize(hyper, seed=3, dtype=np.float64)
 
     def batch_loss():
-        [(_, assign)] = batch_assignments(params, pairs, train=True)
+        assign = batch_assignments(params, pairs, train=True)
         return compute_loss("nll", assign, [pairs[0].labels])
 
     before = batch_loss()
@@ -557,9 +557,9 @@ def test_train_frees_each_step_tape_before_the_next(monkeypatch):
 
     def watched(*args, **kwargs):
         alive_at_start.append(sum(ref() is not None for ref in refs))
-        groups = batch_assignments(*args, **kwargs)
-        refs.extend(weakref.ref(assign.log_p) for _, assign in groups)
-        return groups
+        assign = batch_assignments(*args, **kwargs)
+        refs.append(weakref.ref(assign.log_p))
+        return assign
 
     monkeypatch.setattr(learn, "batch_assignments", watched)
     run = TrainRun(epochs=1, batch_size=2, seed=4, loss_kind="nllp", learning_rate=1e-3)
@@ -579,6 +579,15 @@ def test_train_rejects_empty_dataset():
         train([], TrainRun(epochs=1), hyper)
 
 
+def test_train_refuses_pairs_of_several_key_point_counts_before_writing(tmp_path):
+    hyper, pairs = small_dataset(count=2)
+    pairs.append(toy_pair(seed=30, hyper=toy_hyper(src_keypoints=5)))
+    run_dir = tmp_path / "run"
+    with pytest.raises(ArgumentError, match=r"\(4, 4\), \(5, 4\)"):
+        train(pairs, TrainRun(epochs=1), hyper, run_dir=run_dir)
+    assert not run_dir.exists()
+
+
 def test_train_max_steps_stops_early():
     hyper, pairs = small_dataset(count=4)
     run = TrainRun(epochs=50, batch_size=2, seed=2, loss_kind="nll", max_steps=3)
@@ -593,8 +602,8 @@ def test_train_batch_order_invariant_loss():
 
     def batch_loss(ordering):
         batch = [pairs[i] for i in ordering]
-        [(members, assign)] = batch_assignments(params, batch, train=True)
-        return compute_loss("nll", assign, [batch[i].labels for i in members]).item() / len(batch)
+        assign = batch_assignments(params, batch, train=True)
+        return compute_loss("nll", assign, [pair.labels for pair in batch]).item()
 
     assert batch_loss([0, 1, 2]) == pytest.approx(batch_loss([2, 0, 1]), rel=1e-9)
 

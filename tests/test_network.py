@@ -481,8 +481,8 @@ def test_gnn_layer_node_budget(monkeypatch, rng, mlp, expected):
 
 
 def test_batch_assignments_node_budget(monkeypatch):
-    # encoders 1 + 3 (a node per block, one final linear) + init 1; per (n, m)
-    # group: stack gathers 2, two layers of 8, projections 2, scores 2,
+    # encoders 1 + 3 (a node per block, one final linear) + init 1; for the
+    # batch's stack: gathers 2, two layers of 8, projections 2, scores 2,
     # dustbin 1, sinkhorn 1; nothing per pair
     pair = toy_pair(seed=3)
     params = ModelParameters.initialize(toy_hyper(), seed=0)
@@ -491,41 +491,49 @@ def test_batch_assignments_node_budget(monkeypatch):
     assert counter[0] == 5 + 2 + 2 * 8 + 2 + 2 + 1 + 1
 
 
-def test_batch_assignments_mixed_shapes_equal_per_pair_calls_in_input_order():
-    # three (n, m) groups interleaved; eval mode, so batch-norm uses running
-    # statistics and a pair's result does not depend on its batch
-    shapes = [(4, 4), (3, 5), (4, 4), (5, 3), (3, 5)]
-    pairs = [toy_pair(seed=10 + i, hyper=toy_hyper(src_keypoints=n, tgt_keypoints=m))
-             for i, (n, m) in enumerate(shapes)]
+def test_batch_assignments_stack_equals_per_pair_calls_in_input_order():
+    # eval mode, so batch-norm uses running statistics and a pair's result
+    # does not depend on its batch; matrix b is pairs[b]'s
+    pairs = [toy_pair(seed=10 + i) for i in range(3)]
     params = ModelParameters.initialize(toy_hyper(), seed=2, dtype=np.float64)
-    groups = batch_assignments(params, pairs)
-    # one stack per (n, m) group, in first-seen order; matrix b is pairs[members[b]]
-    assert [members for members, _ in groups] == [[0, 2], [1, 4], [3]]
-    for members, assign in groups:
-        n, m = shapes[members[0]]
-        assert assign.log_p.shape == (len(members), n + 1, m + 1)
-        for matrix, index in zip(assign.log_p.data, members):
-            [(_, single)] = batch_assignments(params, [pairs[index]])
-            np.testing.assert_allclose(matrix, single.log_p.data[0], rtol=0, atol=1e-12)
+    batch = batch_assignments(params, pairs)
+    assert batch.log_p.shape == (3, 5, 5)
+    for matrix, pair in zip(batch.log_p.data, pairs):
+        single = batch_assignments(params, [pair])
+        np.testing.assert_allclose(matrix, single.log_p.data[0], rtol=0, atol=1e-12)
+
+
+def test_batch_assignments_refuses_an_empty_or_mixed_shape_batch():
+    params = ModelParameters.initialize(toy_hyper(), seed=2)
+    mixed = [toy_pair(seed=10), toy_pair(seed=11, hyper=toy_hyper(tgt_keypoints=5))]
+    for pairs in ([], mixed):
+        with pytest.raises(ShapeError, match="one key-point count"):
+            batch_assignments(params, pairs)
 
 
 def test_train_step_nodes_do_not_grow_with_batch_size(monkeypatch):
-    # the graph, transport and loss record once per (n, m) group whatever the
-    # batch size: one loss node per group, then the 1 / B scale
-    pairs = [toy_pair(seed=s) for s in range(8)]
-    assert len({(len(p.src_keypoints), len(p.tgt_keypoints)) for p in pairs}) == 1
-    params = ModelParameters.initialize(toy_hyper(), seed=0)
+    # the desk network at toy key-point counts: the graph, transport and loss
+    # record once per batch whatever its size, and the loss node takes the mean
+    hyper = toy_hyper(attention_layers=6, positional_hidden=HyperParams().positional_hidden)
+    pairs = [toy_pair(seed=s, hyper=hyper) for s in range(8)]
+    params = ModelParameters.initialize(hyper, seed=0)
     named = params.named_parameters()
     optimizer = learn.AdamState()
 
-    def step_nodes(batch_size):
+    def step_ops(batch_size):
         run = learn.TrainRun(batch_size=batch_size, loss_kind="nll")
-        counter = count_nodes(monkeypatch)
+        ops = []
+        record = ad._node
+        monkeypatch.setattr(ad, "_node", lambda *args: ops.append(args[2]) or record(*args))
         learn._train_step(pairs[:batch_size], run, params, named, optimizer)
         monkeypatch.undo()
-        return counter[0]
+        return ops
 
-    assert step_nodes(8) == step_nodes(4)
+    # encoder blocks 5, the positional output 1, init 1, gathers 2, six layers
+    # of 8, projections 2, scores 2, dustbin 1, sinkhorn 1, loss 1
+    for batch_size in (8, 4):
+        ops = step_ops(batch_size)
+        assert len(ops) == 64 and ops[-1] == "assignment_loss" and "scale" not in ops
 
 
 def test_finished_tape_is_freed_without_the_cycle_collector():
@@ -534,7 +542,7 @@ def test_finished_tape_is_freed_without_the_cycle_collector():
     was_enabled = gc.isenabled()
     gc.disable()
     try:
-        [(_, assign)] = batch_assignments(params, [pair], train=True)
+        assign = batch_assignments(params, [pair], train=True)
         loss = compute_loss("nllp", assign, [pair.labels])
         loss.backward()
         # every op output on the tape, from the loss back to the first encoder:
@@ -563,10 +571,10 @@ def test_match_pair_records_no_tape():
     assert not log_p.requires_grad
     assert log_p._parents == () and log_p._backward is None
     with ad.no_grad():
-        [(_, group)] = batch_assignments(params, [pair])
-        assert np.array_equal(log_p.data, group.log_p.data[0])
+        batch = batch_assignments(params, [pair])
+        assert np.array_equal(log_p.data, batch.log_p.data[0])
     # recording or not, attention and Sinkhorn run one path
-    [(_, recorded)] = batch_assignments(params, [pair])
+    recorded = batch_assignments(params, [pair])
     assert recorded.log_p.requires_grad
     np.testing.assert_array_equal(log_p.data, recorded.log_p.data[0])
     matches = extract_matches(AssignmentMatrix(Tensor(recorded.log_p.data[0])),

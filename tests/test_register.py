@@ -4,8 +4,16 @@ from scipy.spatial import cKDTree
 
 from conftest import synthetic_labels, toy_hyper, toy_pair
 
-from pillarmatch import register
-from pillarmatch.cloud import SceneConfig, generate_synthetic_pair
+from pillarmatch import transport
+from pillarmatch.cloud import (
+    DEFAULT_MATCH_RADIUS,
+    FramePair,
+    KeyPointSet,
+    PointCloud,
+    SceneConfig,
+    generate_synthetic_pair,
+    label_correspondences,
+)
 from pillarmatch.errors import (
     ArgumentError,
     DegenerateGeometryError,
@@ -140,6 +148,8 @@ def tie_heavy_sets():
 
 
 def test_nn_matcher_distances_equal_linalg_norm_on_ties(monkeypatch):
+    # nn_matcher and label_correspondences share one distance routine, so
+    # pair files keep the labels the norm gave
     src, tgt = tie_heavy_sets()
     seen = []
 
@@ -147,13 +157,20 @@ def test_nn_matcher_distances_equal_linalg_norm_on_ties(monkeypatch):
         seen.append(scores.copy())
         return mutual_argmax(scores)
 
-    monkeypatch.setattr(register, "mutual_argmax", recording)
+    monkeypatch.setattr(transport, "mutual_argmax", recording)
     out = nn_matcher(src, tgt)
-    reference = np.linalg.norm(src[:, None, :] - tgt[None, :, :], axis=2)
-    assert len(seen) == 1
-    assert seen[0].tobytes() == (-reference).tobytes()
+    identity = RigidTransform.identity()
+    keypoints = [KeyPointSet(positions=p, smoothness=np.zeros(len(p)), kind=np.ones(len(p)),
+                             index=np.arange(len(p))) for p in (src, tgt)]
+    cloud = PointCloud(src, np.zeros(len(src)))
+    labels = label_correspondences(FramePair(cloud, cloud, identity), *keypoints)
+    reference = np.linalg.norm(identity.apply(src)[:, None, :] - tgt[None, :, :], axis=2)
+    assert len(seen) == 2
+    assert all(scores.tobytes() == (-reference).tobytes() for scores in seen)
     rows, cols = mutual_argmax(-reference)
     assert out.index_pairs == set(zip(rows.tolist(), cols.tolist()))
+    close = reference[rows, cols] < DEFAULT_MATCH_RADIUS
+    assert labels.matched == set(zip(rows[close].tolist(), cols[close].tolist()))
 
 
 # ---------------------------------------------------------------------------

@@ -527,10 +527,10 @@ def test_match_pair_equals_recording_batch_assignments_on_a_desk_pair():
                         width=6.0, pole_count=10)
     pair = toy_pair(seed=100, hyper=hyper, scene=scene)
     params = ModelParameters.initialize(hyper, seed=0)
-    [(_, group)] = batch_assignments(params, [pair])
-    assert group.log_p.requires_grad
+    batch = batch_assignments(params, [pair])
+    assert batch.log_p.requires_grad
     np.testing.assert_array_equal(match_pair(params, pair).assignment.log_p.data,
-                                  group.log_p.data[0])
+                                  batch.log_p.data[0])
 
 
 def test_inference_sinkhorn_rejects_non_finite_input():
