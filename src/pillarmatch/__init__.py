@@ -35,7 +35,6 @@ from .network import (
     encode_positions,
     feature_stacks,
     final_projection,
-    forward_descriptors,
     gnn_layer,
     init_nodes,
     load_checkpoint,

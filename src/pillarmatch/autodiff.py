@@ -1,17 +1,19 @@
 """Reverse-mode automatic differentiation on numpy arrays.
 
-Every operation returns a new :class:`Tensor` carrying a closure that routes
-the output gradient to the operation's inputs. ``backward()`` replays the
-closures in reverse topological order exactly once, passing each its node's
-gradient; a second call on the same root tensor raises. No closure refers to
-the tensor it belongs to, so the tape holds no reference cycle and is freed
-by reference counting as soon as its last tensor goes. Inside
-:func:`no_grad` ops record nothing at all. No op broadcasts except
-``broadcast_to``, which keeps the tape auditable. ``@``, ``.T`` and
-``linear`` work on stacks: leading axes index independent matrices (one per
-pair of a batch), so a whole batch records one node per op. An encoder block,
-linear then batch-norm then ReLU, is the one node of
-:func:`linear_batchnorm_relu`.
+The tape holds only the ops the program records: ``+``, ``@``, ``.T``,
+``relu``, ``gather_rows``, :func:`linear` and :func:`linear_batchnorm_relu`
+here, and the attention, dustbin, Sinkhorn and loss nodes of the modules that
+build on :func:`_node`. Each op returns a new :class:`Tensor` carrying a
+closure that routes the output gradient to the op's inputs. ``backward()``
+replays the closures in reverse topological order exactly once, passing each
+its node's gradient; a second call on the same root tensor raises. No closure
+refers to the tensor it belongs to, so the tape holds no reference cycle and
+is freed by reference counting as soon as its last tensor goes. Inside
+:func:`no_grad` ops record nothing at all. No op broadcasts: ``+`` needs equal
+shapes, which keeps the tape auditable. ``@``, ``.T`` and ``linear`` work on
+stacks: leading axes index independent matrices (one per pair of a batch), so
+a whole batch records one node per op. An encoder block, linear then
+batch-norm then ReLU, is the one node of :func:`linear_batchnorm_relu`.
 
 Training and inference run in 32-bit; gradient checking requires 64-bit
 tensors because central differences are unreliable in single precision.
@@ -27,6 +29,9 @@ from .errors import ArgumentError, NumericError, ShapeError
 
 # False inside ``no_grad``: op outputs then get no parents and no backward.
 _recording = True
+
+# Seed of grad_check's cotangent, fixed so that a check is repeatable.
+_COTANGENT_SEED = 0
 
 
 # Validated on every op output, always; non-finite intermediate values are
@@ -140,48 +145,6 @@ class Tensor:
             out._backward = back
         return out
 
-    def __sub__(self, other: "Tensor") -> "Tensor":
-        _same_shape(self, other, "sub")
-        out = _node(self.data - other.data, (self, other), "sub")
-        if out.requires_grad:
-            def back(grad):
-                if self.requires_grad:
-                    self._accumulate(grad)
-                if other.requires_grad:
-                    other._accumulate(-grad)
-            out._backward = back
-        return out
-
-    def __neg__(self) -> "Tensor":
-        out = _node(-self.data, (self,), "neg")
-        if out.requires_grad:
-            def back(grad):
-                self._accumulate(-grad)
-            out._backward = back
-        return out
-
-    def __mul__(self, other):
-        if isinstance(other, Tensor):
-            _same_shape(self, other, "mul")
-            out = _node(self.data * other.data, (self, other), "mul")
-            if out.requires_grad:
-                def back(grad):
-                    if self.requires_grad:
-                        self._accumulate(grad * other.data)
-                    if other.requires_grad:
-                        other._accumulate(grad * self.data)
-                out._backward = back
-            return out
-        scalar = float(other)
-        out = _node(self.data * scalar, (self,), "scale")
-        if out.requires_grad:
-            def back(grad):
-                self._accumulate(grad * scalar)
-            out._backward = back
-        return out
-
-    __rmul__ = __mul__
-
     def __matmul__(self, other: "Tensor") -> "Tensor":
         """Matrix product over the last two axes; any leading axes must match."""
         if (self.ndim < 2 or self.ndim != other.ndim or self.shape[:-2] != other.shape[:-2]
@@ -209,58 +172,13 @@ class Tensor:
             out._backward = back
         return out
 
-    # -- nonlinearities and reductions -----------------------------------------
+    # -- ReLU and row gather ---------------------------------------------------
     def relu(self) -> "Tensor":
         out = _node(np.maximum(self.data, 0.0), (self,), "relu")
         if out.requires_grad:
             mask = self.data > 0.0
             def back(grad):
                 self._accumulate(grad * mask)
-            out._backward = back
-        return out
-
-    def logsumexp(self, axis: int, keepdims: bool = False) -> "Tensor":
-        axis = _check_axis(axis, self.ndim, "logsumexp")
-        value = logsumexp_array(self.data, axis)
-        out_data = value if keepdims else np.squeeze(value, axis=axis)
-        out = _node(out_data, (self,), "logsumexp")
-        if out.requires_grad:
-            weights = np.exp(self.data - value)  # softmax along axis
-            def back(grad):
-                g = grad if keepdims else np.expand_dims(grad, axis)
-                self._accumulate(weights * g)
-            out._backward = back
-        return out
-
-    def sum(self, axis=None) -> "Tensor":
-        out = _node(np.sum(self.data, axis=axis), (self,), "sum")
-        if out.requires_grad:
-            def back(grad):
-                if axis is None:
-                    self._accumulate(np.full_like(self.data, grad))
-                else:
-                    self._accumulate(np.broadcast_to(np.expand_dims(grad, axis), self.shape).copy())
-            out._backward = back
-        return out
-
-    # -- shape ops --------------------------------------------------------------
-    def broadcast_to(self, shape) -> "Tensor":
-        shape = tuple(shape)
-        try:
-            data = np.broadcast_to(self.data, shape)
-        except ValueError:
-            raise ShapeError(f"cannot broadcast {self.shape} to {shape}") from None
-        out = _node(np.ascontiguousarray(data), (self,), "broadcast")
-        if out.requires_grad:
-            in_shape = self.shape
-            def back(g):
-                extra = g.ndim - len(in_shape)
-                if extra:
-                    g = g.sum(axis=tuple(range(extra)))
-                axes = tuple(i for i, d in enumerate(in_shape) if d == 1 and g.shape[i] > 1)
-                if axes:
-                    g = g.sum(axis=axes, keepdims=True)
-                self._accumulate(g)
             out._backward = back
         return out
 
@@ -322,14 +240,6 @@ def _rows(data: np.ndarray) -> np.ndarray:
 def _same_shape(a: Tensor, b: Tensor, op: str) -> None:
     if a.shape != b.shape:
         raise ShapeError(f"{op}: shapes {a.shape} and {b.shape} differ")
-
-
-def _check_axis(axis: int, ndim: int, op: str) -> int:
-    if axis < 0:
-        axis += ndim
-    if not 0 <= axis < ndim:
-        raise ShapeError(f"{op}: axis out of range for {ndim}-d tensor")
-    return axis
 
 
 def as_tensor(value, requires_grad: bool = False, dtype=None) -> Tensor:
@@ -446,12 +356,18 @@ def linear_batchnorm_relu(x: Tensor, weight: Tensor, state: BatchNormState,
 
 
 def grad_check(f, params, step: float = 1e-5) -> float:
-    """Max relative error between reverse-mode and central-difference gradients.
+    """Max relative error between reverse-mode and central-difference
+    vector-Jacobian products.
 
-    ``f`` must be a deterministic zero-argument callable returning a scalar
-    Tensor built from ``params``; it is re-evaluated twice per parameter
-    element. Relative error uses max(|analytic|, |numeric|, 1e-8) as the
-    denominator. Parameters must be 64-bit.
+    ``f`` must be a deterministic zero-argument callable returning a Tensor
+    of any shape built from ``params``; it is re-evaluated twice per
+    parameter element. A cotangent ``w`` of the output's shape is drawn from
+    a fixed seed (all ones for a size-1 output), ``f().backward(w)`` gives
+    the analytic gradient of ``sum(w * f())``, and central differences of
+    that sum give the numeric one. A random ``w`` sees a backward that sends
+    an output's gradient to the wrong element, which a plain sum cannot.
+    Relative error uses max(|analytic|, |numeric|, 1e-8) as the denominator.
+    Parameters must be 64-bit.
     """
     params = list(params)
     for p in params:
@@ -459,10 +375,15 @@ def grad_check(f, params, step: float = 1e-5) -> float:
             raise ArgumentError("grad_check requires float64 parameters")
         p.zero_grad()
     out = f()
-    if out.size != 1:
-        raise ArgumentError("grad_check needs a scalar objective")
-    out.backward()
+    if out.size == 1:
+        cotangent = np.ones_like(out.data)
+    else:
+        cotangent = np.random.default_rng(_COTANGENT_SEED).normal(size=out.shape)
+    out.backward(cotangent)
     analytic = [np.zeros_like(p.data) if p.grad is None else p.grad.copy() for p in params]
+
+    def objective() -> float:
+        return float(np.sum(cotangent * f().data))
 
     worst = 0.0
     for p, grad in zip(params, analytic):
@@ -471,9 +392,9 @@ def grad_check(f, params, step: float = 1e-5) -> float:
         for i in range(flat.size):
             orig = flat[i]
             flat[i] = orig + step
-            f_plus = float(f().data)
+            f_plus = objective()
             flat[i] = orig - step
-            f_minus = float(f().data)
+            f_minus = objective()
             flat[i] = orig
             numeric = (f_plus - f_minus) / (2.0 * step)
             denom = max(abs(gflat[i]), abs(numeric), 1e-8)

@@ -148,7 +148,7 @@ def _load_config_defaults(parser, argv):
         raise FormatError(f"config file {path} does not exist")
     try:
         values = json.loads(path.read_text())
-    except json.JSONDecodeError as exc:
+    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise FormatError(f"{path}: invalid config json: {exc}") from None
     if not isinstance(values, dict):
         raise ConfigError(f"{path}: config must be a JSON object of flag values")

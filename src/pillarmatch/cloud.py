@@ -233,24 +233,28 @@ def save_kitti_scan(cloud: PointCloud, path) -> None:
 
 def load_kitti_poses(path) -> list[RigidTransform]:
     """Read a pose file: one row-major 3x4 matrix (12 numbers) per line."""
+    try:
+        with open(path, "r", encoding="ascii") as fh:
+            lines = fh.readlines()
+    except UnicodeDecodeError as exc:
+        raise FormatError(f"{path}: not an ASCII pose file: {exc}") from None
     poses = []
-    with open(path, "r", encoding="ascii") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            tokens = line.split()
-            if not tokens:
-                continue
-            if len(tokens) != 12:
-                raise FormatError(f"{path}:{lineno}: expected 12 values, got {len(tokens)}")
-            try:
-                values = np.array([float(t) for t in tokens], dtype=np.float64)
-            except ValueError:
-                raise FormatError(f"{path}:{lineno}: non-numeric pose entry") from None
-            mat = np.eye(4)
-            mat[:3, :] = values.reshape(3, 4)
-            try:
-                poses.append(RigidTransform(mat))
-            except ArgumentError as exc:
-                raise FormatError(f"{path}:{lineno}: {exc}") from None
+    for lineno, line in enumerate(lines, start=1):
+        tokens = line.split()
+        if not tokens:
+            continue
+        if len(tokens) != 12:
+            raise FormatError(f"{path}:{lineno}: expected 12 values, got {len(tokens)}")
+        try:
+            values = np.array([float(t) for t in tokens], dtype=np.float64)
+        except ValueError:
+            raise FormatError(f"{path}:{lineno}: non-numeric pose entry") from None
+        mat = np.eye(4)
+        mat[:3, :] = values.reshape(3, 4)
+        try:
+            poses.append(RigidTransform(mat))
+        except ArgumentError as exc:
+            raise FormatError(f"{path}:{lineno}: {exc}") from None
     return poses
 
 

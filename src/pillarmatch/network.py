@@ -411,21 +411,6 @@ def batch_descriptors(
     return final_projection(nodes_src, params), final_projection(nodes_tgt, params)
 
 
-def forward_descriptors(
-    params: ModelParameters,
-    stacks_src: np.ndarray,
-    stacks_tgt: np.ndarray,
-    coords_src: np.ndarray,
-    coords_tgt: np.ndarray,
-    train: bool = False,
-) -> tuple[Tensor, Tensor]:
-    """``(desc_src, desc_tgt)`` of one pair; see :func:`batch_descriptors`."""
-    desc_src, desc_tgt = batch_descriptors(
-        params, [stacks_src, stacks_tgt], [coords_src, coords_tgt], train
-    )
-    return desc_src.gather_rows(0), desc_tgt.gather_rows(0)
-
-
 # ---------------------------------------------------------------------------
 # checkpoints
 # ---------------------------------------------------------------------------

@@ -273,7 +273,7 @@ def load_dataset(directory) -> list[PreprocessedPair]:
         raise FormatError(f"{directory}: missing manifest.json")
     try:
         manifest = json.loads(manifest_path.read_text())
-    except json.JSONDecodeError as exc:
+    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise FormatError(f"{manifest_path}: invalid json: {exc}") from None
     if not isinstance(manifest, dict) or manifest.get("kind") != "pair-dataset":
         raise FormatError(f"{directory}: not a pair dataset")

@@ -20,7 +20,7 @@ from pillarmatch.cloud import (
     save_kitti_scan,
 )
 from pillarmatch.learn import TrainRun, compute_loss, match_metrics, train
-from pillarmatch.network import HyperParams, ModelParameters
+from pillarmatch.network import HyperParams, ModelParameters, batch_descriptors
 from pillarmatch.pairio import preprocess_pair
 from pillarmatch.pipeline import batch_assignments, match_pair
 from pillarmatch.register import (
@@ -125,13 +125,11 @@ def test_criterion_3_permutation_equivariance():
         perm = np.random.default_rng(seed).permutation(6)
 
         def log_assignment(s_tgt, c_tgt):
-            from pillarmatch.network import forward_descriptors
-
-            d_src, d_tgt = forward_descriptors(
-                params, stacks_src, s_tgt, coords_src, c_tgt, train=True
+            d_src, d_tgt = batch_descriptors(
+                params, [stacks_src, s_tgt], [coords_src, c_tgt], train=True
             )
             aug = augment_dustbin(score_matrix(d_src, d_tgt), params.dustbin_score)
-            return sinkhorn(aug, iterations=10).log_p.data
+            return sinkhorn(aug, iterations=10).log_p.data[0]
 
         base = log_assignment(stacks_tgt, coords_tgt)
         permuted = log_assignment(stacks_tgt[perm], coords_tgt[perm])

@@ -7,6 +7,7 @@ from pillarmatch import autodiff as ad
 from pillarmatch.autodiff import BatchNormState, Tensor, grad_check, linear, linear_batchnorm_relu
 from pillarmatch.errors import ArgumentError, NumericError, ShapeError
 from pillarmatch.network import attention
+from pillarmatch.transport import sinkhorn
 
 
 def t(values, grad=True):
@@ -37,8 +38,7 @@ def test_linear_shape_mismatch():
 def test_linear_batched_grad_check_and_rows(rng):
     x = t(rng.normal(size=(2, 3, 5)))
     w = t(rng.normal(size=(4, 5)))
-    weights = t(rng.normal(size=(2, 3, 4)), grad=False)
-    assert grad_check(lambda: (linear(x, w) * weights).sum(), [x, w]) < 1e-6
+    assert grad_check(lambda: linear(x, w), [x, w]) < 1e-6
     # each leading index is the 2-D op on its own rows
     out = linear(x, w)
     for b in range(2):
@@ -48,8 +48,7 @@ def test_linear_batched_grad_check_and_rows(rng):
 
 def test_matmul_and_transpose_act_per_matrix_of_a_stack(rng):
     a, b = t(rng.normal(size=(3, 4, 5))), t(rng.normal(size=(3, 6, 5)))
-    weights = t(rng.normal(size=(3, 4, 6)), grad=False)
-    assert grad_check(lambda: ((a @ b.T) * weights).sum(), [a, b]) < 1e-6
+    assert grad_check(lambda: a @ b.T, [a, b]) < 1e-6
     np.testing.assert_array_equal((a @ b.T).data[1], a.data[1] @ b.data[1].T)
     with pytest.raises(ShapeError):
         a @ t(rng.normal(size=(2, 5, 6)))
@@ -198,25 +197,77 @@ def test_block_refuses_non_finite_values_before_the_relu_and_stats():
 # ---------------------------------------------------------------------------
 
 def test_grad_check_square():
-    x = t(3.0)
-    err = grad_check(lambda: x * x, [x])
+    x = t([[3.0]])
+    err = grad_check(lambda: x @ x, [x])
     assert err < 1e-10
 
 
 def test_grad_check_constant():
-    x = t([1.0, 2.0])
-    c = t([5.0], grad=False)
-    err = grad_check(lambda: c.sum() + (x * 0.0).sum(), [x])
-    assert err < 1e-10
+    # x < 0: the ReLU output is constant in x, and c does not depend on x at all
+    x = t([-1.0, -2.0])
+    c = t([5.0, 6.0], grad=False)
+    assert grad_check(lambda: c + x.relu(), [x]) < 1e-10
+    assert grad_check(lambda: c, [x]) < 1e-10
+    assert x.grad is None
+    x.relu().backward()
+    np.testing.assert_array_equal(x.grad, 0.0)
+
+
+def mirrored_backward(x):
+    """An identity op whose backward sends each output's gradient to the
+    element mirrored along the last axis: wrong unless that gradient is."""
+    out = ad._node(x.data.copy(), (x,), "mirrored")
+    if out.requires_grad:
+        out._backward = lambda grad: x._accumulate(grad[..., ::-1])
+    return out
+
+
+def test_grad_check_sees_a_misrouted_gradient_that_a_sum_hides(rng):
+    x = t(rng.normal(size=(3, 4)))
+    # a random cotangent tells the mirrored gradient from the true one
+    assert grad_check(lambda: mirrored_backward(x), [x]) > 0.5
+    # an all-ones cotangent, the gradient of a plain sum, is symmetric
     x.zero_grad()
-    out = (x * 0.0).sum()
-    out.backward()
-    np.testing.assert_allclose(x.grad, 0.0, atol=1e-10)
+    mirrored_backward(x).backward()
+    np.testing.assert_array_equal(x.grad, 1.0)
+
+
+def scalar_grad_check(f, params, step=1e-5):
+    """Reference for a size-1 output: ``backward()`` with its default seed
+    against central differences of ``f()`` itself, with no cotangent."""
+    for p in params:
+        p.zero_grad()
+    f().backward()
+    worst = 0.0
+    for p in params:
+        flat, grad = p.data.reshape(-1), p.grad.reshape(-1).copy()
+        for i in range(flat.size):
+            orig = flat[i]
+            flat[i] = orig + step
+            f_plus = float(f().data)
+            flat[i] = orig - step
+            f_minus = float(f().data)
+            flat[i] = orig
+            numeric = (f_plus - f_minus) / (2.0 * step)
+            worst = max(worst, abs(grad[i] - numeric) / max(abs(grad[i]), abs(numeric), 1e-8))
+    return worst
+
+
+def test_grad_check_of_a_scalar_output_is_the_scalar_objective_error():
+    # a size-1 output takes an all-ones cotangent, which leaves the scalar
+    # objective's error unchanged bit for bit
+    m = t([[0.3, -1.2, 2.5], [1.7, 0.4, -0.9]])
+
+    def cell():
+        return sinkhorn(m, iterations=5).log_p.gather_rows(1).gather_rows(2)
+
+    expected = scalar_grad_check(cell, [m])
+    assert expected > 0.0
+    assert grad_check(cell, [m]) == expected
 
 
 @pytest.mark.parametrize("op_name", [
-    "add", "sub", "mul", "matmul", "linear", "relu", "softmax",
-    "logsumexp", "broadcast", "gather", "batchnorm_train",
+    "add", "matmul", "linear", "relu", "softmax", "gather", "batchnorm_train",
     "batchnorm_eval", "transpose",
 ])
 def test_grad_check_layers(op_name, rng):
@@ -228,27 +279,19 @@ def test_grad_check_layers(op_name, rng):
     state = BatchNormState.create(5, dtype=np.float64)
     state.gamma.data = rng.normal(1.0, 0.1, size=5)
     state.beta.data = rng.normal(size=5)
-    weights = rng.normal(size=(4, 5))
-
-    def scalarize(x):
-        return (x * t(weights[: x.shape[0], : x.shape[1]], grad=False)).sum()
 
     cases = {
-        "add": (lambda: scalarize(a + b), [a, b]),
-        "sub": (lambda: scalarize(a - b), [a, b]),
-        "mul": (lambda: scalarize(a * b), [a, b]),
-        "matmul": (lambda: (a @ c).sum(), [a, c]),
-        "linear": (lambda: linear(a, w).sum(), [a, w]),
-        "relu": (lambda: scalarize(a.relu()), [a]),
-        "softmax": (lambda: scalarize(softmax_rows(a)), [a]),
-        "logsumexp": (lambda: a.logsumexp(axis=1).sum() + a.logsumexp(axis=0).sum(), [a]),
-        "broadcast": (lambda: (a - a.logsumexp(axis=1, keepdims=True).broadcast_to(a.shape)).sum(), [a]),
-        "gather": (lambda: a.gather_rows([2, 0, 2]).sum(), [a]),
-        "batchnorm_train": (lambda: scalarize(linear_batchnorm_relu(a, v, state, train=True)),
+        "add": (lambda: a + b, [a, b]),
+        "matmul": (lambda: a @ c, [a, c]),
+        "linear": (lambda: linear(a, w), [a, w]),
+        "relu": (lambda: a.relu(), [a]),
+        "softmax": (lambda: softmax_rows(a), [a]),
+        "gather": (lambda: a.gather_rows([2, 0, 2]), [a]),
+        "batchnorm_train": (lambda: linear_batchnorm_relu(a, v, state, train=True),
                             [a, v, state.gamma, state.beta]),
-        "batchnorm_eval": (lambda: scalarize(linear_batchnorm_relu(a, v, state, train=False)),
+        "batchnorm_eval": (lambda: linear_batchnorm_relu(a, v, state, train=False),
                            [a, v, state.gamma, state.beta]),
-        "transpose": (lambda: (a.T @ b).sum(), [a, b]),
+        "transpose": (lambda: a.T @ b, [a, b]),
     }
     fn, params = cases[op_name]
     assert grad_check(fn, params) < 1e-4
@@ -258,19 +301,24 @@ def test_grad_check_layers(op_name, rng):
 # tape contract and guards
 # ---------------------------------------------------------------------------
 
+def squared_norm(x):
+    """``x @ x.T`` of a one-row ``x``: the (1, 1) sum of its squares."""
+    return x @ x.T
+
+
 def test_backward_twice_rejected():
-    x = t([1.0, 2.0])
-    out = (x * x).sum()
+    x = t([[1.0, 2.0]])
+    out = squared_norm(x)
     out.backward()
     with pytest.raises(RuntimeError):
         out.backward()
 
 
 def test_gradients_accumulate_across_separate_tapes():
-    x = t([1.0, 2.0])
-    (x * x).sum().backward()
+    x = t([[1.0, 2.0]])
+    squared_norm(x).backward()
     first = x.grad.copy()
-    (x * x).sum().backward()
+    squared_norm(x).backward()
     np.testing.assert_allclose(x.grad, 2.0 * first)
 
 
@@ -305,36 +353,37 @@ def test_shape_mismatch_add():
 def test_grad_check_requires_float64():
     x = Tensor(np.zeros(2, dtype=np.float32), requires_grad=True)
     with pytest.raises(ArgumentError):
-        grad_check(lambda: (x * x).sum(), [x])
+        grad_check(lambda: x + x, [x])
 
 
 def test_no_grad_records_no_tape():
-    x = t([1.0, 2.0])
+    x = t([[1.0, 2.0]])
     with ad.no_grad():
-        out = (x * x).sum()
+        out = squared_norm(x)
     assert not out.requires_grad
     assert out._parents == () and out._backward is None
-    np.testing.assert_array_equal(out.data, 5.0)
+    np.testing.assert_array_equal(out.data, [[5.0]])
 
 
 def test_no_grad_recording_resumes_after_block_and_exception():
-    x = t([1.0, 2.0])
+    x = t([[1.0, 2.0]])
     with ad.no_grad():
         pass
-    assert (x * x)._parents == (x, x)
+    assert (x + x)._parents == (x, x)
     with pytest.raises(ValueError), ad.no_grad():
         raise ValueError("inside the block")
-    out = (x * x).sum()
+    out = squared_norm(x)
     out.backward()
-    np.testing.assert_array_equal(x.grad, [2.0, 4.0])
+    np.testing.assert_array_equal(x.grad, [[2.0, 4.0]])
 
 
 def test_deep_chain_backward_is_iterative():
     # longer than the default recursion limit would allow recursively
     x = t([1.0])
+    one = t([1.0], grad=False)
     out = x
     for _ in range(3000):
-        out = out * 1.0005
-    out = out.sum()
+        out = out + one
     out.backward()
-    assert x.grad is not None and np.isfinite(x.grad).all()
+    np.testing.assert_array_equal(out.data, [3001.0])
+    np.testing.assert_array_equal(x.grad, [1.0])

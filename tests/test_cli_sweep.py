@@ -181,6 +181,21 @@ def _bad_config(inputs, root):
     return ["--config", str(root / "config.json")]
 
 
+def _binary_config(inputs, root):
+    (root / "config.json").write_bytes(b'\xff{"seed": 1}')
+    return ["--config", str(root / "config.json")]
+
+
+def _binary_pose_line(inputs, root):
+    poses = inputs["poses"]
+    poses.write_bytes(poses.read_bytes() + b"1 0 0 0 0 1 0 0 0 0 1 0\xe9\n")
+
+
+def _binary_manifest(inputs, root):
+    manifest_path = inputs["data"] / "manifest.json"
+    manifest_path.write_bytes(b"\xff" + manifest_path.read_bytes())
+
+
 # (mutations, command that reads the file, expected exit code); a mutation
 # returns the flags that make the command read its file, if the base run does not
 FILE_CASES = {
@@ -192,6 +207,9 @@ FILE_CASES = {
     "pair-truncated": ([_truncate("pair")], "match", 3),
     "checkpoint-truncated": ([_truncate("checkpoint")], "match", 3),
     "config-invalid-json": ([_bad_config], "synth", 3),
+    "config-not-text": ([_binary_config], "synth", 3),
+    "pose-not-text": ([_binary_pose_line], "preprocess", 3),
+    "manifest-not-text": ([_binary_manifest], "eval", 3),
 }
 
 
@@ -205,4 +223,4 @@ def test_each_corrupted_file_kind_exits_with_its_documented_code(tmp_path, capsy
     for mutate in mutations:
         argv += mutate(inputs, tmp_path) or []
     code, err = run(argv, capsys)
-    assert (code, err.startswith("error: ")) == (expected, True), err
+    assert (code, err.startswith("error: "), err.count("\n")) == (expected, True, 1), err

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from conftest import synthetic_labels, toy_hyper, toy_pair
+from reference_ops import logsumexp, sub, total
 
 from pillarmatch import autodiff as ad
 from pillarmatch import learn
@@ -238,7 +239,7 @@ def ref_cells(labels, n, m):
 
 def ref_nll(log_p, labels):
     n, m = log_p.shape[0] - 1, log_p.shape[1] - 1
-    return -(ref_gather_pairs(log_p, *ref_cells(labels, n, m)).sum())
+    return sub(Tensor(0.0), total(ref_gather_pairs(log_p, *ref_cells(labels, n, m))))
 
 
 def ref_nllp(log_p, labels, penalty_excludes_dustbin):
@@ -251,7 +252,7 @@ def ref_nllp(log_p, labels, penalty_excludes_dustbin):
     if penalty_excludes_dustbin:
         rows = ref_first_columns(rows, m)
     dust = ref_gather_pairs(log_p, unmatched, np.full(len(unmatched), m, dtype=np.intp))
-    return base + (rows.logsumexp(axis=1) - dust).sum()
+    return base + total(sub(logsumexp(rows, axis=1), dust))
 
 
 def ref_dce(log_p, labels):
@@ -265,11 +266,11 @@ def ref_dce(log_p, labels):
     col_cell_rows = np.concatenate([matched[:, 0], np.full(len(un_cols), n)])
     terms = []
     if len(row_idx):
-        terms.append(log_p.logsumexp(axis=1).gather_rows(row_idx).sum()
-                     - ref_gather_pairs(log_p, row_idx, row_cell_cols).sum())
+        terms.append(sub(total(logsumexp(log_p, axis=1).gather_rows(row_idx)),
+                         total(ref_gather_pairs(log_p, row_idx, row_cell_cols))))
     if len(col_idx):
-        terms.append(log_p.logsumexp(axis=0).gather_rows(col_idx).sum()
-                     - ref_gather_pairs(log_p, col_cell_rows, col_idx).sum())
+        terms.append(sub(total(logsumexp(log_p, axis=0).gather_rows(col_idx)),
+                         total(ref_gather_pairs(log_p, col_cell_rows, col_idx))))
     return terms[0] if len(terms) == 1 else terms[0] + terms[1]
 
 
@@ -387,10 +388,10 @@ def test_step_equals_per_pair_reference(monkeypatch):
     assign = batch_assignments(params, pairs, train=True)
     matrices = [AssignmentMatrix(assign.log_p.gather_rows(b)) for b in range(len(pairs))]
     terms = [compute_loss("nllp", matrix, pair.labels) for matrix, pair in zip(matrices, pairs)]
-    reference = sum(terms[1:], terms[0]) * (1.0 / len(pairs))
+    total_loss = sum(terms[1:], terms[0])
     params.zero_grad()
-    reference.backward()
-    assert loss == pytest.approx(reference.item(), rel=1e-6)
+    total_loss.backward(1.0 / len(pairs))
+    assert loss == pytest.approx(total_loss.item() / len(pairs), rel=1e-6)
     for name, tensor in named.items():
         scale = np.abs(tensor.grad).max()
         np.testing.assert_allclose(step_grads[name], tensor.grad, rtol=1e-6, atol=1e-6 * scale)

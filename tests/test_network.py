@@ -17,11 +17,11 @@ from pillarmatch.network import (
     HyperParams,
     ModelParameters,
     attention,
+    batch_descriptors,
     encode_pillars,
     encode_positions,
     feature_stacks,
     final_projection,
-    forward_descriptors,
     gnn_layer,
     init_nodes,
     load_checkpoint,
@@ -285,14 +285,13 @@ def test_attention_heads_bit_identical_to_per_head_reference(rng, heads, dtype):
 def test_attention_multi_head_grad_check(rng, scale):
     heads = 3
     queries, sources = t(rng.normal(size=(4, 6 * heads))), t(rng.normal(size=(5, 6 * heads)))
-    weights = t(rng.normal(size=(4, 2 * heads)), grad=False)
     depth = 2 * heads if scale == "full" else 2
 
     def cross():
-        return (attention(queries, sources, depth=depth, heads=heads) * weights).sum()
+        return attention(queries, sources, depth=depth, heads=heads)
 
     def own():
-        return (attention(queries, queries, depth=depth, heads=heads) * weights).sum()
+        return attention(queries, queries, depth=depth, heads=heads)
 
     assert grad_check(cross, [queries, sources]) < 1e-6
     assert grad_check(own, [queries]) < 1e-6
@@ -301,10 +300,9 @@ def test_attention_multi_head_grad_check(rng, scale):
 def test_attention_batched_grad_check_and_per_slice_identity(rng):
     heads = 3
     queries, sources = t(rng.normal(size=(2, 4, 6 * heads))), t(rng.normal(size=(2, 5, 6 * heads)))
-    weights = t(rng.normal(size=(2, 4, 2 * heads)), grad=False)
 
     def objective():
-        return (attention(queries, sources, depth=2 * heads, heads=heads) * weights).sum()
+        return attention(queries, sources, depth=2 * heads, heads=heads)
 
     assert grad_check(objective, [queries, sources]) < 1e-6
     out = attention(queries, sources, depth=2 * heads, heads=heads)
@@ -407,14 +405,14 @@ def test_permutation_equivariance_of_scores():
     coords_src, coords_tgt = pair.coords
 
     perm = np.random.default_rng(0).permutation(len(stacks_tgt))
-    d_src, d_tgt = forward_descriptors(
-        params, stacks_src, stacks_tgt, coords_src, coords_tgt, train=True
+    d_src, d_tgt = batch_descriptors(
+        params, [stacks_src, stacks_tgt], [coords_src, coords_tgt], train=True
     )
     base = sinkhorn(
         augment_dustbin(score_matrix(d_src, d_tgt), params.dustbin_score), iterations=10
     ).log_p.data
-    d_src_p, d_tgt_p = forward_descriptors(
-        params, stacks_src, stacks_tgt[perm], coords_src, coords_tgt[perm], train=True
+    d_src_p, d_tgt_p = batch_descriptors(
+        params, [stacks_src, stacks_tgt[perm]], [coords_src, coords_tgt[perm]], train=True
     )
     permuted = sinkhorn(
         augment_dustbin(score_matrix(d_src_p, d_tgt_p), params.dustbin_score), iterations=10
@@ -422,7 +420,7 @@ def test_permutation_equivariance_of_scores():
 
     m = len(perm)
     expected = base.copy()
-    expected[:, :m] = base[:, :m][:, perm]
+    expected[..., :m] = base[..., :m][..., perm]
     assert np.max(np.abs(permuted - expected)) < 1e-5
 
 
@@ -434,10 +432,9 @@ def test_full_network_grad_check():
     coords_src, coords_tgt = pair.coords
 
     def objective():
-        d_src, d_tgt = forward_descriptors(
-            params, stacks_src, stacks_tgt, coords_src, coords_tgt, train=True
-        )
-        return (d_src @ d_tgt.T).logsumexp(axis=1).sum()
+        return score_matrix(*batch_descriptors(
+            params, [stacks_src, stacks_tgt], [coords_src, coords_tgt], train=True
+        ))
 
     names = params.named_parameters()
     subset = [names[k] for k in [
