@@ -1,4 +1,5 @@
-"""Print the counted lines of each module under src/pillarmatch and tests/.
+"""Print the counted lines of each module under src/pillarmatch and tests/,
+and the number of flags each subcommand of the command line takes.
 
 A counted line holds code or part of a docstring: a line that ``tokenize``
 finds any token on other than a comment, a line break or indentation. Blank
@@ -7,9 +8,11 @@ spans does. Run from anywhere in the repository:
 
     python .github/scripts/count_lines.py [directory ...]
 
-The directories default to src/pillarmatch and tests. The script only
-prints; it gates nothing.
+The directories default to src/pillarmatch and tests. A subcommand's flags
+are the options ``cli.build_parser()`` gives it, ``--help`` aside; reading
+them imports the package from src/. The script only prints; it gates nothing.
 """
+import argparse
 import sys
 import tokenize
 from pathlib import Path
@@ -41,6 +44,19 @@ def main(dirs) -> None:
         print(f"  {'total':<28}{total:>6}")
         overall += total
     print(f"{'all':<30}{overall:>6}")
+    print("flags")
+    for command, count in flag_counts().items():
+        print(f"  {command:<28}{count:>6}")
+
+
+def flag_counts() -> dict:
+    """The number of options, ``--help`` aside, of each subcommand."""
+    sys.path.insert(0, str(ROOT / "src"))
+    from pillarmatch.cli import build_parser
+
+    sub = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    return {command: sum(1 for a in parser._actions if a.option_strings and a.dest != "help")
+            for command, parser in sub.choices.items()}
 
 
 if __name__ == "__main__":

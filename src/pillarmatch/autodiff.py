@@ -77,7 +77,10 @@ class Tensor:
         return self.data.size
 
     def item(self) -> float:
-        return float(self.data)
+        """The value of a size-1 tensor, whatever its shape."""
+        if self.data.size != 1:
+            raise ShapeError(f"item() needs a tensor of size 1, got shape {self.shape}")
+        return float(self.data.reshape(()))
 
     def __repr__(self):
         return f"Tensor(shape={self.shape}, dtype={self.data.dtype}, grad={self.requires_grad})"

@@ -8,6 +8,9 @@ configuration into the output directory so a run is reproducible from the
 echo alone. Datasets are written a pair at a time with the manifest last, so
 a command that fails part-way leaves no manifest.
 
+Each command takes only the model flags it reads, and :func:`_hyper` turns
+them into ``HyperParams``.
+
 Exit codes: 0 success, 2 usage/config error, 3 data or format error,
 4 numeric error. Relative output paths resolve under $PILLARMATCH_RUN_ROOT
 when that variable is set.
@@ -23,7 +26,7 @@ import time
 from dataclasses import fields, replace
 from pathlib import Path
 
-from . import learn, pairio, register, transport
+from . import cloud, learn, pairio, register, transport
 from .cloud import (
     SCAN_RECORD_BYTES,
     FramePair,
@@ -50,8 +53,6 @@ EXIT_USAGE = 2
 EXIT_DATA = 3
 EXIT_NUMERIC = 4
 
-DEFAULT_LEARNING_RATE = 1e-4
-
 
 def _resolve(path: str) -> Path:
     p = Path(path)
@@ -62,8 +63,8 @@ def _resolve(path: str) -> Path:
 
 
 # HyperParams fields whose model flag has another name; every other field is
-# the flag of its own name, and each flag takes its default and type from
-# HyperParams() and its choices from HYPER_CHOICES
+# the flag of its own name, and each flag takes its type from HyperParams()
+# and its choices from HYPER_CHOICES
 _HYPER_FLAG = {"src_keypoints": "keypoints", "tgt_keypoints": "keypoints",
                "attention_heads": "heads", "attention_layers": "layers",
                "sinkhorn_iterations": "sinkhorn_iters"}
@@ -77,41 +78,44 @@ _FLAG_HELP = {
 }
 
 
-def _add_flags(group, defaults: dict) -> None:
+def _add_flags(group, defaults: dict, unset: bool = False) -> None:
     """One flag per ``dest: default`` item: a switch for a bool default, else
-    a flag of the default's type and the dest's HYPER_CHOICES, if any."""
+    a flag of the default's type and the dest's HYPER_CHOICES, if any. With
+    ``unset``, each flag parses to None when left out."""
     for dest, default in defaults.items():
         if isinstance(default, bool):
             kind = {"action": "store_true"}
         else:
             kind = {"type": type(default), "choices": HYPER_CHOICES.get(dest)}
-        group.add_argument("--" + dest.replace("_", "-"), default=default,
+        group.add_argument("--" + dest.replace("_", "-"), default=None if unset else default,
                            help=_FLAG_HELP.get(dest), **kind)
 
 
 def _add_label_flags(parser: argparse.ArgumentParser) -> None:
     g = parser.add_argument_group("labeling")
-    g.add_argument("--match-radius", type=float, default=0.1)
-    g.add_argument("--unmatch-radius", type=float, default=0.5)
-    g.add_argument("--neighborhood-size", type=int, default=10)
+    _add_flags(g, {"match_radius": cloud.DEFAULT_MATCH_RADIUS,
+                   "unmatch_radius": cloud.DEFAULT_UNMATCH_RADIUS,
+                   "neighborhood_size": cloud.DEFAULT_NEIGHBORHOOD})
     g.add_argument("--min-separation", type=float, default=None,
                    help="optional minimum spacing between selected key-points")
 
 
-def _hyper_fields(args) -> dict:
-    """The ``HyperParams`` field values that the model flags of ``args`` give."""
-    values = {f.name: getattr(args, _HYPER_FLAG.get(f.name, f.name)) for f in fields(HyperParams)}
+def _hyper(args, base: HyperParams) -> HyperParams:
+    """``base`` with each field replaced whose model flag in ``args`` holds a value."""
+    given = {f.name: getattr(args, _HYPER_FLAG.get(f.name, f.name), None) for f in fields(base)}
+    widths = given["positional_hidden"]
     try:
-        values["positional_hidden"] = tuple(int(v) for v in args.positional_hidden.split(",") if v)
+        if widths is not None:
+            given["positional_hidden"] = tuple(int(v) for v in widths.split(",") if v)
     except ValueError:
         raise ConfigError("--positional-hidden must be a comma list of integers, "
-                          f"got {args.positional_hidden!r}") from None
-    return values
+                          f"got {widths!r}") from None
+    return replace(base, **{name: v for name, v in given.items() if v is not None})
 
 
 def _hyper_flags(hyper: HyperParams) -> dict:
-    """The model flags' values, by ``args`` name, that :func:`_hyper_fields`
-    turns back into the fields of ``hyper``."""
+    """The model flags' values, by ``args`` name, that :func:`_hyper` turns
+    back into the fields of ``hyper``."""
     flags = {}
     for f in fields(hyper):
         value = getattr(hyper, f.name)
@@ -119,13 +123,6 @@ def _hyper_flags(hyper: HyperParams) -> dict:
             value = ",".join(str(v) for v in value)
         flags.setdefault(_HYPER_FLAG.get(f.name, f.name), value)
     return flags
-
-
-def _override_hyper(hyper: HyperParams, args) -> HyperParams:
-    """``hyper`` with the fields that ``match`` or ``eval`` was given a flag for replaced."""
-    given = {name: getattr(args, _HYPER_FLAG.get(name, name), None)
-             for name in ("match_threshold", "sinkhorn_iterations", "sinkhorn_mode")}
-    return replace(hyper, **{k: v for k, v in given.items() if v is not None})
 
 
 def _load_config_defaults(parser, argv):
@@ -257,7 +254,7 @@ def cmd_synth(args) -> int:
     if args.num_pairs < 0:
         raise ConfigError(f"--num-pairs must be >= 0, got {args.num_pairs}")
     out = _resolve(args.out)
-    hyper = HyperParams(**_hyper_fields(args))
+    hyper = _hyper(args, HyperParams())
     scene = SceneConfig(**{name: getattr(args, flag) for name, flag in _SCENE_FLAG.items()})
     with pairio.dataset_writer(out, _args_echo(args)) as write:
         for k in range(args.num_pairs):
@@ -280,7 +277,7 @@ def cmd_preprocess(args) -> int:
     ``offset`` counts the pairs of positions before ``k``.
     """
     out = _resolve(args.out)
-    hyper = HyperParams(**_hyper_fields(args))
+    hyper = _hyper(args, HyperParams())
     distances = _parse_distances(args.distances)
     scan_dir = Path(args.scans)
     scan_files = sorted(scan_dir.glob("*.bin"))
@@ -339,31 +336,27 @@ def cmd_train(args) -> int:
     params = None
     optimizer = None
     start_epoch = 0
-    # the model flags parse to None when left out, so a flag given at its
-    # default is told from an absent one; the absent ones take the default here
-    defaults = _hyper_flags(HyperParams())
-    given = {flag for flag in defaults if getattr(args, flag) is not None}
-    vars(args).update({flag: value for flag, value in defaults.items() if flag not in given})
     if args.resume:
         params, meta, extras = load_checkpoint(_resolve(args.resume))
         hyper = params.hyper
-        # the network is the checkpoint's: a model flag it would drop is refused,
-        # and the echo records the checkpoint's values
-        for name, value in _hyper_fields(args).items():
-            flag = _HYPER_FLAG.get(name, name)
-            if flag in given and value != getattr(hyper, name):
-                raise ConfigError(f"--{flag.replace('_', '-')} {getattr(args, flag)} differs "
-                                  f"from the checkpoint's {name} {getattr(hyper, name)!r}, "
-                                  "which --resume keeps")
+        # the network is the checkpoint's: a model flag that would change it is refused
+        resumed, kept = _hyper(args, hyper), _hyper_flags(hyper)
+        clash = {_HYPER_FLAG.get(f.name, f.name) for f in fields(hyper)
+                 if getattr(resumed, f.name) != getattr(hyper, f.name)}
+        if clash:
+            raise ConfigError("; ".join(
+                f"--{flag.replace('_', '-')} {getattr(args, flag)} differs from the "
+                f"checkpoint's {kept[flag]!r}" for flag in kept if flag in clash
+            ) + ", which --resume keeps")
         optimizer = learn.load_optimizer(meta, extras, params.named_parameters())
         start_epoch = meta.get("next_epoch", 0)
         if not is_count(start_epoch):
             raise ConfigError(f"checkpoint next_epoch must be a count, got {start_epoch!r}")
-        vars(args).update(_hyper_flags(hyper))
     else:
-        hyper = HyperParams(**_hyper_fields(args))
+        hyper = _hyper(args, HyperParams())
+    vars(args).update(_hyper_flags(hyper))
     if args.learning_rate is None:
-        args.learning_rate = DEFAULT_LEARNING_RATE if optimizer is None else optimizer.learning_rate
+        args.learning_rate = optimizer.learning_rate if optimizer else learn.TrainRun.learning_rate
     _check_pair_shapes(args.data, pairs, hyper)
     run = learn.TrainRun(
         dataset_id=str(args.data),
@@ -398,7 +391,7 @@ def cmd_match(args) -> int:
     if args.timing_runs < 0:
         raise ConfigError(f"--timing-runs must be >= 0, got {args.timing_runs}")
     params, meta, _ = load_checkpoint(_resolve(args.checkpoint))
-    params.hyper = _override_hyper(params.hyper, args)
+    params.hyper = _hyper(args, params.hyper)
     pair = pairio.read_pair(_resolve(args.pair))
     _check_pair_shapes(args.pair, [pair], params.hyper)
     result = match_pair(params, pair)
@@ -464,15 +457,15 @@ def cmd_eval(args) -> int:
         raise ConfigError(
             f"--icp-reject-radius must be finite and > 0, got {args.icp_reject_radius}"
         )
-    # range-checked here, since no checkpoint takes them unless 'ours' runs
-    _override_hyper(HyperParams(), args)
+    # range-checked here, since no checkpoint takes it unless 'ours' runs
+    _hyper(args, HyperParams())
     pairs = pairio.load_dataset(_resolve(args.data))
     params = None
     if "ours" in matchers:
         if not args.checkpoint:
             raise ConfigError("matcher 'ours' requires --checkpoint")
         params, _, _ = load_checkpoint(_resolve(args.checkpoint))
-        params.hyper = _override_hyper(params.hyper, args)
+        params.hyper = _hyper(args, params.hyper)
         _check_pair_shapes(args.data, pairs, params.hyper)
     report = register.evaluate_matchers(
         pairs,
@@ -507,6 +500,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
     model = _hyper_flags(HyperParams())
+    # the model flags that preprocessing reads, and the readout fields match replaces
+    data = {flag: model[flag] for flag in ("keypoints", "pillar_points", "pillar_radius")}
+    readout = {flag: model[flag] for flag in ("match_threshold", "sinkhorn_iters", "sinkhorn_mode")}
 
     p = sub.add_parser("synth", help="generate a seeded synthetic pair dataset")
     p.add_argument("--config", type=str, default=None, help="JSON file of flag defaults")
@@ -514,7 +510,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--num-pairs", type=int, default=16)
     p.add_argument("--seed", type=int, default=0)
     _add_flags(p, {flag: getattr(SceneConfig(), name) for name, flag in _SCENE_FLAG.items()})
-    _add_flags(p.add_argument_group("model"), model)
+    _add_flags(p.add_argument_group("model"), data)
     _add_label_flags(p)
     p.set_defaults(func=cmd_synth)
 
@@ -524,7 +520,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--poses", required=True, help="pose text file, 12 values per line")
     p.add_argument("--out", required=True)
     p.add_argument("--distances", type=str, default="1,5,10")
-    _add_flags(p.add_argument_group("model"), model)
+    _add_flags(p.add_argument_group("model"), data)
     _add_label_flags(p)
     p.set_defaults(func=cmd_preprocess)
 
@@ -537,7 +533,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--batch-size", type=int, default=16)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--learning-rate", type=float, default=None,
-                   help=f"Adam step size (default {DEFAULT_LEARNING_RATE}; with --resume, "
+                   help=f"Adam step size (default {learn.TrainRun.learning_rate}; with --resume, "
                         "the checkpoint's rate, which a given value replaces)")
     p.add_argument("--max-steps", type=int, default=None)
     p.add_argument("--checkpoint-every", type=int, default=0)
@@ -548,17 +544,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--nllp-penalty", choices=["with-dustbin", "rows-only"],
                    default="with-dustbin",
                    help="dustbin handling in the unmatched-row penalty term")
-    _add_flags(p.add_argument_group("model"), model)
-    p.set_defaults(func=cmd_train, **dict.fromkeys(model))
+    _add_flags(p.add_argument_group("model"), model, unset=True)
+    p.set_defaults(func=cmd_train)
 
     p = sub.add_parser("match", help="run inference on one preprocessed pair")
     p.add_argument("--config", type=str, default=None)
     p.add_argument("--checkpoint", required=True)
     p.add_argument("--pair", required=True)
-    p.add_argument("--match-threshold", type=float, default=None)
-    p.add_argument("--sinkhorn-iters", type=int, default=None)
-    p.add_argument("--sinkhorn-mode", choices=HYPER_CHOICES["sinkhorn_mode"],
-                   default=None, help="override the checkpoint's normalization mode")
+    _add_flags(p, readout, unset=True)
     p.add_argument("--dump-assignment", type=str, default=None,
                    help="write the soft assignment as a CSV grid")
     p.add_argument("--plot-export", type=str, default=None,
@@ -571,9 +564,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--config", type=str, default=None)
     p.add_argument("--data", required=True)
     p.add_argument("--checkpoint", type=str, default=None)
-    p.add_argument("--matchers", type=str, default="ours,nn,icp,vm")
-    p.add_argument("--match-threshold", type=float, default=None)
-    p.add_argument("--icp-reject-radius", type=float, default=2.0)
+    p.add_argument("--matchers", type=str, default=",".join(register.EVAL_MATCHERS))
+    p.add_argument("--icp-reject-radius", type=float, default=register.DEFAULT_REJECT_RADIUS)
+    _add_flags(p, {"match_threshold": model["match_threshold"]}, unset=True)
     p.add_argument("--report", type=str, default=None)
     p.set_defaults(func=cmd_eval)
 

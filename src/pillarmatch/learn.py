@@ -197,7 +197,7 @@ class TrainRun:
     batch_size: int = 16
     seed: int = 0
     loss_kind: str = "nllp"
-    learning_rate: float = 1e-4
+    learning_rate: float = AdamState.learning_rate
     max_steps: int | None = None
     checkpoint_every: int = 0  # epochs between checkpoints; 0 writes only the final one
     nllp_penalty_excludes_dustbin: bool = False
@@ -360,13 +360,8 @@ def load_optimizer(meta: dict, extras: dict, named_params: dict[str, Tensor]) ->
     info = meta.get("optimizer", {})
     if not isinstance(info, dict):
         raise ConfigError("checkpoint optimizer section must be a JSON object")
-    state = AdamState(
-        learning_rate=info.get("learning_rate", 1e-4),
-        beta1=info.get("beta1", 0.9),
-        beta2=info.get("beta2", 0.999),
-        eps=info.get("eps", 1e-8),
-        step=info.get("step", 0),
-    )
+    state = AdamState(**{name: info.get(name, getattr(AdamState, name))
+                         for name in ("learning_rate", "beta1", "beta2", "eps", "step")})
     rates = (state.learning_rate, state.beta1, state.beta2, state.eps)
     if not (all(map(is_finite_real, rates)) and state.learning_rate > 0 and state.eps > 0
             and 0 <= state.beta1 < 1 and 0 <= state.beta2 < 1):

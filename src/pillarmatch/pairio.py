@@ -20,6 +20,9 @@ from pathlib import Path
 import numpy as np
 
 from .cloud import (
+    DEFAULT_MATCH_RADIUS,
+    DEFAULT_NEIGHBORHOOD,
+    DEFAULT_UNMATCH_RADIUS,
     CorrespondenceLabels,
     FramePair,
     KeyPointSet,
@@ -67,7 +70,7 @@ def preprocess_frame(
     cloud: PointCloud,
     count: int,
     hyper: HyperParams,
-    neighborhood_size: int = 10,
+    neighborhood_size: int = DEFAULT_NEIGHBORHOOD,
     min_separation: float | None = None,
 ) -> PillarSet:
     """One cloud's ``count`` key-points and their pillars, which carry the
@@ -80,9 +83,9 @@ def preprocess_frame(
 def preprocess_pair(
     pair: FramePair,
     hyper: HyperParams,
-    match_radius: float = 0.1,
-    unmatch_radius: float = 0.5,
-    neighborhood_size: int = 10,
+    match_radius: float = DEFAULT_MATCH_RADIUS,
+    unmatch_radius: float = DEFAULT_UNMATCH_RADIUS,
+    neighborhood_size: int = DEFAULT_NEIGHBORHOOD,
     min_separation: float | None = None,
     meta: dict | None = None,
 ) -> PreprocessedPair:

@@ -16,6 +16,9 @@ from .errors import (
 from .transforms import RigidTransform, rigid_inverse, rigid_matrix, rotation_angle
 from .transport import MatchSet, mutual_nearest
 
+# correspondences farther apart are discarded by each ICP iteration
+DEFAULT_REJECT_RADIUS = 2.0
+
 # Published full-scale results for this architecture (KITTI, 300-epoch GPU
 # training). They require that setup and are recorded here as reference
 # values only; desk-scale runs are not expected to reproduce them.
@@ -114,7 +117,7 @@ def icp(
     init: RigidTransform | None = None,
     max_iters: int = 50,
     tol: float = 1e-8,
-    reject_radius: float = 2.0,
+    reject_radius: float = DEFAULT_REJECT_RADIUS,
 ) -> IcpResult:
     """Point-to-point ICP: alternate nearest-neighbor correspondence and SVD.
 
@@ -251,7 +254,7 @@ def evaluate_matchers(
     pairs,
     matchers=EVAL_MATCHERS,
     params=None,
-    icp_reject_radius: float = 2.0,
+    icp_reject_radius: float = DEFAULT_REJECT_RADIUS,
 ) -> EvalReport:
     """Per-frame matching scores and transform errors for each matcher; the
     learned matcher ``ours`` reads its settings from ``params.hyper``.

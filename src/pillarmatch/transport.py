@@ -345,6 +345,14 @@ def mutual_nearest(src: np.ndarray, tgt: np.ndarray) -> tuple[np.ndarray, np.nda
     return rows, cols, dists
 
 
+def _matrix_probabilities(assign: AssignmentMatrix) -> np.ndarray:
+    """The probabilities of one ``(n+1, m+1)`` assignment, not of a stack."""
+    shape = assign.log_p.shape
+    if len(shape) != 2 or 0 in shape:
+        raise ShapeError(f"expected one (n+1, m+1) assignment matrix, got shape {shape}")
+    return assign.probabilities
+
+
 def extract_matches(assign: AssignmentMatrix, threshold: float = 0.2) -> MatchSet:
     """Mutual-argmax readout of the soft assignment.
 
@@ -354,7 +362,7 @@ def extract_matches(assign: AssignmentMatrix, threshold: float = 0.2) -> MatchSe
     """
     if not 0.0 <= threshold <= 1.0:
         raise ArgumentError("threshold must be in [0, 1]")
-    probs = assign.probabilities
+    probs = _matrix_probabilities(assign)
     n, m = probs.shape[0] - 1, probs.shape[1] - 1
     rows, cols = mutual_argmax(probs)
     conf = probs[rows, cols]
@@ -365,7 +373,7 @@ def extract_matches(assign: AssignmentMatrix, threshold: float = 0.2) -> MatchSe
 
 def write_assignment_csv(path, assign: AssignmentMatrix) -> None:
     """Dense probability grid with index headers; last row/column is the dustbin."""
-    probs = assign.probabilities
+    probs = _matrix_probabilities(assign)
     n, m = probs.shape[0] - 1, probs.shape[1] - 1
     header = [""] + [str(j) for j in range(m)] + ["dustbin"]
     with open(path, "w", newline="") as fh:

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -343,6 +345,17 @@ def test_nonfinite_output_raises():
     x = t([1e308, 1e308])
     with np.errstate(over="ignore"), pytest.raises(NumericError):
         x + x
+
+
+@pytest.mark.parametrize("shape", [(), (1,), (1, 1)])
+def test_item_reads_a_tensor_of_size_one_whatever_its_shape(shape):
+    assert Tensor(np.full(shape, 2.5, dtype=np.float32)).item() == 2.5
+
+
+@pytest.mark.parametrize("shape", [(0,), (2,), (1, 3)])
+def test_item_of_a_tensor_of_another_size_is_a_shape_error_naming_the_shape(shape):
+    with pytest.raises(ShapeError, match=re.escape(str(shape))):
+        Tensor(np.zeros(shape)).item()
 
 
 def test_shape_mismatch_add():

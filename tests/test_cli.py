@@ -20,9 +20,14 @@ from pillarmatch.network import HyperParams, ModelParameters, load_checkpoint, s
 from pillarmatch.pairio import load_dataset
 from pillarmatch.transforms import RigidTransform, rotation_about_axis
 
-TOY_FLAGS = [
+# the model flags of synth, which reads only the key-point count and pillar shape
+DATA_FLAGS = [
     "--keypoints", "8",
     "--pillar-points", "6",
+]
+
+TOY_FLAGS = [
+    *DATA_FLAGS,
     "--feature-depth", "8",
     "--heads", "2",
     "--layers", "2",
@@ -43,10 +48,20 @@ def run_synth(tmp_path, name="data", num_pairs=2, seed=1, extra=()):
     out = tmp_path / name
     code = main([
         "synth", "--out", str(out), "--num-pairs", str(num_pairs), "--seed", str(seed),
-        *SCENE_FLAGS, *TOY_FLAGS, *extra,
+        *SCENE_FLAGS, *DATA_FLAGS, *extra,
     ])
     assert code == 0
     return out
+
+
+def test_each_command_takes_exactly_the_model_flags_it_reads():
+    model = set(cli._hyper_flags(HyperParams()))
+    commands = next(a for a in cli.build_parser()._actions if a.dest == "command").choices
+    taken = {name: {a.dest for a in parser._actions} & model for name, parser in commands.items()}
+    data = {"keypoints", "pillar_points", "pillar_radius"}
+    assert taken == {"synth": data, "preprocess": data, "train": model,
+                     "match": {"match_threshold", "sinkhorn_iters", "sinkhorn_mode"},
+                     "eval": {"match_threshold"}}
 
 
 def test_synth_deterministic(tmp_path):
@@ -70,7 +85,7 @@ def test_synth_zero_pairs_valid_manifest(tmp_path):
 ])
 def test_bad_synth_setting_is_usage_error_and_writes_nothing(tmp_path, capsys, flag, value):
     out = tmp_path / "data"
-    code = main(["synth", "--out", str(out), *SCENE_FLAGS, *TOY_FLAGS, flag, value])
+    code = main(["synth", "--out", str(out), *SCENE_FLAGS, *DATA_FLAGS, flag, value])
     assert code == 2
     assert capsys.readouterr().err.startswith("error: ")
     assert not out.exists()
@@ -81,7 +96,7 @@ def test_synth_half_overlap_has_unmatched_rows(tmp_path):
     code = main([
         "synth", "--out", str(out), "--num-pairs", "3", "--seed", "2",
         "--points", "700", "--overlap", "0.5", "--rotation-bound", "0.02",
-        "--translation-bound", "0.1", "--noise", "0.002", *TOY_FLAGS,
+        "--translation-bound", "0.1", "--noise", "0.002", *DATA_FLAGS,
     ])
     assert code == 0
     for pair in load_dataset(out):
@@ -311,9 +326,7 @@ def test_preprocess_kitti_fixtures(tmp_path, rng):
     code = main([
         "preprocess", "--scans", str(scans), "--poses", str(pose_file),
         "--out", str(out), "--distances", "1",
-        "--keypoints", "6", "--pillar-points", "4", "--feature-depth", "8",
-        "--heads", "2", "--layers", "2", "--positional-hidden", "8",
-        "--neighborhood-size", "6",
+        "--keypoints", "6", "--pillar-points", "4", "--neighborhood-size", "6",
     ])
     assert code == 0
     pairs = load_dataset(out)
@@ -321,11 +334,7 @@ def test_preprocess_kitti_fixtures(tmp_path, rng):
     assert all(p.frame_distance == 1 for p in pairs)
 
 
-PREPROCESS_FLAGS = [
-    "--keypoints", "6", "--pillar-points", "4", "--feature-depth", "8",
-    "--heads", "2", "--layers", "2", "--positional-hidden", "8",
-    "--neighborhood-size", "6",
-]
+PREPROCESS_FLAGS = ["--keypoints", "6", "--pillar-points", "4", "--neighborhood-size", "6"]
 
 
 def write_scan_sequence(tmp_path, rng, frames=4, points=300, copies=0):
@@ -594,8 +603,6 @@ def test_checkpoint_pair_mismatch_is_config_error(tmp_path):
     code = main([
         "synth", "--out", str(big), "--num-pairs", "1", "--seed", "6",
         *SCENE_FLAGS, "--keypoints", "12", "--pillar-points", "6",
-        "--feature-depth", "8", "--heads", "2", "--layers", "2",
-        "--positional-hidden", "8,16",
     ])
     assert code == 0
     code = main([
@@ -653,9 +660,7 @@ def test_config_file_provides_defaults(tmp_path):
     config.write_text(json.dumps({
         "num_pairs": 2, "seed": 11, "points": 400, "overlap": 0.9,
         "rotation_bound": 0.02, "translation_bound": 0.1, "noise": 0.002,
-        "keypoints": 8, "pillar_points": 6, "feature_depth": 8,
-        "heads": 2, "layers": 2, "sinkhorn_iters": 10,
-        "positional_hidden": "8,16",
+        "keypoints": 8, "pillar_points": 6,
     }))
     out = tmp_path / "from_config"
     assert main(["synth", "--config", str(config), "--out", str(out)]) == 0
@@ -664,19 +669,25 @@ def test_config_file_provides_defaults(tmp_path):
     assert echoed["seed"] == 11
 
 
-@pytest.mark.parametrize("values", [
-    5, [1, 2], "synth",
-    {"num_pairs": 1.5}, {"num_pairs": True}, {"num_pairs": "two"}, {"seed": None},
-    {"overlap": "high"}, {"positional_hidden": 8}, {"sinkhorn_mode": "bogus"},
-    {"post_attention_mlp": 1},
+@pytest.mark.parametrize("command,values", [
+    ("synth", 5), ("synth", [1, 2]), ("synth", "synth"),
+    ("synth", {"num_pairs": 1.5}), ("synth", {"num_pairs": True}), ("synth", {"num_pairs": "two"}),
+    ("synth", {"seed": None}), ("synth", {"overlap": "high"}),
+    # synth takes no network flag, so these three are train's
+    ("train", {"positional_hidden": 8}), ("train", {"sinkhorn_mode": "bogus"}),
+    ("train", {"post_attention_mlp": 1}),
 ], ids=["number", "list", "string", "fraction-for-int", "bool-for-int", "word-for-int",
         "null-for-int", "word-for-float", "number-for-str", "outside-choices",
         "number-for-switch"])
-def test_config_value_its_flag_would_not_parse_to_is_config_error(tmp_path, capsys, values):
+def test_config_value_its_flag_would_not_parse_to_is_config_error(tmp_path, capsys, command,
+                                                                  values):
     config = tmp_path / "cfg.json"
     config.write_text(json.dumps(values))
-    out = tmp_path / "data"
-    code = main(["synth", "--config", str(config), "--out", str(out), *SCENE_FLAGS, *TOY_FLAGS])
+    out = tmp_path / "out"
+    argv = {"synth": ["synth", *SCENE_FLAGS, *DATA_FLAGS],
+            "train": ["train", "--data", str(run_synth(tmp_path, num_pairs=1)), "--max-steps", "1",
+                      "--batch-size", "1", *TOY_FLAGS]}[command]
+    code = main([*argv, "--config", str(config), "--out", str(out)])
     assert code == 2
     assert capsys.readouterr().err.startswith("error: ")
     assert not out.exists()
@@ -686,7 +697,7 @@ def test_config_strings_parse_as_on_the_command_line(tmp_path):
     config = tmp_path / "cfg.json"
     config.write_text(json.dumps({"num_pairs": "0", "overlap": 1, "min_separation": None}))
     out = tmp_path / "data"
-    assert main(["synth", "--config", str(config), "--out", str(out), *TOY_FLAGS]) == 0
+    assert main(["synth", "--config", str(config), "--out", str(out), *DATA_FLAGS]) == 0
     echoed = json.loads((out / "config.json").read_text())
     assert (echoed["num_pairs"], echoed["overlap"]) == (0, 1)
 
@@ -809,7 +820,7 @@ def test_run_root_env_var(tmp_path, monkeypatch):
     monkeypatch.setenv("PILLARMATCH_RUN_ROOT", str(tmp_path))
     code = main([
         "synth", "--out", "rooted", "--num-pairs", "1", "--seed", "1",
-        *SCENE_FLAGS, *TOY_FLAGS,
+        *SCENE_FLAGS, *DATA_FLAGS,
     ])
     assert code == 0
     assert (tmp_path / "rooted" / "manifest.json").exists()

@@ -12,8 +12,8 @@ import json
 import numpy as np
 import pytest
 
-from test_cli import (PREPROCESS_FLAGS, SCENE_FLAGS, TOY_FLAGS, untrained_checkpoint,
-                      write_scan_sequence)
+from test_cli import (DATA_FLAGS, PREPROCESS_FLAGS, SCENE_FLAGS, TOY_FLAGS,
+                      untrained_checkpoint, write_scan_sequence)
 
 from pillarmatch import cli, errors
 from pillarmatch.cli import main
@@ -30,10 +30,7 @@ REFUSED = {
     ("train", "--seed"): ({"-1"}, 2),
     ("synth", "--rotation-bound"): ({"nan", "inf", "-inf", "-1", "1e308"}, 2),
     ("synth", "--translation-bound"): ({"nan", "inf", "-inf", "-1", "1e308"}, 2),
-    ("synth", "--positional-hidden"): ({"nan", "inf", "-inf", "-1", "0", "1e308", "abc"}, 2),
     ("synth", "--match-radius"): ({"nan", "-inf", "-1", "0"}, 2),
-    ("synth", "--match-threshold"): ({"nan", "inf", "-inf", "-1", "1e308"}, 2),
-    ("preprocess", "--match-threshold"): ({"nan", "inf", "-inf", "-1", "1e308"}, 2),
     ("match", "--match-threshold"): ({"nan", "inf", "-inf", "-1", "1e308"}, 2),
     ("eval", "--match-threshold"): ({"nan", "inf", "-inf", "-1", "1e308"}, 2),
     ("match", "--sinkhorn-iters"): ({"-1", "0"}, 2),
@@ -59,7 +56,7 @@ def make_inputs(root):
     """A one-pair toy dataset, a checkpoint that fits it, and a scan sequence."""
     data = root / "data"
     assert main(["synth", "--out", str(data), "--num-pairs", "1", *SCENE_FLAGS,
-                 *TOY_FLAGS]) == 0
+                 *DATA_FLAGS]) == 0
     scans, poses = write_scan_sequence(root, np.random.default_rng(5), frames=3)
     return {"data": data, "pair": data / "pair_00000.ppair", "scans": scans, "poses": poses,
             "checkpoint": untrained_checkpoint(root)}
@@ -74,7 +71,7 @@ def base_argv(command, inputs, out):
     """A valid toy run of ``command`` writing under ``out``."""
     data, checkpoint = str(inputs["data"]), str(inputs["checkpoint"])
     return {
-        "synth": ["synth", "--out", out, "--num-pairs", "1", *SCENE_FLAGS, *TOY_FLAGS],
+        "synth": ["synth", "--out", out, "--num-pairs", "1", *SCENE_FLAGS, *DATA_FLAGS],
         "preprocess": ["preprocess", "--scans", str(inputs["scans"]), "--poses",
                        str(inputs["poses"]), "--out", out, "--distances", "1",
                        *PREPROCESS_FLAGS],

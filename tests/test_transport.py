@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -600,6 +602,32 @@ def test_assignment_csv_export(tmp_path):
     assert lines[0].split(",") == ["", "0", "1", "dustbin"]
     assert len(lines) == 4
     assert lines[-1].startswith("dustbin")
+
+
+def _batch_of_two():
+    """The ``(2, n+1, m+1)`` assignment stack ``batch_assignments`` returns."""
+    hyper = HyperParams(src_keypoints=4, tgt_keypoints=4, pillar_points=4, feature_depth=8,
+                        attention_heads=2, attention_layers=1, sinkhorn_iterations=5,
+                        positional_hidden=(8,))
+    pairs = [toy_pair(seed=k, hyper=hyper) for k in range(2)]
+    with ad.no_grad():
+        return batch_assignments(ModelParameters.initialize(hyper, seed=0), pairs)
+
+
+@pytest.mark.parametrize("assign", [
+    _batch_of_two, lambda: assign_from_probs(np.full(4, 0.25)),
+    lambda: assign_from_probs(np.zeros((0, 3))),
+], ids=["batch-stack", "vector", "no-rows"])
+@pytest.mark.parametrize("read", [
+    lambda assign, path: extract_matches(assign),
+    lambda assign, path: write_assignment_csv(path, assign),
+], ids=["extract_matches", "write_assignment_csv"])
+def test_readouts_refuse_anything_but_one_assignment_matrix(tmp_path, assign, read):
+    assign = assign()
+    path = tmp_path / "assign.csv"
+    with pytest.raises(ShapeError, match=re.escape(str(assign.log_p.shape))):
+        read(assign, path)
+    assert not path.exists()
 
 
 # ---------------------------------------------------------------------------
