@@ -14,6 +14,10 @@ $cli synth --out "$RUNNER_TEMP/data" --num-pairs 2 --points 600 --keypoints 8 --
 $cli train --data "$RUNNER_TEMP/data" --out "$RUNNER_TEMP/run" --max-steps 1 --keypoints 8 --pillar-points 8 --batch-size 2
 $cli train --data "$RUNNER_TEMP/data" --out "$RUNNER_TEMP/run2" --resume "$RUNNER_TEMP/run/checkpoint_final.pmc" --max-steps 2
 python -c "import json, os, sys; c = json.load(open(os.path.join(os.environ['RUNNER_TEMP'], 'run2', 'config.json'))); sys.exit((c['keypoints'], c['pillar_points']) != (8, 8))"
+# --max-steps counts the resumed steps: a resume at the cap trains nothing and adds no history line
+lines=$(wc -l < "$RUNNER_TEMP/run2/history.jsonl")
+$cli train --data "$RUNNER_TEMP/data" --out "$RUNNER_TEMP/run2" --resume "$RUNNER_TEMP/run2/checkpoint_final.pmc" --max-steps 2
+test "$(wc -l < "$RUNNER_TEMP/run2/history.jsonl")" -eq "$lines"
 # a run's config.json echo alone repeats it
 $cli train --config "$RUNNER_TEMP/run/config.json" --out "$RUNNER_TEMP/run3"
 cmp "$RUNNER_TEMP/run/history.jsonl" "$RUNNER_TEMP/run3/history.jsonl"
@@ -71,8 +75,13 @@ for pair in "$RUNNER_TEMP"/pre1/*.ppair; do cmp "$pair" "$RUNNER_TEMP/pre2/$(bas
 for run in eval1 eval2; do
   $cli eval --data "$RUNNER_TEMP/data" --matchers nn,icp,vm --report "$RUNNER_TEMP/$run"
 done
-cmp "$RUNNER_TEMP/eval1/frames.jsonl" "$RUNNER_TEMP/eval2/frames.jsonl"
+for name in frames.jsonl summary.json report.txt; do cmp "$RUNNER_TEMP/eval1/$name" "$RUNNER_TEMP/eval2/$name"; done
 python -c "import json, os, sys; recs = [json.loads(l) for l in open(os.path.join(os.environ['RUNNER_TEMP'], 'eval1', 'frames.jsonl'))]; sys.exit(not recs or any(r['failed'] != (r['failure_reason'] is not None) for r in recs))"
+# a matcher named twice exits 2 with a one-line message and writes no report
+code=0; $cli eval --data "$RUNNER_TEMP/data" --matchers nn,nn --report "$RUNNER_TEMP/twice" 2> "$RUNNER_TEMP/twice.err" || code=$?
+test "$code" -eq 2
+test "$(wc -l < "$RUNNER_TEMP/twice.err")" -eq 1
+test ! -e "$RUNNER_TEMP/twice"
 # inference from the trained checkpoint: two runs write equal assignment grids and frames
 for run in 1 2; do
   $cli match --checkpoint "$RUNNER_TEMP/run/checkpoint_final.pmc" --pair "$RUNNER_TEMP/data/pair_00000.ppair" --dump-assignment "$RUNNER_TEMP/assignment$run.csv"

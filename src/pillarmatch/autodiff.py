@@ -283,30 +283,33 @@ def _linear_backward(x: Tensor, weight: Tensor, g: np.ndarray) -> None:
         weight._accumulate(rows.T @ _rows(x.data))
 
 
+# the weight of the old running statistics in each train-mode update, and the
+# variance offset of every normalization
+BATCHNORM_MOMENTUM = 0.9
+BATCHNORM_EPS = 1e-5
+
+
 @dataclass
 class BatchNormState:
     """Per-channel affine batch normalization with running statistics.
 
     ``gamma``/``beta`` are learnable; running mean/variance track train-mode
-    batch statistics with the configured momentum and are used verbatim in
-    eval mode. Variance is the biased (1/N) estimator throughout.
+    batch statistics with momentum :data:`BATCHNORM_MOMENTUM` and are used
+    verbatim in eval mode. Variance is the biased (1/N) estimator throughout.
     """
 
     gamma: Tensor
     beta: Tensor
     running_mean: np.ndarray
     running_var: np.ndarray
-    momentum: float = 0.9
-    eps: float = 1e-5
 
     @classmethod
-    def create(cls, channels: int, dtype=np.float32, momentum: float = 0.9) -> "BatchNormState":
+    def create(cls, channels: int, dtype=np.float32) -> "BatchNormState":
         return cls(
             gamma=Tensor(np.ones(channels, dtype=dtype), requires_grad=True),
             beta=Tensor(np.zeros(channels, dtype=dtype), requires_grad=True),
             running_mean=np.zeros(channels, dtype=dtype),
             running_var=np.ones(channels, dtype=dtype),
-            momentum=momentum,
         )
 
 
@@ -326,16 +329,16 @@ def linear_batchnorm_relu(x: Tensor, weight: Tensor, state: BatchNormState,
         y = x.data @ weight.data.T
         if train:
             mean, var = y.mean(axis=0), y.var(axis=0)
-            inv = 1.0 / np.sqrt(var + state.eps)
+            inv = 1.0 / np.sqrt(var + BATCHNORM_EPS)
         else:
             mean = state.running_mean.astype(y.dtype)
-            inv = 1.0 / np.sqrt(state.running_var.astype(y.dtype) + state.eps)
+            inv = 1.0 / np.sqrt(state.running_var.astype(y.dtype) + BATCHNORM_EPS)
         xhat = (y - mean) * inv
         normed = xhat * gamma.data + beta.data
     _check_finite(normed, "linear_batchnorm_relu")  # before the ReLU turns -inf into 0
     if train:
         _check_finite(var, "batch-norm statistics")  # non-finite whenever the mean is
-        m, running_mean, running_var = state.momentum, state.running_mean, state.running_var
+        m, running_mean, running_var = BATCHNORM_MOMENTUM, state.running_mean, state.running_var
         state.running_mean = (m * running_mean + (1.0 - m) * mean).astype(running_mean.dtype)
         state.running_var = (m * running_var + (1.0 - m) * var).astype(running_var.dtype)
     out = _node(np.maximum(normed, 0.0), (x, weight, gamma, beta), "linear_batchnorm_relu")

@@ -115,13 +115,15 @@ def _hyper(args, base: HyperParams) -> HyperParams:
 
 def _hyper_flags(hyper: HyperParams) -> dict:
     """The model flags' values, by ``args`` name, that :func:`_hyper` turns
-    back into the fields of ``hyper``."""
+    back into the fields of ``hyper``; None, which :func:`_hyper` leaves at the
+    base's, for a flag whose fields differ: ``keypoints`` of unequal counts."""
     flags = {}
     for f in fields(hyper):
         value = getattr(hyper, f.name)
         if isinstance(value, tuple):
             value = ",".join(str(v) for v in value)
-        flags.setdefault(_HYPER_FLAG.get(f.name, f.name), value)
+        flag = _HYPER_FLAG.get(f.name, f.name)
+        flags[flag] = value if flags.get(flag, value) == value else None
     return flags
 
 
@@ -341,12 +343,13 @@ def cmd_train(args) -> int:
         hyper = params.hyper
         # the network is the checkpoint's: a model flag that would change it is refused
         resumed, kept = _hyper(args, hyper), _hyper_flags(hyper)
+        kept["keypoints"] = f"{hyper.src_keypoints}/{hyper.tgt_keypoints} (source/target)"
         clash = {_HYPER_FLAG.get(f.name, f.name) for f in fields(hyper)
                  if getattr(resumed, f.name) != getattr(hyper, f.name)}
         if clash:
             raise ConfigError("; ".join(
                 f"--{flag.replace('_', '-')} {getattr(args, flag)} differs from the "
-                f"checkpoint's {kept[flag]!r}" for flag in kept if flag in clash
+                f"checkpoint's {kept[flag]}" for flag in kept if flag in clash
             ) + ", which --resume keeps")
         optimizer = learn.load_optimizer(meta, extras, params.named_parameters())
         start_epoch = meta.get("next_epoch", 0)
@@ -451,8 +454,8 @@ def _write_plot_export(path: Path, pair, result) -> None:
 
 def cmd_eval(args) -> int:
     matchers = [m.strip() for m in args.matchers.split(",") if m.strip()]
-    if not matchers:
-        raise ConfigError(f"--matchers names no matcher: {args.matchers!r}")
+    if not matchers or len(set(matchers)) < len(matchers):
+        raise ConfigError(f"--matchers must name distinct matchers, got {args.matchers!r}")
     if not 0.0 < args.icp_reject_radius < float("inf"):
         raise ConfigError(
             f"--icp-reject-radius must be finite and > 0, got {args.icp_reject_radius}"

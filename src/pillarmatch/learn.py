@@ -253,6 +253,9 @@ def train(
 ) -> TrainResult:
     """Train over preprocessed pairs of one key-point count; per-epoch shuffling
     derives from ``(seed, epoch)`` so runs resume deterministically from checkpoints.
+
+    ``run.max_steps`` caps ``optimizer.step``, resumed steps included; each
+    epoch's record is computed from its step losses and per-pair match metrics.
     """
     if not pairs:
         raise ArgumentError("training dataset is empty")
@@ -272,34 +275,25 @@ def train(
     if run_dir is not None:
         run_dir.mkdir(parents=True, exist_ok=True)
 
-    steps = optimizer.step
-    stop = False
+    cap = run.max_steps or np.inf
     for epoch in range(start_epoch, run.epochs):
-        rng = np.random.default_rng([run.seed, epoch])
-        order = rng.permutation(len(pairs))
-        epoch_loss = 0.0
-        batches = 0
-        stats = {"precision": 0.0, "accuracy": 0.0}
-        pair_count = 0
+        if optimizer.step >= cap:
+            break
+        order = np.random.default_rng([run.seed, epoch]).permutation(len(pairs))
+        losses, metrics = [], []
         for lo in range(0, len(order), run.batch_size):
             batch = [pairs[i] for i in order[lo : lo + run.batch_size]]
-            loss, metrics = _train_step(batch, run, params, named, optimizer)
-            steps += 1
-            epoch_loss += loss
-            batches += 1
-            for pair_metrics in metrics:
-                stats["precision"] += pair_metrics["precision"]
-                stats["accuracy"] += pair_metrics["accuracy"]
-                pair_count += 1
-            if run.max_steps is not None and steps >= run.max_steps:
-                stop = True
+            loss, batch_metrics = _train_step(batch, run, params, named, optimizer)
+            losses.append(loss)
+            metrics += batch_metrics
+            if optimizer.step >= cap:
                 break
         record = {
             "epoch": epoch,
-            "loss": epoch_loss / max(batches, 1),
-            "precision": stats["precision"] / max(pair_count, 1),
-            "accuracy": stats["accuracy"] / max(pair_count, 1),
-            "steps": steps,
+            "loss": sum(losses) / len(losses),
+            "precision": sum(m["precision"] for m in metrics) / len(metrics),
+            "accuracy": sum(m["accuracy"] for m in metrics) / len(metrics),
+            "steps": optimizer.step,
         }
         history.append(record)
         if log is not None:
@@ -307,17 +301,14 @@ def train(
         if run_dir is not None:
             with open(run_dir / "history.jsonl", "a") as fh:
                 fh.write(json.dumps(record, sort_keys=True) + "\n")
-            due = run.checkpoint_every and (epoch + 1) % run.checkpoint_every == 0
-            if due:
+            if run.checkpoint_every and (epoch + 1) % run.checkpoint_every == 0:
                 write_training_checkpoint(
                     run_dir / f"checkpoint_{epoch:05d}.pmc", params, run, optimizer, epoch + 1
                 )
-        if stop:
-            break
     if run_dir is not None:
         write_training_checkpoint(run_dir / "checkpoint_final.pmc", params, run, optimizer,
                                   history[-1]["epoch"] + 1 if history else start_epoch)
-    return TrainResult(params=params, history=history, optimizer=optimizer, steps=steps)
+    return TrainResult(params=params, history=history, optimizer=optimizer, steps=optimizer.step)
 
 
 def write_training_checkpoint(path, params, run: TrainRun, optimizer: AdamState,

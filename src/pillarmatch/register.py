@@ -198,56 +198,44 @@ class FrameRecord:
         return asdict(self)
 
 
+# the metrics of a record that aggregate() averages, with their table titles
+_SECTION_METRIC = (
+    ("Matching Score", "matching_score"),
+    ("Translational Error", "translational_error"),
+    ("Rotational Error", "rotational_error"),
+)
+
+
 @dataclass
 class EvalReport:
+    """The records of one evaluation: one :class:`FrameRecord` per frame and
+    matcher, frame-major, each frame's in the order of ``matchers``. ``failures``
+    and :meth:`aggregate` are computed from the records, so they always agree."""
+
+    matchers: tuple = ()
     records: list = field(default_factory=list)
-    failures: dict = field(default_factory=dict)
+
+    @property
+    def failures(self) -> dict:
+        """matcher -> number of its failed records; 0 for a matcher that never failed."""
+        return {m: sum(r.failed for r in self.records if r.matcher == m) for m in self.matchers}
 
     def aggregate(self) -> dict:
-        """matcher -> distance -> mean metrics over non-failed frames."""
-        out: dict = {}
+        """matcher -> distance -> mean metrics over non-failed frames; a metric
+        that none of a group's records has is None."""
+        groups: dict = {}
         for rec in self.records:
-            if rec.failed:
-                continue
-            slot = out.setdefault(rec.matcher, {}).setdefault(
-                rec.frame_distance, {"matching_score": [], "t_err": [], "r_err": []}
-            )
-            if rec.matching_score is not None:
-                slot["matching_score"].append(rec.matching_score)
-            if rec.translational_error is not None:
-                slot["t_err"].append(rec.translational_error)
-                slot["r_err"].append(rec.rotational_error)
-        summary: dict = {}
-        for matcher, by_dist in out.items():
-            summary[matcher] = {}
-            for dist, vals in sorted(by_dist.items()):
-                summary[matcher][dist] = {
-                    "matching_score": float(np.mean(vals["matching_score"]))
-                    if vals["matching_score"]
-                    else None,
-                    "translational_error": float(np.mean(vals["t_err"]))
-                    if vals["t_err"]
-                    else None,
-                    "rotational_error": float(np.mean(vals["r_err"]))
-                    if vals["r_err"]
-                    else None,
-                }
-        return summary
+            if not rec.failed:
+                groups.setdefault(rec.matcher, {}).setdefault(rec.frame_distance, []).append(rec)
+        return {matcher: {dist: {key: _mean(recs, key) for _, key in _SECTION_METRIC}
+                          for dist, recs in sorted(by_dist.items())}
+                for matcher, by_dist in groups.items()}
 
 
-def _predicted_matchset(matcher: str, pair, params):
-    if matcher == "ours":
-        if params is None:
-            raise ArgumentError("matcher 'ours' needs model parameters")
-        # looked up at call time, so a wrapper installed on pipeline.match_pair sees the call
-        return pipeline.match_pair(params, pair).matches
-    if matcher == "nn":
-        src, tgt = pair.coords
-        return nn_matcher(src, tgt)
-    if matcher == "vm":
-        pairs = ((i, j, 1.0) for i, j in sorted(pair.labels.matched))
-        return MatchSet.from_pairs(pairs, len(pair.src_keypoints), len(pair.tgt_keypoints))
-    raise ArgumentError(f"unknown matcher {matcher!r}")
+def _mean(records: list, key: str) -> float | None:
+    """The mean of the records' ``key`` values that are not None, or None."""
+    values = [getattr(r, key) for r in records if getattr(r, key) is not None]
+    return float(np.mean(values)) if values else None
 
 
 def evaluate_matchers(
@@ -259,33 +247,39 @@ def evaluate_matchers(
     """Per-frame matching scores and transform errors for each matcher; the
     learned matcher ``ours`` reads its settings from ``params.hyper``.
 
-    Frames where transform estimation fails (too few matches, degenerate
-    geometry) are recorded as failures, not dropped silently. Frames with no
-    ground-truth matches are excluded from matching-score aggregation.
+    ``matchers`` are distinct names of :data:`EVAL_MATCHERS`, checked before
+    the first frame. Frames where transform estimation fails (too few
+    matches, degenerate geometry) are recorded as failures, not dropped
+    silently. Frames with no ground-truth matches are excluded from
+    matching-score aggregation.
     """
-    if not matchers:
-        raise ArgumentError("no matchers to evaluate")
-    report = EvalReport()
-    for matcher in matchers:
-        if matcher not in EVAL_MATCHERS:
-            raise ArgumentError(f"unknown matcher {matcher!r}")
-        report.failures[matcher] = 0
+    matchers = tuple(matchers)
+    if not (matchers and set(matchers) <= set(EVAL_MATCHERS)
+            and len(set(matchers)) == len(matchers)):
+        raise ArgumentError(f"matchers must be distinct names of {EVAL_MATCHERS}, "
+                            f"got {list(matchers)}")
+    if "ours" in matchers and params is None:
+        raise ArgumentError("matcher 'ours' needs model parameters")
+    report = EvalReport(matchers)
     for index, pair in enumerate(pairs):
         if pair.gt_transform is None:
             raise ArgumentError(f"pair {index} has no ground-truth transform")
         src_pos, tgt_pos = pair.coords
         for matcher in matchers:
-            score = None
-            t_err = r_err = None
-            failure = None
-            num_matches = 0
-            if matcher != "icp":
-                matches = _predicted_matchset(matcher, pair, params)
-                num_matches = len(matches.pairs)
-                if pair.labels.matched:
-                    score = matching_score(matches, pair.labels)
+            matches = None  # ICP registers the clouds without a match set
+            if matcher == "ours":
+                # looked up at call time, so a wrapper installed on pipeline.match_pair sees it
+                matches = pipeline.match_pair(params, pair).matches
+            elif matcher == "nn":
+                matches = nn_matcher(src_pos, tgt_pos)
+            elif matcher == "vm":
+                matches = MatchSet.from_pairs(((i, j, 1.0) for i, j in sorted(pair.labels.matched)),
+                                              len(src_pos), len(tgt_pos))
+            score = t_err = r_err = failure = None
+            if matches is not None and pair.labels.matched:
+                score = matching_score(matches, pair.labels)
             try:
-                if matcher == "icp":
+                if matches is None:
                     estimate = icp(src_pos, tgt_pos, reject_radius=icp_reject_radius).transform
                 else:
                     rows, cols = np.array(
@@ -294,29 +288,12 @@ def evaluate_matchers(
                 t_err, r_err = transform_errors(estimate, pair.gt_transform)
             except (DegenerateGeometryError, InsufficientCorrespondencesError) as exc:
                 failure = f"{type(exc).__name__}: {exc}"
-            if failure is not None:
-                report.failures[matcher] += 1
-            report.records.append(
-                FrameRecord(
-                    index=index,
-                    frame_distance=pair.frame_distance,
-                    matcher=matcher,
-                    matching_score=score,
-                    translational_error=t_err,
-                    rotational_error=r_err,
-                    num_matches=num_matches,
-                    failed=failure is not None,
-                    failure_reason=failure,
-                )
-            )
+            report.records.append(FrameRecord(
+                index=index, frame_distance=pair.frame_distance, matcher=matcher,
+                matching_score=score, translational_error=t_err, rotational_error=r_err,
+                num_matches=0 if matches is None else len(matches.pairs),
+                failed=failure is not None, failure_reason=failure))
     return report
-
-
-_SECTION_METRIC = (
-    ("Matching Score", "matching_score"),
-    ("Translational Error", "translational_error"),
-    ("Rotational Error", "rotational_error"),
-)
 
 
 def format_report_table(report: EvalReport) -> str:

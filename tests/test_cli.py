@@ -239,6 +239,34 @@ def test_train_resume_refuses_a_model_flag_given_at_its_default(tmp_path, capsys
     assert not resumed.exists()
 
 
+def test_train_resume_of_unequal_key_point_counts_echoes_a_config_that_reruns(tmp_path, capsys):
+    from conftest import toy_hyper, toy_pair
+    from pillarmatch import learn
+
+    hyper = toy_hyper(src_keypoints=8, tgt_keypoints=10)
+    data = tmp_path / "data"
+    pairio.write_dataset(data, [toy_pair(seed=s, hyper=hyper) for s in (3, 4)], {})
+    first = tmp_path / "run"
+    learn.train(load_dataset(data), learn.TrainRun(epochs=1, batch_size=2, seed=4), hyper,
+                run_dir=first)
+    checkpoint = str(first / "checkpoint_final.pmc")
+    resumed = tmp_path / "run2"
+    assert main(["train", "--data", str(data), "--out", str(resumed), "--epochs", "2",
+                 "--batch-size", "2", "--resume", checkpoint]) == 0
+    echo = json.loads((resumed / "config.json").read_text())
+    assert echo["keypoints"] is None and echo["pillar_points"] == 4
+    again = tmp_path / "run3"
+    assert main(["train", "--config", str(resumed / "config.json"), "--out", str(again)]) == 0
+    assert (again / "history.jsonl").read_bytes() == (resumed / "history.jsonl").read_bytes()
+    # a key-point count given on the command line is refused, naming the checkpoint's two
+    capsys.readouterr()
+    refused = tmp_path / "run4"
+    assert main(["train", "--data", str(data), "--out", str(refused), "--resume", checkpoint,
+                 "--keypoints", "8"]) == 2
+    assert "--keypoints 8 differs from the checkpoint's 8/10" in capsys.readouterr().err
+    assert not refused.exists()
+
+
 def test_train_reruns_from_its_own_config_echo(tmp_path):
     data = run_synth(tmp_path, "data", num_pairs=2, seed=4)
     first = tmp_path / "run"
@@ -751,6 +779,18 @@ def test_bad_eval_setting_is_usage_error_and_writes_nothing(tmp_path, capsys, fl
     assert main(["eval", "--data", str(data), "--matchers", "icp", "--report", str(report),
                  flag, value]) == 2
     assert flag in capsys.readouterr().err
+    assert not report.exists()
+
+
+@pytest.mark.parametrize("dataset", ["present", "missing"])
+def test_eval_refuses_a_repeated_matcher_before_loading_anything(tmp_path, capsys, dataset):
+    # a missing dataset would exit 3: the refusal comes before anything is read
+    data = run_synth(tmp_path, num_pairs=1, seed=5) if dataset == "present" else tmp_path / "none"
+    report = tmp_path / "report"
+    assert main(["eval", "--data", str(data), "--matchers", "nn,icp,nn",
+                 "--report", str(report)]) == 2
+    err = capsys.readouterr().err
+    assert "--matchers" in err and err.count("\n") == 1
     assert not report.exists()
 
 

@@ -596,6 +596,24 @@ def test_train_max_steps_stops_early():
     assert result.steps == 3
 
 
+def test_train_max_steps_counts_the_steps_of_a_resumed_optimizer(tmp_path):
+    hyper, pairs = small_dataset(count=4)
+    run = TrainRun(epochs=50, batch_size=2, seed=2, loss_kind="nll", max_steps=2)
+    first = train(pairs, run, hyper)
+    assert first.steps == 2 and len(first.history) == 1
+    weights = {name: t.data.copy() for name, t in first.params.named_parameters().items()}
+    # resumed at the cap: no epoch starts, and the final checkpoint resumes where this began
+    run_dir = tmp_path / "run"
+    resumed = train(pairs, run, hyper, params=first.params, optimizer=first.optimizer,
+                    start_epoch=1, run_dir=run_dir)
+    assert resumed.steps == resumed.optimizer.step == 2 and resumed.history == []
+    assert all(np.array_equal(t.data, weights[name])
+               for name, t in resumed.params.named_parameters().items())
+    assert not (run_dir / "history.jsonl").exists()
+    _, meta, _ = load_checkpoint(run_dir / "checkpoint_final.pmc")
+    assert meta["next_epoch"] == 1 and meta["optimizer"]["step"] == 2
+
+
 def test_train_batch_order_invariant_loss():
     # the batch loss is a mean over pairs: order inside the batch cannot matter
     hyper, pairs = small_dataset(count=3)

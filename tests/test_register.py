@@ -386,6 +386,11 @@ def test_eval_without_matchers_rejected():
         evaluate_matchers(eval_dataset(1), matchers=())
 
 
+def test_eval_repeated_matcher_rejected():
+    with pytest.raises(ArgumentError, match="distinct"):
+        evaluate_matchers(eval_dataset(1), matchers=("nn", "vm", "nn"))
+
+
 def test_eval_reports_svd_failures_not_skips():
     # a frame with fewer than 3 GT matches makes the vm transform fail;
     # the record stays in the report and the failure is counted
@@ -421,6 +426,35 @@ def test_eval_records_the_reason_a_frame_failed():
     for rec in report.records:
         assert rec.failed == (rec.failure_reason is not None)
         assert rec.to_json()["failure_reason"] == rec.failure_reason
+
+
+def test_aggregate_and_failures_are_computed_from_the_records():
+    # frame 0 (d=10) has 2 GT matches, so vm fails on it; frame 1 has none, so it has no
+    # matching score and vm fails on it too; ICP with a tiny radius fails on every frame
+    pairs = eval_dataset(4)
+    n, m = len(pairs[0].src_keypoints), len(pairs[0].tgt_keypoints)
+    pairs[0].labels = synthetic_labels(n, m, set(sorted(pairs[0].labels.matched)[:2]))
+    pairs[1].labels = synthetic_labels(n, m, set(), unmatched_rows=range(n))
+    for pair, distance in zip(pairs, (10, 1, 1, 5)):
+        pair.frame_distance = distance
+    report = evaluate_matchers(pairs, matchers=("nn", "icp", "vm"), icp_reject_radius=1e-9)
+    rec = {(r.index, r.matcher): r for r in report.records}
+    assert report.failures == {"nn": 0, "icp": 4, "vm": 2}
+    assert [i for i in range(4) if rec[i, "vm"].failed] == [0, 1]
+    assert rec[0, "vm"].matching_score == 1.0 and rec[1, "nn"].matching_score is None
+
+    def means(*frames):
+        return {key: float(np.mean([getattr(r, key) for r in frames
+                                    if getattr(r, key) is not None]))
+                for key in ("matching_score", "translational_error", "rotational_error")}
+
+    # failed records, the starved vm frame's score among them, stay out of every mean
+    assert report.aggregate() == {
+        "nn": {1: means(rec[1, "nn"], rec[2, "nn"]), 5: means(rec[3, "nn"]),
+               10: means(rec[0, "nn"])},
+        "vm": {1: means(rec[2, "vm"]), 5: means(rec[3, "vm"])},
+    }
+    assert report.aggregate()["nn"][1]["matching_score"] == rec[2, "nn"].matching_score
 
 
 def test_reference_values_recorded_not_asserted():
