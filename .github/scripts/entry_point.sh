@@ -13,11 +13,17 @@ cli=${PILLARMATCH:-pillarmatch}
 $cli synth --out "$RUNNER_TEMP/data" --num-pairs 2 --points 600 --keypoints 8 --pillar-points 8
 $cli train --data "$RUNNER_TEMP/data" --out "$RUNNER_TEMP/run" --max-steps 1 --keypoints 8 --pillar-points 8 --batch-size 2
 $cli train --data "$RUNNER_TEMP/data" --out "$RUNNER_TEMP/run2" --resume "$RUNNER_TEMP/run/checkpoint_final.pmc" --max-steps 2
-python -c "import json, os, sys; c = json.load(open(os.path.join(os.environ['RUNNER_TEMP'], 'run2', 'config.json'))); sys.exit((c['keypoints'], c['pillar_points']) != (8, 8))"
+# the resume keeps the checkpoint's network and, left out, its run flags: batch 2, not the default 16
+python -c "import json, os, sys; c = json.load(open(os.path.join(os.environ['RUNNER_TEMP'], 'run2', 'config.json'))); sys.exit((c['keypoints'], c['pillar_points'], c['batch_size']) != (8, 8, 2))"
 # --max-steps counts the resumed steps: a resume at the cap trains nothing and adds no history line
 lines=$(wc -l < "$RUNNER_TEMP/run2/history.jsonl")
 $cli train --data "$RUNNER_TEMP/data" --out "$RUNNER_TEMP/run2" --resume "$RUNNER_TEMP/run2/checkpoint_final.pmc" --max-steps 2
 test "$(wc -l < "$RUNNER_TEMP/run2/history.jsonl")" -eq "$lines"
+# a resume that leaves out every run flag continues the run its checkpoint records
+$cli train --data "$RUNNER_TEMP/data" --out "$RUNNER_TEMP/full" --epochs 3 --batch-size 1 --seed 3 --loss nll --learning-rate 1e-3 --checkpoint-every 1 --keypoints 8 --pillar-points 8
+$cli train --data "$RUNNER_TEMP/data" --out "$RUNNER_TEMP/rest" --resume "$RUNNER_TEMP/full/checkpoint_00000.pmc"
+tail -n +2 "$RUNNER_TEMP/full/history.jsonl" | cmp - "$RUNNER_TEMP/rest/history.jsonl"
+cmp "$RUNNER_TEMP/full/checkpoint_final.pmc" "$RUNNER_TEMP/rest/checkpoint_final.pmc"
 # a run's config.json echo alone repeats it
 $cli train --config "$RUNNER_TEMP/run/config.json" --out "$RUNNER_TEMP/run3"
 cmp "$RUNNER_TEMP/run/history.jsonl" "$RUNNER_TEMP/run3/history.jsonl"

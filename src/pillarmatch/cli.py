@@ -9,7 +9,9 @@ echo alone. Datasets are written a pair at a time with the manifest last, so
 a command that fails part-way leaves no manifest.
 
 Each command takes only the model flags it reads, and :func:`_hyper` turns
-them into ``HyperParams``.
+them into ``HyperParams``. ``train``'s run flags replace the fields of the
+``TrainRun`` that ``learn.load_run`` reads from its ``--resume`` checkpoint, or
+of ``TrainRun()`` on a fresh run.
 
 Exit codes: 0 success, 2 usage/config error, 3 data or format error,
 4 numeric error. Relative output paths resolve under $PILLARMATCH_RUN_ROOT
@@ -71,6 +73,11 @@ _HYPER_FLAG = {"src_keypoints": "keypoints", "tgt_keypoints": "keypoints",
 # the SceneConfig fields synth sets, with their flags
 _SCENE_FLAG = {"point_count": "points", "overlap": "overlap", "rotation_bound": "rotation_bound",
                "translation_bound": "translation_bound", "noise_sigma": "noise"}
+# TrainRun fields the run flags of train set, with their flags; --nllp-penalty
+# names nllp_penalty_excludes_dustbin by its index in _NLLP_PENALTY
+_RUN_FLAG = {"epochs": "epochs", "batch_size": "batch_size", "seed": "seed", "loss_kind": "loss",
+             "learning_rate": "learning_rate", "nllp_penalty_excludes_dustbin": "nllp_penalty"}
+_NLLP_PENALTY = ("with-dustbin", "rows-only")
 _FLAG_HELP = {
     "keypoints": "key-points per cloud", "pillar_points": "max points per pillar",
     "pillar_radius": "pillar radius in meters",
@@ -335,9 +342,8 @@ def cmd_preprocess(args) -> int:
 def cmd_train(args) -> int:
     run_dir = _resolve(args.out)
     pairs = pairio.load_dataset(_resolve(args.data))
-    params = None
-    optimizer = None
-    start_epoch = 0
+    params = optimizer = None
+    base, start_epoch = learn.TrainRun(), 0
     if args.resume:
         params, meta, extras = load_checkpoint(_resolve(args.resume))
         hyper = params.hyper
@@ -352,28 +358,19 @@ def cmd_train(args) -> int:
                 f"checkpoint's {kept[flag]}" for flag in kept if flag in clash
             ) + ", which --resume keeps")
         optimizer = learn.load_optimizer(meta, extras, params.named_parameters())
-        start_epoch = meta.get("next_epoch", 0)
-        if not is_count(start_epoch):
-            raise ConfigError(f"checkpoint next_epoch must be a count, got {start_epoch!r}")
+        base, start_epoch = learn.load_run(meta)
     else:
         hyper = _hyper(args, HyperParams())
     vars(args).update(_hyper_flags(hyper))
-    if args.learning_rate is None:
-        args.learning_rate = optimizer.learning_rate if optimizer else learn.TrainRun.learning_rate
     _check_pair_shapes(args.data, pairs, hyper)
-    run = learn.TrainRun(
-        dataset_id=str(args.data),
-        epochs=args.epochs,
-        batch_size=args.batch_size,
-        seed=args.seed,
-        loss_kind=args.loss,
-        learning_rate=args.learning_rate,
-        max_steps=args.max_steps,
-        checkpoint_every=args.checkpoint_every,
-        nllp_penalty_excludes_dustbin=args.nllp_penalty == "rows-only",
-    )
-    if optimizer is not None:
-        optimizer.learning_rate = run.learning_rate
+    given = {name: getattr(args, flag) for name, flag in _RUN_FLAG.items()}
+    if args.nllp_penalty is not None:
+        given["nllp_penalty_excludes_dustbin"] = args.nllp_penalty == "rows-only"
+    run = replace(base, dataset_id=str(args.data), max_steps=args.max_steps,
+                  checkpoint_every=args.checkpoint_every,
+                  **{name: value for name, value in given.items() if value is not None})
+    vars(args).update({flag: getattr(run, name) for name, flag in _RUN_FLAG.items()},
+                      nllp_penalty=_NLLP_PENALTY[run.nllp_penalty_excludes_dustbin])
     _echo_config(run_dir, "train", args)
 
     def log(record):
@@ -531,22 +528,26 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--config", type=str, default=None)
     p.add_argument("--data", required=True)
     p.add_argument("--out", required=True)
-    p.add_argument("--loss", choices=list(learn.LOSS_KINDS), default="nllp")
-    p.add_argument("--epochs", type=int, default=100)
-    p.add_argument("--batch-size", type=int, default=16)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--learning-rate", type=float, default=None,
-                   help=f"Adam step size (default {learn.TrainRun.learning_rate}; with --resume, "
-                        "the checkpoint's rate, which a given value replaces)")
+    fresh = learn.TrainRun()
+    g = p.add_argument_group("run", "a run flag left out keeps the value that the --resume "
+                             "checkpoint records, or on a fresh run its default; a given one "
+                             "replaces it")
+    g.add_argument("--loss", choices=learn.LOSS_KINDS, help=f"default {fresh.loss_kind}")
+    g.add_argument("--epochs", type=int, help=f"default {fresh.epochs}")
+    g.add_argument("--batch-size", type=int, help=f"default {fresh.batch_size}")
+    g.add_argument("--seed", type=int, help=f"default {fresh.seed}")
+    g.add_argument("--learning-rate", type=float,
+                   help=f"Adam step size, default {fresh.learning_rate}")
     p.add_argument("--max-steps", type=int, default=None)
     p.add_argument("--checkpoint-every", type=int, default=0)
     p.add_argument("--resume", type=str, default=None,
                    help="continue from a training checkpoint; the network and its "
                         "model flags are the checkpoint's, and a model flag given at "
                         "a value other than the checkpoint's, even its default, is refused")
-    p.add_argument("--nllp-penalty", choices=["with-dustbin", "rows-only"],
-                   default="with-dustbin",
-                   help="dustbin handling in the unmatched-row penalty term")
+    # a run flag, kept after --resume so that train's flags keep their positions
+    g.add_argument("--nllp-penalty", choices=_NLLP_PENALTY,
+                   help="dustbin handling in the unmatched-row penalty term, default "
+                        + _NLLP_PENALTY[fresh.nllp_penalty_excludes_dustbin])
     _add_flags(p.add_argument_group("model"), model, unset=True)
     p.set_defaults(func=cmd_train)
 

@@ -193,7 +193,7 @@ class TrainRun:
     """Configuration for one training run; deterministic given the seed."""
 
     dataset_id: str = "synthetic"
-    epochs: int = 10
+    epochs: int = 100
     batch_size: int = 16
     seed: int = 0
     loss_kind: str = "nllp"
@@ -205,8 +205,12 @@ class TrainRun:
     def __post_init__(self):
         if self.loss_kind not in LOSS_KINDS:
             raise ArgumentError(f"unknown loss kind {self.loss_kind!r}")
-        if self.epochs < 0 or self.batch_size < 1:
-            raise ArgumentError("epochs must be >= 0 and batch_size >= 1")
+        if not (isinstance(self.dataset_id, str)
+                and isinstance(self.nllp_penalty_excludes_dustbin, bool)):
+            raise ArgumentError("dataset_id must be a string, nllp_penalty_excludes_dustbin a bool")
+        if not (is_count(self.epochs) and is_count(self.batch_size, 1)):
+            raise ArgumentError(f"epochs must be an integer >= 0 and batch_size >= 1: "
+                                f"{self.epochs!r}, {self.batch_size!r}")
         if not is_count(self.seed):
             raise ArgumentError(f"seed must be an integer >= 0: {self.seed!r}")
         if not (is_finite_real(self.learning_rate) and self.learning_rate > 0):
@@ -254,7 +258,8 @@ def train(
     """Train over preprocessed pairs of one key-point count; per-epoch shuffling
     derives from ``(seed, epoch)`` so runs resume deterministically from checkpoints.
 
-    ``run.max_steps`` caps ``optimizer.step``, resumed steps included; each
+    Adam steps at ``run.learning_rate``, which replaces a given ``optimizer``'s
+    rate. ``run.max_steps`` caps ``optimizer.step``, resumed steps included; each
     epoch's record is computed from its step losses and per-pair match metrics.
     """
     if not pairs:
@@ -268,7 +273,8 @@ def train(
     if params is None:
         params = ModelParameters.initialize(hyper, seed=run.seed)
     if optimizer is None:
-        optimizer = AdamState(learning_rate=run.learning_rate)
+        optimizer = AdamState()
+    optimizer.learning_rate = run.learning_rate
     named = params.named_parameters()
     history: list[dict] = []
     run_dir = Path(run_dir) if run_dir is not None else None
@@ -311,34 +317,45 @@ def train(
     return TrainResult(params=params, history=history, optimizer=optimizer, steps=optimizer.step)
 
 
+# the TrainRun fields and the AdamState settings a training checkpoint records; its
+# run section also records the network's match threshold, which the hyper section holds
+RUN_FIELDS = ("dataset_id", "epochs", "batch_size", "seed", "loss_kind", "learning_rate",
+              "nllp_penalty_excludes_dustbin")
+ADAM_SETTINGS = ("learning_rate", "beta1", "beta2", "eps", "step")
+
+
 def write_training_checkpoint(path, params, run: TrainRun, optimizer: AdamState,
                               next_epoch: int) -> None:
     meta = {
-        "run": {
-            "dataset_id": run.dataset_id,
-            "epochs": run.epochs,
-            "batch_size": run.batch_size,
-            "seed": run.seed,
-            "loss_kind": run.loss_kind,
-            "learning_rate": run.learning_rate,
-            "match_threshold": params.hyper.match_threshold,
-            "nllp_penalty_excludes_dustbin": run.nllp_penalty_excludes_dustbin,
-        },
+        "run": {**{k: getattr(run, k) for k in RUN_FIELDS},
+                "match_threshold": params.hyper.match_threshold},
         "next_epoch": next_epoch,
-        "optimizer": {
-            "learning_rate": optimizer.learning_rate,
-            "beta1": optimizer.beta1,
-            "beta2": optimizer.beta2,
-            "eps": optimizer.eps,
-            "step": optimizer.step,
-        },
+        "optimizer": {k: getattr(optimizer, k) for k in ADAM_SETTINGS},
     }
-    arrays = {}
-    for name, moment in optimizer.first_moment.items():
-        arrays[f"adam.m.{name}"] = moment
-    for name, moment in optimizer.second_moment.items():
-        arrays[f"adam.v.{name}"] = moment
+    arrays = {f"adam.{kind}.{name}": moment
+              for kind, moments in (("m", optimizer.first_moment), ("v", optimizer.second_moment))
+              for name, moment in moments.items()}
     save_checkpoint(path, params, extra_meta=meta, extra_arrays=arrays)
+
+
+def load_run(meta: dict) -> tuple[TrainRun, int]:
+    """The run saved by :func:`write_training_checkpoint` and the epoch it resumes at;
+    ``TrainRun()`` at epoch 0 for a checkpoint with no ``run`` section, such as a
+    model saved by ``save_checkpoint``. The section records neither ``max_steps`` nor
+    ``checkpoint_every``, so they are ``TrainRun()``'s."""
+    start = meta.get("next_epoch", 0)
+    if not is_count(start):
+        raise ConfigError(f"checkpoint next_epoch must be a count, got {start!r}")
+    if "run" not in meta:
+        return TrainRun(), start
+    section = meta["run"]
+    if not (isinstance(section, dict) and section.keys() == {*RUN_FIELDS, "match_threshold"}):
+        raise ConfigError(f"checkpoint run section must be an object of keys {RUN_FIELDS} "
+                          f"and match_threshold, got {section!r}")
+    try:
+        return TrainRun(**{k: section[k] for k in RUN_FIELDS}), start
+    except ArgumentError as exc:
+        raise ConfigError(f"checkpoint run section: {exc}") from None
 
 
 def load_optimizer(meta: dict, extras: dict, named_params: dict[str, Tensor]) -> AdamState:
@@ -351,8 +368,7 @@ def load_optimizer(meta: dict, extras: dict, named_params: dict[str, Tensor]) ->
     info = meta.get("optimizer", {})
     if not isinstance(info, dict):
         raise ConfigError("checkpoint optimizer section must be a JSON object")
-    state = AdamState(**{name: info.get(name, getattr(AdamState, name))
-                         for name in ("learning_rate", "beta1", "beta2", "eps", "step")})
+    state = AdamState(**{name: info.get(name, getattr(AdamState, name)) for name in ADAM_SETTINGS})
     rates = (state.learning_rate, state.beta1, state.beta2, state.eps)
     if not (all(map(is_finite_real, rates)) and state.learning_rate > 0 and state.eps > 0
             and 0 <= state.beta1 < 1 and 0 <= state.beta2 < 1):

@@ -297,23 +297,23 @@ def evaluate_matchers(
 
 
 def format_report_table(report: EvalReport) -> str:
-    """Render the aggregate as one section per metric, one row per matcher
-    and one column per frame distance; ICP has no matching-score row."""
+    """Render the aggregate as one section per metric, one row per evaluated
+    matcher and one column per frame distance of the records, failed ones
+    included; a cell no record gives a value reads ``n/a``, and ICP has no
+    matching-score row."""
     summary = report.aggregate()
-    distances = sorted(
-        {dist for by_dist in summary.values() for dist in by_dist}
-    )
+    distances = sorted({rec.frame_distance for rec in report.records})
     lines = []
     header = "matcher".ljust(10) + "".join(f"d={d}".rjust(12) for d in distances)
     for title, key in _SECTION_METRIC:
         lines.append(f"-- {title} --")
         lines.append(header)
-        for matcher in summary:
+        for matcher in report.matchers:
             if key == "matching_score" and matcher == "icp":
                 continue
             cells = []
             for dist in distances:
-                value = summary[matcher].get(dist, {}).get(key)
+                value = summary.get(matcher, {}).get(dist, {}).get(key)
                 cells.append("n/a".rjust(12) if value is None else f"{value:.4f}".rjust(12))
             lines.append(matcher.ljust(10) + "".join(cells))
         lines.append("")

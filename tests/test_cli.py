@@ -200,6 +200,43 @@ def test_train_resume_echoes_the_checkpoint_network_shape(tmp_path):
     assert (again / "history.jsonl").read_text() == (resumed / "history.jsonl").read_text()
 
 
+def test_train_resume_without_run_flags_continues_the_recorded_run(tmp_path):
+    data = run_synth(tmp_path, "data", num_pairs=3, seed=4)
+    full = tmp_path / "full"
+    assert main(["train", "--data", str(data), "--out", str(full), "--epochs", "3",
+                 "--batch-size", "2", "--seed", "3", "--loss", "nll", "--learning-rate", "1e-3",
+                 "--checkpoint-every", "1", *TOY_FLAGS]) == 0
+    resumed = tmp_path / "resumed"
+    assert main(["train", "--data", str(data), "--out", str(resumed),
+                 "--resume", str(full / "checkpoint_00000.pmc")]) == 0
+    tail = (full / "history.jsonl").read_text().splitlines(keepends=True)[1:]
+    assert (resumed / "history.jsonl").read_text() == "".join(tail)
+    final = "checkpoint_final.pmc"
+    assert (resumed / final).read_bytes() == (full / final).read_bytes()
+    echo = json.loads((resumed / "config.json").read_text())
+    assert {k: echo[k] for k in ("epochs", "batch_size", "seed", "loss", "learning_rate",
+                                 "nllp_penalty")} == {
+        "epochs": 3, "batch_size": 2, "seed": 3, "loss": "nll", "learning_rate": 1e-3,
+        "nllp_penalty": "with-dustbin"}
+
+
+def test_train_resume_uses_and_echoes_a_given_batch_size(tmp_path):
+    data = run_synth(tmp_path, "data", num_pairs=2, seed=4)
+    first = tmp_path / "run"
+    assert main(["train", "--data", str(data), "--out", str(first), "--epochs", "1",
+                 "--batch-size", "2", *TOY_FLAGS]) == 0
+    checkpoint = str(first / "checkpoint_final.pmc")
+    for batch_size, flags in ((2, []), (1, ["--batch-size", "1"])):
+        out = tmp_path / f"batch{batch_size}"
+        assert main(["train", "--data", str(data), "--out", str(out), "--epochs", "2",
+                     "--resume", checkpoint, *flags]) == 0
+        assert json.loads((out / "config.json").read_text())["batch_size"] == batch_size
+        _, meta, _ = load_checkpoint(out / "checkpoint_final.pmc")
+        assert meta["run"]["batch_size"] == batch_size
+        # epoch 1 takes one step per batch of the 2 pairs, after epoch 0's one
+        assert meta["optimizer"]["step"] == 1 + 2 // batch_size
+
+
 @pytest.mark.parametrize("flag,value", [("--match-threshold", "0.7"), ("--sinkhorn-iters", "50"),
                                         ("--positional-hidden", "8,32")])
 def test_train_resume_refuses_a_model_flag_it_would_drop(tmp_path, capsys, flag, value):
@@ -794,6 +831,24 @@ def test_eval_refuses_a_repeated_matcher_before_loading_anything(tmp_path, capsy
     assert not report.exists()
 
 
+def test_eval_table_lists_a_matcher_whose_every_frame_failed(tmp_path, capsys):
+    # no ground-truth matches: vm has nothing to fit, and ICP keeps no point in range
+    data = run_synth(tmp_path, "data", num_pairs=2, seed=1, extra=["--match-radius", "1e-6"])
+    capsys.readouterr()
+    assert main(["eval", "--data", str(data), "--matchers", "vm,icp",
+                 "--icp-reject-radius", "1e-9"]) == 0
+    sections = capsys.readouterr().out.rstrip().split("-- ")[1:]
+    assert [section.splitlines()[0] for section in sections] == [
+        "Matching Score --", "Translational Error --", "Rotational Error --"]
+    rows = [section.splitlines()[1:] for section in sections]
+    header, vm, icp = ("matcher".ljust(10) + "d=1".rjust(12),
+                       *(name.ljust(10) + "n/a".rjust(12) for name in ("vm", "icp")))
+    assert rows[0][:3] == [header, vm, ""]
+    for section in rows[1:]:
+        assert section[:4] == [header, vm, icp, ""]
+    assert rows[-1][-1] == "failures: icp=2, vm=2"
+
+
 def test_match_self_pair_with_overfit_model(tmp_path):
     # source == target: after a short overfit run, nearly every key-point
     # should match itself
@@ -1008,8 +1063,18 @@ def _set_moment(arrays, key, value):
     lambda meta, arrays: meta.update(next_epoch="x"),
     lambda meta, arrays: meta.update(next_epoch=None),
     lambda meta, arrays: meta.update(next_epoch=-3),
+    lambda meta, arrays: meta.update(next_epoch=-1),
+    lambda meta, arrays: meta.update(next_epoch=1.5),
+    lambda meta, arrays: meta.update(run=[1]),
+    lambda meta, arrays: meta["run"].update(extra=1),
+    lambda meta, arrays: meta["run"].update(batch_size="2"),
+    lambda meta, arrays: meta["run"].update(batch_size=0),
+    lambda meta, arrays: meta["run"].update(loss_kind="bogus"),
+    lambda meta, arrays: meta["run"].update(seed=-1),
 ], ids=["beta1-one", "beta2-negative", "negative-learning-rate", "zero-eps", "nan-moment",
-        "negative-second-moment", "next-epoch-string", "next-epoch-null", "next-epoch-negative"])
+        "negative-second-moment", "next-epoch-string", "next-epoch-null", "next-epoch-negative",
+        "next-epoch-minus-one", "next-epoch-fraction", "run-not-an-object", "run-unknown-key",
+        "run-batch-size-string", "run-batch-size-zero", "run-loss-bogus", "run-seed-negative"])
 def test_resume_from_bad_training_state_is_config_error_and_writes_nothing(tmp_path, capsys,
                                                                            edit):
     data = run_synth(tmp_path, "data", num_pairs=2, seed=4)

@@ -20,6 +20,7 @@ from pillarmatch.learn import (
     adam_step,
     compute_loss,
     load_optimizer,
+    load_run,
     match_metrics,
     train,
     write_training_checkpoint,
@@ -691,6 +692,7 @@ def test_per_head_checkpoint_loads_rewrites_byte_identical_and_resumes(tmp_path)
     path = tmp_path / "rewritten.pmc"
     write_training_checkpoint(path, params, run, optimizer, meta["next_epoch"])
     assert path.read_bytes() == PER_HEAD_CHECKPOINT.read_bytes()
+    assert load_run(meta) == (run, meta["next_epoch"])
     pairs = [toy_pair(seed=s, hyper=params.hyper) for s in (0, 1)]
     resumed = train(pairs, dataclasses.replace(run, epochs=2), params.hyper, params=params,
                     optimizer=optimizer, start_epoch=meta["next_epoch"])
@@ -705,3 +707,43 @@ def test_load_optimizer_bad_settings_are_config_errors(optimizer):
     params = ModelParameters.initialize(toy_hyper(), seed=0)
     with pytest.raises(ConfigError):
         load_optimizer({"optimizer": optimizer}, {}, params.named_parameters())
+
+
+def test_train_steps_at_the_run_learning_rate_and_records_it_once(tmp_path):
+    # a given optimizer takes the run's rate: both checkpoint sections record the
+    # rate Adam used, and the update is that of a run started at it
+    hyper, pairs = small_dataset(count=2)
+    run = TrainRun(epochs=1, batch_size=2, seed=4, loss_kind="nll", learning_rate=2e-3)
+    given = train(pairs, run, hyper, optimizer=AdamState(learning_rate=1e-3), run_dir=tmp_path)
+    fresh = train(pairs, run, hyper)
+    _, meta, _ = load_checkpoint(tmp_path / "checkpoint_final.pmc")
+    assert meta["run"]["learning_rate"] == meta["optimizer"]["learning_rate"] == 2e-3
+    for name, tensor in given.params.named_parameters().items():
+        np.testing.assert_array_equal(tensor.data, fresh.params.named_parameters()[name].data)
+
+
+def test_load_run_reads_the_recorded_run_and_defaults_a_model_checkpoint(tmp_path):
+    hyper, pairs = small_dataset(count=2)
+    run = TrainRun(dataset_id="toy", epochs=3, batch_size=1, seed=7, loss_kind="dce",
+                   learning_rate=5e-4, max_steps=1, nllp_penalty_excludes_dustbin=True)
+    train(pairs, run, hyper, run_dir=tmp_path)
+    _, meta, _ = load_checkpoint(tmp_path / "checkpoint_final.pmc")
+    # max_steps and checkpoint_every are not recorded
+    assert load_run(meta) == (dataclasses.replace(run, max_steps=None), 1)
+    assert load_run({"hyper": meta["hyper"]}) == (TrainRun(), 0)
+
+
+@pytest.mark.parametrize("edit", [
+    {"run": [1]}, {"run": None}, {"extra": 1}, {"batch_size": "2"}, {"batch_size": 0},
+    {"epochs": 1.5}, {"loss_kind": "bogus"}, {"seed": -1}, {"learning_rate": 0},
+    {"dataset_id": 3}, {"nllp_penalty_excludes_dustbin": 1},
+    {"next_epoch": -1}, {"next_epoch": 1.5},
+], ids=lambda edit: "-".join(f"{k}={v!r}" for k, v in edit.items()))
+def test_load_run_malformed_is_config_error(edit):
+    meta = {"run": {**{k: getattr(TrainRun(), k) for k in learn.RUN_FIELDS},
+                    "match_threshold": 0.2}, "next_epoch": 1}
+    assert load_run(meta) == (TrainRun(), 1)
+    for key, value in edit.items():
+        (meta if key in ("run", "next_epoch") else meta["run"])[key] = value
+    with pytest.raises(ConfigError):
+        load_run(meta)
