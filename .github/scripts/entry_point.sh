@@ -11,16 +11,28 @@ export RUNNER_TEMP
 cli=${PILLARMATCH:-pillarmatch}
 
 $cli synth --out "$RUNNER_TEMP/data" --num-pairs 2 --points 600 --keypoints 8 --pillar-points 8
-$cli train --data "$RUNNER_TEMP/data" --out "$RUNNER_TEMP/run" --max-steps 1 --keypoints 8 --pillar-points 8 --batch-size 2
+$cli train --data "$RUNNER_TEMP/data" --out "$RUNNER_TEMP/run" --max-steps 1 --batch-size 2
 $cli train --data "$RUNNER_TEMP/data" --out "$RUNNER_TEMP/run2" --resume "$RUNNER_TEMP/run/checkpoint_final.pmc" --max-steps 2
-# the resume keeps the checkpoint's network and, left out, its run flags: batch 2, not the default 16
-python -c "import json, os, sys; c = json.load(open(os.path.join(os.environ['RUNNER_TEMP'], 'run2', 'config.json'))); sys.exit((c['keypoints'], c['pillar_points'], c['batch_size']) != (8, 8, 2))"
+# a fresh run takes its key-point counts and pillar capacity from its dataset, 8/8 and 8; the
+# resume keeps the checkpoint's network and, left out, its run flags: batch 2, not the default 16
+python -c "
+import json, os, sys
+from pillarmatch.container import read_container
+temp = os.environ['RUNNER_TEMP']
+shapes = [
+    tuple(read_container(os.path.join(temp, run, 'checkpoint_final.pmc'), expect_kind='checkpoint')[0]['hyper'][k]
+          for k in ('src_keypoints', 'tgt_keypoints', 'pillar_points'))
+    for run in ('run', 'run2')
+]
+batch_size = json.load(open(os.path.join(temp, 'run2', 'config.json')))['batch_size']
+sys.exit(shapes != [(8, 8, 8)] * 2 or batch_size != 2)
+"
 # --max-steps counts the resumed steps: a resume at the cap trains nothing and adds no history line
 lines=$(wc -l < "$RUNNER_TEMP/run2/history.jsonl")
 $cli train --data "$RUNNER_TEMP/data" --out "$RUNNER_TEMP/run2" --resume "$RUNNER_TEMP/run2/checkpoint_final.pmc" --max-steps 2
 test "$(wc -l < "$RUNNER_TEMP/run2/history.jsonl")" -eq "$lines"
 # a resume that leaves out every run flag continues the run its checkpoint records
-$cli train --data "$RUNNER_TEMP/data" --out "$RUNNER_TEMP/full" --epochs 3 --batch-size 1 --seed 3 --loss nll --learning-rate 1e-3 --checkpoint-every 1 --keypoints 8 --pillar-points 8
+$cli train --data "$RUNNER_TEMP/data" --out "$RUNNER_TEMP/full" --epochs 3 --batch-size 1 --seed 3 --loss nll --learning-rate 1e-3 --checkpoint-every 1
 $cli train --data "$RUNNER_TEMP/data" --out "$RUNNER_TEMP/rest" --resume "$RUNNER_TEMP/full/checkpoint_00000.pmc"
 tail -n +2 "$RUNNER_TEMP/full/history.jsonl" | cmp - "$RUNNER_TEMP/rest/history.jsonl"
 cmp "$RUNNER_TEMP/full/checkpoint_final.pmc" "$RUNNER_TEMP/rest/checkpoint_final.pmc"
@@ -31,11 +43,12 @@ cmp "$RUNNER_TEMP/run/history.jsonl" "$RUNNER_TEMP/run3/history.jsonl"
 code=0; $cli synth --out "$RUNNER_TEMP/bad" --seed -1 2> "$RUNNER_TEMP/bad.err" || code=$?
 test "$code" -eq 2
 if grep -q Traceback "$RUNNER_TEMP/bad.err"; then exit 1; fi
-# training needs the dataset's key-point count: the model's default is refused before writing anything
-code=0; $cli train --data "$RUNNER_TEMP/data" --out "$RUNNER_TEMP/counts" --pillar-points 8 2> "$RUNNER_TEMP/counts.err" || code=$?
+# train reads the key-point count from its dataset and takes no --keypoints: the flag is a
+# usage error, refused before writing anything
+code=0; $cli train --data "$RUNNER_TEMP/data" --out "$RUNNER_TEMP/flag" --keypoints 8 2> "$RUNNER_TEMP/flag.err" || code=$?
 test "$code" -eq 2
-if grep -q Traceback "$RUNNER_TEMP/counts.err"; then exit 1; fi
-test ! -e "$RUNNER_TEMP/counts"
+if grep -q Traceback "$RUNNER_TEMP/flag.err"; then exit 1; fi
+test ! -e "$RUNNER_TEMP/flag"
 # a resume refuses a model flag that differs from its checkpoint, before writing anything
 code=0; $cli train --data "$RUNNER_TEMP/data" --out "$RUNNER_TEMP/clash" --resume "$RUNNER_TEMP/run/checkpoint_final.pmc" --match-threshold 0.7 2> "$RUNNER_TEMP/clash.err" || code=$?
 test "$code" -eq 2

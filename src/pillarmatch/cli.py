@@ -9,9 +9,11 @@ echo alone. Datasets are written a pair at a time with the manifest last, so
 a command that fails part-way leaves no manifest.
 
 Each command takes only the model flags it reads, and :func:`_hyper` turns
-them into ``HyperParams``. ``train``'s run flags replace the fields of the
-``TrainRun`` that ``learn.load_run`` reads from its ``--resume`` checkpoint, or
-of ``TrainRun()`` on a fresh run.
+them into ``HyperParams``. A fresh ``train`` reads the key-point counts and
+the pillar capacity from its dataset's first pair, a resumed one from its
+checkpoint. ``train``'s run flags replace the fields of the ``TrainRun`` that
+``learn.load_run`` reads from its ``--resume`` checkpoint, or of
+``TrainRun()`` on a fresh run.
 
 Exit codes: 0 success, 2 usage/config error, 3 data or format error,
 4 numeric error. Relative output paths resolve under $PILLARMATCH_RUN_ROOT
@@ -122,15 +124,13 @@ def _hyper(args, base: HyperParams) -> HyperParams:
 
 def _hyper_flags(hyper: HyperParams) -> dict:
     """The model flags' values, by ``args`` name, that :func:`_hyper` turns
-    back into the fields of ``hyper``; None, which :func:`_hyper` leaves at the
-    base's, for a flag whose fields differ: ``keypoints`` of unequal counts."""
+    back into the fields of ``hyper``."""
     flags = {}
     for f in fields(hyper):
         value = getattr(hyper, f.name)
         if isinstance(value, tuple):
             value = ",".join(str(v) for v in value)
-        flag = _HYPER_FLAG.get(f.name, f.name)
-        flags[flag] = value if flags.get(flag, value) == value else None
+        flags[_HYPER_FLAG.get(f.name, f.name)] = value
     return flags
 
 
@@ -208,6 +208,13 @@ def _args_echo(args) -> dict:
     return {k: v for k, v in sorted(vars(args).items()) if k not in skip}
 
 
+def _output_file(path: str) -> Path:
+    """The resolved ``path``, with its parent directory made."""
+    p = _resolve(path)
+    p.parent.mkdir(parents=True, exist_ok=True)
+    return p
+
+
 def _echo_config(directory: Path, command: str, args) -> None:
     directory.mkdir(parents=True, exist_ok=True)
     payload = {"config_version": 1, "command": command}
@@ -278,12 +285,12 @@ def cmd_synth(args) -> int:
 def cmd_preprocess(args) -> int:
     """Pairs of the scans ``d`` frames apart for each ``d`` of ``--distances``.
 
-    The scans are read once, in order. Each frame's key-points and pillars
-    are built once, and only they stay in a window of the last
-    ``max(distances) + 1`` frames; each pair is written as soon as its later
-    frame is read. Names stay distance-major: distance ``d`` at list position
-    ``k`` names pair ``(i, i + d)`` ``pair_{offset + i:05d}``, where
-    ``offset`` counts the pairs of positions before ``k``.
+    The scans are read once, in order. The key-points and pillars of each
+    frame some pair uses are built once, and only they stay in a window of
+    the last ``max(distances) + 1`` frames; each pair is written as soon as
+    its later frame is read. Names stay distance-major: distance ``d`` at
+    list position ``k`` names pair ``(i, i + d)`` ``pair_{offset + i:05d}``,
+    where ``offset`` counts the pairs of positions before ``k``.
     """
     out = _resolve(args.out)
     hyper = _hyper(args, HyperParams())
@@ -308,27 +315,22 @@ def cmd_preprocess(args) -> int:
         if count == 0:
             print(f"warning: distance {distance} produced 0 pairs", file=sys.stderr)
     nearest, reach = min(distances), max(distances)
-    window = {}  # frame index -> {key-point count: PillarSet}
+    window = {}  # frame index -> PillarSet, for the frames some pair uses
     with pairio.dataset_writer(out, _args_echo(args)) as write:
         for j, path in enumerate(scan_files):
             cloud = load_kitti_scan(path, frame_id=path.stem)
-            # built once per key-point count the frame serves, as source or target
-            roles = ((hyper.src_keypoints, j + nearest < frames),
-                     (hyper.tgt_keypoints, j >= nearest))
-            served = {count for count, serves in roles if serves}
-            window[j] = {
-                count: pairio.preprocess_frame(cloud, count, hyper, args.neighborhood_size,
-                                               args.min_separation)
-                for count in served
-            }
+            # --keypoints gives source and target one count, so one build serves both roles
+            if j + nearest < frames or j >= nearest:
+                window[j] = pairio.preprocess_frame(cloud, hyper.src_keypoints, hyper,
+                                                    args.neighborhood_size, args.min_separation)
             # the window keeps pillars only: the cloud and its tree go before the next load
             del cloud
             for k, distance in enumerate(distances):
                 i = j - distance
                 if i >= 0:
                     frame = FramePair(
-                        source=window[i][hyper.src_keypoints],
-                        target=window[j][hyper.tgt_keypoints],
+                        source=window[i],
+                        target=window[j],
                         gt_transform=poses[j].inverse().compose(poses[i]),
                         frame_distance=distance,
                     )
@@ -342,6 +344,7 @@ def cmd_preprocess(args) -> int:
 def cmd_train(args) -> int:
     run_dir = _resolve(args.out)
     pairs = pairio.load_dataset(_resolve(args.data))
+    learn.check_training_pairs(pairs)
     params = optimizer = None
     base, start_epoch = learn.TrainRun(), 0
     if args.resume:
@@ -349,7 +352,6 @@ def cmd_train(args) -> int:
         hyper = params.hyper
         # the network is the checkpoint's: a model flag that would change it is refused
         resumed, kept = _hyper(args, hyper), _hyper_flags(hyper)
-        kept["keypoints"] = f"{hyper.src_keypoints}/{hyper.tgt_keypoints} (source/target)"
         clash = {_HYPER_FLAG.get(f.name, f.name) for f in fields(hyper)
                  if getattr(resumed, f.name) != getattr(hyper, f.name)}
         if clash:
@@ -360,8 +362,11 @@ def cmd_train(args) -> int:
         optimizer = learn.load_optimizer(meta, extras, params.named_parameters())
         base, start_epoch = learn.load_run(meta)
     else:
-        hyper = _hyper(args, HyperParams())
-    vars(args).update(_hyper_flags(hyper))
+        # a fresh network takes its shape from the dataset's first pair
+        hyper = _hyper(args, HyperParams(src_keypoints=len(pairs[0].src_keypoints),
+                                         tgt_keypoints=len(pairs[0].tgt_keypoints),
+                                         pillar_points=pairs[0].src_pillars.capacity))
+    vars(args).update((flag, v) for flag, v in _hyper_flags(hyper).items() if hasattr(args, flag))
     _check_pair_shapes(args.data, pairs, hyper)
     given = {name: getattr(args, flag) for name, flag in _RUN_FLAG.items()}
     if args.nllp_penalty is not None:
@@ -413,16 +418,14 @@ def cmd_match(args) -> int:
         elapsed = time.perf_counter() - start
         report["mean_forward_ms"] = 1000.0 * elapsed / args.timing_runs
     if args.dump_assignment:
-        transport.write_assignment_csv(_resolve(args.dump_assignment), result.assignment)
+        transport.write_assignment_csv(_output_file(args.dump_assignment), result.assignment)
         report["assignment_csv"] = str(args.dump_assignment)
     if args.plot_export:
-        _write_plot_export(_resolve(args.plot_export), pair, result)
+        _write_plot_export(_output_file(args.plot_export), pair, result)
         report["plot_export"] = str(args.plot_export)
     output = json.dumps(report, indent=2, sort_keys=True)
     if args.report:
-        path = _resolve(args.report)
-        path.parent.mkdir(parents=True, exist_ok=True)
-        path.write_text(output + "\n")
+        _output_file(args.report).write_text(output + "\n")
     print(output)
     return EXIT_OK
 
@@ -445,7 +448,6 @@ def _write_plot_export(path: Path, pair, result) -> None:
         "tgt_keypoints": tgt.tolist(),
         "match_lines": lines,
     }
-    path.parent.mkdir(parents=True, exist_ok=True)
     path.write_text(json.dumps(payload, sort_keys=True) + "\n")
 
 
@@ -502,6 +504,8 @@ def build_parser() -> argparse.ArgumentParser:
     model = _hyper_flags(HyperParams())
     # the model flags that preprocessing reads, and the readout fields match replaces
     data = {flag: model[flag] for flag in ("keypoints", "pillar_points", "pillar_radius")}
+    # train reads the key-point counts and the pillar capacity from its dataset
+    network = {flag: v for flag, v in model.items() if flag not in ("keypoints", "pillar_points")}
     readout = {flag: model[flag] for flag in ("match_threshold", "sinkhorn_iters", "sinkhorn_mode")}
 
     p = sub.add_parser("synth", help="generate a seeded synthetic pair dataset")
@@ -548,7 +552,7 @@ def build_parser() -> argparse.ArgumentParser:
     g.add_argument("--nllp-penalty", choices=_NLLP_PENALTY,
                    help="dustbin handling in the unmatched-row penalty term, default "
                         + _NLLP_PENALTY[fresh.nllp_penalty_excludes_dustbin])
-    _add_flags(p.add_argument_group("model"), model, unset=True)
+    _add_flags(p.add_argument_group("model"), network, unset=True)
     p.set_defaults(func=cmd_train)
 
     p = sub.add_parser("match", help="run inference on one preprocessed pair")
@@ -587,13 +591,10 @@ def main(argv=None) -> int:
     except (ConfigError, ArgumentError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except (FormatError, FileNotFoundError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_DATA
     except NumericError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
-    except PillarMatchError as exc:
+    except (OSError, PillarMatchError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DATA
 

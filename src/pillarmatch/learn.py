@@ -245,6 +245,18 @@ def _train_step(batch, run: TrainRun, params: ModelParameters, named, optimizer:
     return loss.item(), metrics
 
 
+def check_training_pairs(pairs: list[PreprocessedPair]) -> None:
+    """Refuse an empty dataset, several key-point counts or a pair of no ground truth."""
+    if not pairs:
+        raise ArgumentError("training dataset is empty")
+    shapes = sorted({(len(pair.src_keypoints), len(pair.tgt_keypoints)) for pair in pairs})
+    if len(shapes) > 1:
+        raise ArgumentError(f"training pairs must share one key-point count, got {shapes}")
+    for pair in pairs:
+        if pair.labels.total_cells() == 0:
+            raise ArgumentError("a training pair has zero ground-truth cells")
+
+
 def train(
     pairs: list[PreprocessedPair],
     run: TrainRun,
@@ -262,14 +274,7 @@ def train(
     rate. ``run.max_steps`` caps ``optimizer.step``, resumed steps included; each
     epoch's record is computed from its step losses and per-pair match metrics.
     """
-    if not pairs:
-        raise ArgumentError("training dataset is empty")
-    shapes = sorted({(len(pair.src_keypoints), len(pair.tgt_keypoints)) for pair in pairs})
-    if len(shapes) > 1:
-        raise ArgumentError(f"training pairs must share one key-point count, got {shapes}")
-    for pair in pairs:
-        if pair.labels.total_cells() == 0:
-            raise ArgumentError("a training pair has zero ground-truth cells")
+    check_training_pairs(pairs)
     if params is None:
         params = ModelParameters.initialize(hyper, seed=run.seed)
     if optimizer is None:

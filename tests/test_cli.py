@@ -26,8 +26,9 @@ DATA_FLAGS = [
     "--pillar-points", "6",
 ]
 
+# the network flags of train, which reads the key-point count and pillar capacity
+# from its dataset
 TOY_FLAGS = [
-    *DATA_FLAGS,
     "--feature-depth", "8",
     "--heads", "2",
     "--layers", "2",
@@ -59,7 +60,8 @@ def test_each_command_takes_exactly_the_model_flags_it_reads():
     commands = next(a for a in cli.build_parser()._actions if a.dest == "command").choices
     taken = {name: {a.dest for a in parser._actions} & model for name, parser in commands.items()}
     data = {"keypoints", "pillar_points", "pillar_radius"}
-    assert taken == {"synth": data, "preprocess": data, "train": model,
+    assert taken == {"synth": data, "preprocess": data,
+                     "train": model - {"keypoints", "pillar_points"},
                      "match": {"match_threshold", "sinkhorn_iters", "sinkhorn_mode"},
                      "eval": {"match_threshold"}}
 
@@ -188,8 +190,10 @@ def test_train_resume_echoes_the_checkpoint_network_shape(tmp_path):
                  "--resume", str(first / "checkpoint_final.pmc")]) == 0
     before = json.loads((first / "config.json").read_text())
     after = json.loads((resumed / "config.json").read_text())
-    assert (after["keypoints"], after["pillar_points"]) == (8, 6)
-    shape = set(cli._hyper_flags(HyperParams()))
+    hyper = load_checkpoint(resumed / "checkpoint_final.pmc")[0].hyper
+    assert (hyper.src_keypoints, hyper.tgt_keypoints, hyper.pillar_points) == (8, 8, 6)
+    shape = set(cli._hyper_flags(HyperParams())) - {"keypoints", "pillar_points"}
+    assert shape < set(after)
     assert {k: after[k] for k in shape} == {k: before[k] for k in shape}
     # the echo's flag values alone reproduce the resumed run
     flags = {k: v for k, v in after.items() if k not in ("command", "config_version", "data")}
@@ -248,7 +252,7 @@ def test_train_resume_refuses_a_model_flag_it_would_drop(tmp_path, capsys, flag,
     # the checkpoint's own values, in another spelling, are no clash
     same = tmp_path / "same"
     assert main(["train", "--data", str(data), "--out", str(same), "--max-steps", "2",
-                 "--resume", checkpoint, "--positional-hidden", "8,16,", "--keypoints", "8"]) == 0
+                 "--resume", checkpoint, "--positional-hidden", "8,16,"]) == 0
     capsys.readouterr()
     resumed = tmp_path / "run2"
     code = main(["train", "--data", str(data), "--out", str(resumed), "--max-steps", "2",
@@ -258,7 +262,7 @@ def test_train_resume_refuses_a_model_flag_it_would_drop(tmp_path, capsys, flag,
     assert not resumed.exists()
 
 
-@pytest.mark.parametrize("flag,value", [("--keypoints", "100"), ("--sinkhorn-iters", "100"),
+@pytest.mark.parametrize("flag,value", [("--sinkhorn-iters", "100"),
                                         ("--positional-hidden", "32,64,128,256")])
 def test_train_resume_refuses_a_model_flag_given_at_its_default(tmp_path, capsys, flag, value):
     # each value is the flag's HyperParams() default, and the toy checkpoint's differs
@@ -291,17 +295,49 @@ def test_train_resume_of_unequal_key_point_counts_echoes_a_config_that_reruns(tm
     assert main(["train", "--data", str(data), "--out", str(resumed), "--epochs", "2",
                  "--batch-size", "2", "--resume", checkpoint]) == 0
     echo = json.loads((resumed / "config.json").read_text())
-    assert echo["keypoints"] is None and echo["pillar_points"] == 4
+    assert not {"keypoints", "pillar_points"} & set(echo)
     again = tmp_path / "run3"
     assert main(["train", "--config", str(resumed / "config.json"), "--out", str(again)]) == 0
     assert (again / "history.jsonl").read_bytes() == (resumed / "history.jsonl").read_bytes()
-    # a key-point count given on the command line is refused, naming the checkpoint's two
+    # train takes no key-point count: the flag is a usage error
     capsys.readouterr()
     refused = tmp_path / "run4"
-    assert main(["train", "--data", str(data), "--out", str(refused), "--resume", checkpoint,
-                 "--keypoints", "8"]) == 2
-    assert "--keypoints 8 differs from the checkpoint's 8/10" in capsys.readouterr().err
+    with pytest.raises(SystemExit) as exc:
+        main(["train", "--data", str(data), "--out", str(refused), "--resume", checkpoint,
+              "--keypoints", "8"])
+    assert exc.value.code == 2
+    assert "--keypoints" in capsys.readouterr().err
     assert not refused.exists()
+
+
+def test_fresh_train_reads_unequal_key_point_counts_from_its_dataset(tmp_path):
+    from conftest import toy_hyper, toy_pair
+
+    hyper = toy_hyper(src_keypoints=8, tgt_keypoints=10)
+    data = tmp_path / "data"
+    pairio.write_dataset(data, [toy_pair(seed=s, hyper=hyper) for s in (3, 4)], {})
+    first = tmp_path / "run"
+    assert main(["train", "--data", str(data), "--out", str(first), "--epochs", "2",
+                 "--batch-size", "2", *TOY_FLAGS]) == 0
+    trained = load_checkpoint(first / "checkpoint_final.pmc")[0].hyper
+    assert (trained.src_keypoints, trained.tgt_keypoints, trained.pillar_points) == (8, 10, 4)
+    again = tmp_path / "again"
+    assert main(["train", "--config", str(first / "config.json"), "--out", str(again)]) == 0
+    for name in ("checkpoint_final.pmc", "history.jsonl", "config.json"):
+        assert (again / name).read_bytes() == (first / name).read_bytes(), name
+
+
+@pytest.mark.parametrize("extra,reason", [
+    (["--num-pairs", "0"], "training dataset is empty"),
+    (["--match-radius", "1e-9", "--unmatch-radius", "1e9"], "zero ground-truth cells"),
+], ids=["empty-dataset", "no-ground-truth"])
+def test_train_refusing_its_dataset_writes_nothing(tmp_path, capsys, extra, reason):
+    data = run_synth(tmp_path, "data", extra=extra)
+    out = tmp_path / "run"
+    assert main(["train", "--data", str(data), "--out", str(out), "--max-steps", "1",
+                 *TOY_FLAGS]) == 2
+    assert reason in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_train_reruns_from_its_own_config_echo(tmp_path):
@@ -314,6 +350,21 @@ def test_train_reruns_from_its_own_config_echo(tmp_path):
     assert main(["train", "--config", str(first / "config.json"), "--out", str(again)]) == 0
     for name in ("history.jsonl", "config.json"):
         assert (again / name).read_bytes() == (first / name).read_bytes(), name
+
+
+def test_train_refuses_an_older_echo_that_holds_the_data_flags(tmp_path, capsys):
+    data = run_synth(tmp_path, "data", num_pairs=2, seed=4)
+    first = tmp_path / "run"
+    assert main(["train", "--data", str(data), "--out", str(first), "--max-steps", "1",
+                 "--batch-size", "2", *TOY_FLAGS]) == 0
+    older = tmp_path / "older.json"
+    older.write_text(json.dumps({**json.loads((first / "config.json").read_text()),
+                                 "keypoints": 8, "pillar_points": 6}))
+    capsys.readouterr()
+    again = tmp_path / "again"
+    assert main(["train", "--config", str(older), "--out", str(again)]) == 2
+    assert "unknown config keys for 'train': ['keypoints', 'pillar_points']" in capsys.readouterr().err
+    assert not again.exists()
 
 
 @pytest.mark.parametrize("edit", [{"command": "eval"}, {"command": None},
@@ -468,6 +519,23 @@ def test_preprocess_reuses_frames_and_matches_per_pair_preprocessing(tmp_path, r
                                                                 neighborhood_size=6))
             assert (out / names[index]).read_bytes() == reference.read_bytes()
             index += 1
+
+
+def test_preprocess_builds_no_frame_that_no_pair_uses(tmp_path, rng, monkeypatch):
+    scans, pose_file = write_scan_sequence(tmp_path, rng)
+    selected = []
+    original = pairio.select_keypoints
+
+    def counted(cloud, *args, **kwargs):
+        selected.append(cloud.frame_id)
+        return original(cloud, *args, **kwargs)
+
+    monkeypatch.setattr(pairio, "select_keypoints", counted)
+    out = tmp_path / "pre"
+    # 4 frames 3 apart make one pair, (0, 3): frames 1 and 2 are in none
+    assert run_preprocess(scans, pose_file, out, "3") == 0
+    assert selected == ["000000", "000003"]
+    assert len(load_dataset(out)) == 1
 
 
 def test_preprocess_writes_the_pairs_a_median_split_tree_gives(tmp_path, rng, monkeypatch):
@@ -679,24 +747,23 @@ def test_checkpoint_pair_mismatch_is_config_error(tmp_path):
 
 def test_pillar_capacity_mismatch_is_config_error_in_train_and_eval(tmp_path, capsys):
     data = run_synth(tmp_path, "data", num_pairs=1, seed=5)  # capacity 6
-    flags = [*TOY_FLAGS, "--pillar-points", "4"]
-    run_dir = tmp_path / "run"
-    code = main(["train", "--data", str(data), "--out", str(run_dir), "--epochs", "1",
-                 "--batch-size", "1", *flags])
-    assert code == 2
-    assert "pair 0 has pillar capacity 6/6" in capsys.readouterr().err
-    assert not run_dir.exists()
     hyper = HyperParams(src_keypoints=8, tgt_keypoints=8, pillar_points=4, feature_depth=8,
                         attention_heads=2, attention_layers=2, sinkhorn_iterations=10,
                         positional_hidden=(8, 16))
     checkpoint = tmp_path / "model.pmc"
     save_checkpoint(checkpoint, ModelParameters.initialize(hyper, seed=0))
+    run_dir = tmp_path / "run"
+    code = main(["train", "--data", str(data), "--out", str(run_dir), "--epochs", "1",
+                 "--batch-size", "1", "--resume", str(checkpoint)])
+    assert code == 2
+    assert "pair 0 has pillar capacity 6/6" in capsys.readouterr().err
+    assert not run_dir.exists()
     code = main(["eval", "--data", str(data), "--checkpoint", str(checkpoint)])
     assert code == 2
     assert "the model expects 4" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("command", ["train", "resume", "eval"])
+@pytest.mark.parametrize("command", ["resume", "eval"])
 def test_key_point_count_mismatch_is_config_error_and_writes_nothing(tmp_path, capsys, command):
     # the dataset has 8/8 key-points and the model 6/6, at the dataset's pillar capacity
     data = run_synth(tmp_path, "data", num_pairs=2, seed=5)
@@ -707,8 +774,6 @@ def test_key_point_count_mismatch_is_config_error_and_writes_nothing(tmp_path, c
     save_checkpoint(checkpoint, ModelParameters.initialize(hyper, seed=0))
     out = tmp_path / "out"
     argv = {
-        "train": ["train", "--data", str(data), "--out", str(out), "--epochs", "1",
-                  "--batch-size", "2", *TOY_FLAGS, "--keypoints", "6"],
         "resume": ["train", "--data", str(data), "--out", str(out), "--epochs", "1",
                    "--resume", str(checkpoint)],
         "eval": ["eval", "--data", str(data), "--checkpoint", str(checkpoint),
@@ -784,6 +849,18 @@ def test_match_negative_timing_runs_is_config_error(tmp_path, capsys):
     assert not report.exists()
     assert main([*flags, "0"]) == 0
     assert "mean_forward_ms" not in json.loads(report.read_text())
+
+
+def test_match_makes_the_directory_of_each_file_it_writes(tmp_path):
+    data = run_synth(tmp_path, "data", num_pairs=1, seed=5)
+    checkpoint = untrained_checkpoint(tmp_path)
+    nested = tmp_path / "a" / "b"
+    outputs = {flag: nested / flag[2:] / "out" for flag in
+               ("--dump-assignment", "--plot-export", "--report")}
+    assert main(["match", "--checkpoint", str(checkpoint), "--pair",
+                 str(data / "pair_00000.ppair"),
+                 *(v for flag, path in outputs.items() for v in (flag, str(path)))]) == 0
+    assert all(path.is_file() for path in outputs.values())
 
 
 def test_match_overrides_replace_the_checkpoint_hyper_fields(tmp_path):
