@@ -101,6 +101,18 @@ code=0; $cli eval --data "$RUNNER_TEMP/data" --matchers nn,nn --report "$RUNNER_
 test "$code" -eq 2
 test "$(wc -l < "$RUNNER_TEMP/twice.err")" -eq 1
 test ! -e "$RUNNER_TEMP/twice"
+# ours without --checkpoint is a usage error before the dataset is read: a missing --data
+# would exit 3
+code=0; $cli eval --data "$RUNNER_TEMP/nowhere" --matchers ours --report "$RUNNER_TEMP/nockpt" 2> "$RUNNER_TEMP/nockpt.err" || code=$?
+test "$code" -eq 2
+if grep -q Traceback "$RUNNER_TEMP/nockpt.err"; then exit 1; fi
+test ! -e "$RUNNER_TEMP/nockpt"
+# a dataset of no pairs has nothing to evaluate: exit 2, and no report
+$cli synth --out "$RUNNER_TEMP/empty" --num-pairs 0
+code=0; $cli eval --data "$RUNNER_TEMP/empty" --matchers nn --report "$RUNNER_TEMP/emptyr" 2> "$RUNNER_TEMP/empty.err" || code=$?
+test "$code" -eq 2
+if grep -q Traceback "$RUNNER_TEMP/empty.err"; then exit 1; fi
+test ! -e "$RUNNER_TEMP/emptyr"
 # inference from the trained checkpoint: two runs write equal assignment grids and frames
 for run in 1 2; do
   $cli match --checkpoint "$RUNNER_TEMP/run/checkpoint_final.pmc" --pair "$RUNNER_TEMP/data/pair_00000.ppair" --dump-assignment "$RUNNER_TEMP/assignment$run.csv"

@@ -7,19 +7,19 @@ alternating-mode call runs).
 """
 import numpy as np
 
-from pillarmatch import Tensor, grad_check, sinkhorn
+from pillarmatch import Tensor, grad_check, linear, sinkhorn
 from pillarmatch.transport import marginal_deviation
 
-# a (2, 2) function of two tensors; backward takes a cotangent of its shape
-# and gives the gradient of sum(cotangent * output)
-w = Tensor(np.array([[0.45, -0.2], [0.1, 0.3]]), requires_grad=True)
+# relu(x @ w.T), a (2, 2) function of two tensors; backward takes a
+# cotangent of its shape and gives the gradient of sum(cotangent * output)
+w = Tensor(np.array([[0.45, -0.4], [0.1, 0.3]]), requires_grad=True)
 x = Tensor(np.array([[1.0, 2.0], [3.0, 4.0]]), requires_grad=True)
-out = (w @ x).relu()
+out = linear(x, w).relu()
 out.backward(np.array([[1.0, -0.5], [0.25, 2.0]]))
 print("output:\n", out.data)
 print("d sum(cotangent * output) / dw:\n", w.grad)
 # grad_check draws its own cotangent and differentiates the same way
-err = grad_check(lambda: (w @ x).relu(), [w, x])
+err = grad_check(lambda: linear(x, w).relu(), [w, x])
 print(f"max relative error vs central differences: {err:.2e}")
 
 # Sinkhorn drives a random score matrix to a doubly stochastic plan

@@ -36,7 +36,6 @@ from .network import (
     feature_stacks,
     final_projection,
     gnn_layer,
-    init_nodes,
     load_checkpoint,
     save_checkpoint,
 )

@@ -1,19 +1,21 @@
 """Reverse-mode automatic differentiation on numpy arrays.
 
-The tape holds only the ops the program records: ``+``, ``@``, ``.T``,
-``relu``, ``gather_rows``, :func:`linear` and :func:`linear_batchnorm_relu`
-here, and the attention, dustbin, Sinkhorn and loss nodes of the modules that
-build on :func:`_node`. Each op returns a new :class:`Tensor` carrying a
-closure that routes the output gradient to the op's inputs. ``backward()``
-replays the closures in reverse topological order exactly once, passing each
-its node's gradient; a second call on the same root tensor raises. No closure
-refers to the tensor it belongs to, so the tape holds no reference cycle and
-is freed by reference counting as soon as its last tensor goes. Inside
-:func:`no_grad` ops record nothing at all. No op broadcasts: ``+`` needs equal
-shapes, which keeps the tape auditable. ``@``, ``.T`` and ``linear`` work on
-stacks: leading axes index independent matrices (one per pair of a batch), so
-a whole batch records one node per op. An encoder block, linear then
-batch-norm then ReLU, is the one node of :func:`linear_batchnorm_relu`.
+The tape holds only the ops the program records: ``relu``, ``gather_rows``,
+:func:`linear` and :func:`linear_batchnorm_relu` here, and the attention,
+score, dustbin, Sinkhorn and loss nodes of the modules that build on
+:func:`_node`. Each op returns a new :class:`Tensor` carrying a closure that
+routes the output gradient to the op's inputs. ``backward()`` replays the
+closures in reverse topological order exactly once, passing each its node's
+gradient; a second call on the same root tensor raises. No closure refers to
+the tensor it belongs to, so the tape holds no reference cycle and is freed
+by reference counting as soon as its last tensor goes. Inside
+:func:`no_grad` ops record nothing at all. No op broadcasts: the residual
+that :func:`linear` adds needs the output's shape, which keeps the tape
+auditable. ``linear`` works on stacks: leading axes index independent
+matrices (one per pair of a batch), so a whole batch records one node per
+op. A residual update, product plus skip connection, is one ``linear`` node,
+and an encoder block, linear then batch-norm then ReLU, is the one node of
+:func:`linear_batchnorm_relu`.
 
 Training and inference run in 32-bit; gradient checking requires 64-bit
 tensors because central differences are unreliable in single precision.
@@ -135,46 +137,6 @@ class Tensor:
                 node._backward(node.grad)
         self._back_done = True
 
-    # -- arithmetic -----------------------------------------------------------
-    def __add__(self, other: "Tensor") -> "Tensor":
-        _same_shape(self, other, "add")
-        out = _node(self.data + other.data, (self, other), "add")
-        if out.requires_grad:
-            def back(grad):
-                if self.requires_grad:
-                    self._accumulate(grad)
-                if other.requires_grad:
-                    other._accumulate(grad)
-            out._backward = back
-        return out
-
-    def __matmul__(self, other: "Tensor") -> "Tensor":
-        """Matrix product over the last two axes; any leading axes must match."""
-        if (self.ndim < 2 or self.ndim != other.ndim or self.shape[:-2] != other.shape[:-2]
-                or self.shape[-1] != other.shape[-2]):
-            raise ShapeError(f"matmul shapes {self.shape} and {other.shape} incompatible")
-        out = _node(self.data @ other.data, (self, other), "matmul")
-        if out.requires_grad:
-            def back(grad):
-                if self.requires_grad:
-                    self._accumulate(grad @ _swap_last(other.data))
-                if other.requires_grad:
-                    other._accumulate(_swap_last(self.data) @ grad)
-            out._backward = back
-        return out
-
-    @property
-    def T(self) -> "Tensor":
-        """Transpose of the last two axes (of each matrix in a stack)."""
-        if self.ndim < 2:
-            raise ShapeError("transpose needs at least 2 axes")
-        out = _node(_swap_last(self.data), (self,), "transpose")
-        if out.requires_grad:
-            def back(grad):
-                self._accumulate(_swap_last(grad))
-            out._backward = back
-        return out
-
     # -- ReLU and row gather ---------------------------------------------------
     def relu(self) -> "Tensor":
         out = _node(np.maximum(self.data, 0.0), (self,), "relu")
@@ -231,40 +193,33 @@ def _node(data: np.ndarray, parents: tuple, op: str) -> Tensor:
     return out
 
 
-def _swap_last(data: np.ndarray) -> np.ndarray:
-    return np.swapaxes(data, -1, -2)
-
-
 def _rows(data: np.ndarray) -> np.ndarray:
     """``data`` as a 2-D (rows, last axis) array; a view for contiguous input."""
     return data.reshape(-1, data.shape[-1])
 
 
-def _same_shape(a: Tensor, b: Tensor, op: str) -> None:
-    if a.shape != b.shape:
-        raise ShapeError(f"{op}: shapes {a.shape} and {b.shape} differ")
-
-
-def as_tensor(value, requires_grad: bool = False, dtype=None) -> Tensor:
-    if isinstance(value, Tensor):
-        return value
-    arr = np.asarray(value)
-    if dtype is not None:
-        arr = arr.astype(dtype, copy=False)
-    return Tensor(arr, requires_grad=requires_grad)
-
-
-def linear(x: Tensor, weight: Tensor) -> Tensor:
-    """``x @ weight.T`` over the last axis of ``x``; weight is (out, in).
+def linear(x: Tensor, weight: Tensor, residual: Tensor | None = None) -> Tensor:
+    """``x @ weight.T + residual`` over the last axis of ``x``; weight is
+    (out, in), and ``residual``, if given, has the output's shape.
 
     Leading axes of ``x`` are flattened into rows, so a ``(B, n, in)`` stack
     runs as one ``(B * n, in)`` product.
     """
     _check_linear(x, weight)
-    out_shape = x.shape[:-1] + weight.shape[:1]
-    out = _node((_rows(x.data) @ weight.data.T).reshape(out_shape), (x, weight), "linear")
+    data = (_rows(x.data) @ weight.data.T).reshape(x.shape[:-1] + weight.shape[:1])
+    parents = (x, weight)
+    if residual is not None:
+        if residual.shape != data.shape:
+            raise ShapeError(f"linear: residual shape {residual.shape} != output {data.shape}")
+        data += residual.data
+        parents += (residual,)
+    out = _node(data, parents, "linear")
     if out.requires_grad:
-        out._backward = lambda g: _linear_backward(x, weight, g)
+        def back(g):
+            if residual is not None and residual.requires_grad:
+                residual._accumulate(g)
+            _linear_backward(x, weight, g)
+        out._backward = back
     return out
 
 

@@ -455,6 +455,8 @@ def cmd_eval(args) -> int:
     matchers = [m.strip() for m in args.matchers.split(",") if m.strip()]
     if not matchers or len(set(matchers)) < len(matchers):
         raise ConfigError(f"--matchers must name distinct matchers, got {args.matchers!r}")
+    if "ours" in matchers and not args.checkpoint:
+        raise ConfigError("matcher 'ours' requires --checkpoint")
     if not 0.0 < args.icp_reject_radius < float("inf"):
         raise ConfigError(
             f"--icp-reject-radius must be finite and > 0, got {args.icp_reject_radius}"
@@ -462,10 +464,10 @@ def cmd_eval(args) -> int:
     # range-checked here, since no checkpoint takes it unless 'ours' runs
     _hyper(args, HyperParams())
     pairs = pairio.load_dataset(_resolve(args.data))
+    if not pairs:
+        raise ConfigError(f"{args.data}: the dataset holds no pairs to evaluate")
     params = None
     if "ours" in matchers:
-        if not args.checkpoint:
-            raise ConfigError("matcher 'ours' requires --checkpoint")
         params, _, _ = load_checkpoint(_resolve(args.checkpoint))
         params.hyper = _hyper(args, params.hyper)
         _check_pair_shapes(args.data, pairs, params.hyper)

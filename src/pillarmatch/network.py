@@ -1,9 +1,10 @@
 """Learnable pipeline from pillars to matching descriptors.
 
 Pillar stacks and key-point coordinates pass through a shared linear pillar
-encoder and a shared positional MLP, are summed into graph node states, then
-refined by alternating self/cross multi-head attention layers with residual
-connections, and finally projected into matching descriptors. All weights are
+encoder and a shared positional MLP, whose final layer adds the pillar
+encoding to give the graph node states. These are refined by alternating
+self/cross multi-head attention layers with residual connections, and finally
+projected into matching descriptors. All weights are
 shared between the two clouds within a layer. A layer stores its query, key
 and value weights as one fused projection, projects each graph once and runs
 every head of one side in a single :func:`attention` tape node. Checkpoints
@@ -262,20 +263,14 @@ def encode_pillars(stacks: Tensor, params: ModelParameters, train: bool) -> Tens
     return ad.linear_batchnorm_relu(stacks, params.pillar_weight, params.pillar_norm, train)
 
 
-def encode_positions(coords: Tensor, params: ModelParameters, train: bool) -> Tensor:
-    """Shared MLP over raw (pillars, 3) key-point coordinates."""
+def encode_positions(coords: Tensor, params: ModelParameters, train: bool,
+                     residual: Tensor | None = None) -> Tensor:
+    """Shared MLP over raw (pillars, 3) key-point coordinates; its final
+    layer adds ``residual`` (the pillar encoding) if given."""
     x = coords
     for w, norm in zip(params.positional_weights[:-1], params.positional_norms):
         x = ad.linear_batchnorm_relu(x, w, norm, train)
-    return ad.linear(x, params.positional_weights[-1])
-
-
-def init_nodes(descriptors: Tensor, positions: Tensor) -> Tensor:
-    if descriptors.shape != positions.shape:
-        raise ShapeError(
-            f"descriptor shape {descriptors.shape} != positional shape {positions.shape}"
-        )
-    return descriptors + positions
+    return ad.linear(x, params.positional_weights[-1], residual)
 
 
 # (..., rows, heads * d) <-> (..., heads, rows, d): head h is column block h
@@ -358,7 +353,8 @@ def gnn_layer(
     Even layers attend within each graph (self edges); odd layers attend to
     the other graph (cross edges). Both updates read the pre-update states.
     Each graph is projected to Q, K and V once; each side then runs one
-    attention node, its output projection and the optional MLP.
+    attention node, its output projection and the optional MLP, and the last
+    of these ``linear`` nodes adds the side's node states.
     """
     proj_a = ad.linear(nodes_a, layer.projection)
     proj_b = ad.linear(nodes_b, layer.projection)
@@ -367,11 +363,11 @@ def gnn_layer(
     updated = []
     for nodes, queries, sources in ((nodes_a, proj_a, src_a), (nodes_b, proj_b, src_b)):
         merged = attention(queries, sources, scale_depth, hyper.attention_heads)
-        delta = ad.linear(merged, layer.output_weight)
         if layer.mlp_weights:
-            hidden = ad.linear(delta, layer.mlp_weights[0]).relu()
-            delta = ad.linear(hidden, layer.mlp_weights[1])
-        updated.append(nodes + delta)
+            hidden = ad.linear(ad.linear(merged, layer.output_weight), layer.mlp_weights[0])
+            updated.append(ad.linear(hidden.relu(), layer.mlp_weights[1], nodes))
+        else:
+            updated.append(ad.linear(merged, layer.output_weight, nodes))
     return updated[0], updated[1]
 
 
@@ -397,11 +393,10 @@ def batch_descriptors(
         raise ShapeError(f"a batch needs pairs of one key-point count, got {sorted(shapes)}")
     (n_src, n_tgt), = shapes
     dtype = params.pillar_weight.dtype
-    all_stacks = ad.as_tensor(np.concatenate(stacks), dtype=dtype)
-    all_coords = ad.as_tensor(np.concatenate(coords), dtype=dtype)
-    encoded = encode_pillars(all_stacks, params, train)
-    positional = encode_positions(all_coords, params, train)
-    nodes = init_nodes(encoded, positional)
+    encoded = encode_pillars(Tensor(np.concatenate(stacks).astype(dtype, copy=False)),
+                             params, train)
+    nodes = encode_positions(Tensor(np.concatenate(coords).astype(dtype, copy=False)),
+                             params, train, residual=encoded)
     # the (B, n) rows of each pair's source and target cloud in ``nodes``
     starts = (n_src + n_tgt) * np.arange(len(stacks) // 2)[:, None]
     nodes_src = nodes.gather_rows(starts + np.arange(n_src))

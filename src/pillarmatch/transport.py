@@ -64,13 +64,22 @@ class MatchSet:
 
 def score_matrix(desc_src: Tensor, desc_tgt: Tensor) -> Tensor:
     """Pairwise descriptor dot products, (..., n, m) from (..., n, d) and
-    (..., m, d); no scaling."""
-    if (desc_src.ndim < 2 or desc_src.shape[:-2] != desc_tgt.shape[:-2]
+    (..., m, d), as one tape node; no scaling."""
+    if (min(desc_src.ndim, desc_tgt.ndim) < 2 or desc_src.shape[:-2] != desc_tgt.shape[:-2]
             or desc_src.shape[-1] != desc_tgt.shape[-1]):
         raise ShapeError(
             f"descriptor stacks differ: {desc_src.shape} vs {desc_tgt.shape}"
         )
-    return desc_src @ desc_tgt.T
+    src, tgt = desc_src.data, desc_tgt.data
+    out = ad._node(src @ np.swapaxes(tgt, -1, -2), (desc_src, desc_tgt), "score_matrix")
+    if out.requires_grad:
+        def back(grad):
+            if desc_src.requires_grad:
+                desc_src._accumulate(grad @ tgt)
+            if desc_tgt.requires_grad:
+                desc_tgt._accumulate(np.swapaxes(np.swapaxes(src, -1, -2) @ grad, -1, -2))
+        out._backward = back
+    return out
 
 
 def augment_dustbin(raw: Tensor, dustbin: Tensor) -> Tensor:

@@ -31,6 +31,19 @@ def total(x):
     return out
 
 
+def add(a, b):
+    """``a + b`` of two tensors of one shape."""
+    out = ad._node(a.data + b.data, (a, b), "add")
+    if out.requires_grad:
+        def back(grad):
+            if a.requires_grad:
+                a._accumulate(grad)
+            if b.requires_grad:
+                b._accumulate(grad)
+        out._backward = back
+    return out
+
+
 def sub(a, b):
     """``a - b``, where ``b`` may have size 1 along axes that ``a`` does not;
     ``b``'s gradient is summed over those axes."""

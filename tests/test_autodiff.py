@@ -5,6 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from reference_ops import add
+
 from pillarmatch import autodiff as ad
 from pillarmatch.autodiff import BatchNormState, Tensor, grad_check, linear, linear_batchnorm_relu
 from pillarmatch.errors import ArgumentError, NumericError, ShapeError
@@ -48,12 +50,22 @@ def test_linear_batched_grad_check_and_rows(rng):
                                    rtol=0, atol=1e-14)
 
 
-def test_matmul_and_transpose_act_per_matrix_of_a_stack(rng):
-    a, b = t(rng.normal(size=(3, 4, 5))), t(rng.normal(size=(3, 6, 5)))
-    assert grad_check(lambda: a @ b.T, [a, b]) < 1e-6
-    np.testing.assert_array_equal((a @ b.T).data[1], a.data[1] @ b.data[1].T)
-    with pytest.raises(ShapeError):
-        a @ t(rng.normal(size=(2, 5, 6)))
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_linear_residual_equals_linear_then_add_bit_for_bit(rng, dtype):
+    # the fused residual against the two-node reference, in value and in
+    # the gradient of each of x, weight and residual
+    x, w, r = (Tensor(rng.normal(size=shape).astype(dtype), requires_grad=True)
+               for shape in [(2, 3, 5), (4, 5), (2, 3, 4)])
+    cotangent = rng.normal(size=(2, 3, 4)).astype(dtype)
+    results = []
+    for f in (lambda: linear(x, w, r), lambda: add(r, linear(x, w))):
+        for p in (x, w, r):
+            p.zero_grad()
+        out = f()
+        out.backward(cotangent)
+        assert {out.dtype, x.grad.dtype, w.grad.dtype, r.grad.dtype} == {np.dtype(dtype)}
+        results.append([a.tobytes() for a in (out.data, x.grad, w.grad, r.grad)])
+    assert results[0] == results[1]
 
 
 # ---------------------------------------------------------------------------
@@ -200,7 +212,7 @@ def test_block_refuses_non_finite_values_before_the_relu_and_stats():
 
 def test_grad_check_square():
     x = t([[3.0]])
-    err = grad_check(lambda: x @ x, [x])
+    err = grad_check(lambda: linear(x, x), [x])
     assert err < 1e-10
 
 
@@ -208,7 +220,8 @@ def test_grad_check_constant():
     # x < 0: the ReLU output is constant in x, and c does not depend on x at all
     x = t([-1.0, -2.0])
     c = t([5.0, 6.0], grad=False)
-    assert grad_check(lambda: c + x.relu(), [x]) < 1e-10
+    identity = t(np.eye(2), grad=False)
+    assert grad_check(lambda: linear(x.relu(), identity, c), [x]) < 1e-10
     assert grad_check(lambda: c, [x]) < 1e-10
     assert x.grad is None
     x.relu().backward()
@@ -269,23 +282,20 @@ def test_grad_check_of_a_scalar_output_is_the_scalar_objective_error():
 
 
 @pytest.mark.parametrize("op_name", [
-    "add", "matmul", "linear", "relu", "softmax", "gather", "batchnorm_train",
-    "batchnorm_eval", "transpose",
+    "linear", "linear_residual", "relu", "softmax", "gather", "batchnorm_train", "batchnorm_eval",
 ])
 def test_grad_check_layers(op_name, rng):
     a = t(rng.normal(size=(4, 5)))
-    b = t(rng.normal(size=(4, 5)))
-    c = t(rng.normal(size=(5, 3)))
     w = t(rng.normal(size=(6, 5)))
+    r = t(rng.normal(size=(4, 6)))
     v = t(rng.normal(size=(5, 5)))
     state = BatchNormState.create(5, dtype=np.float64)
     state.gamma.data = rng.normal(1.0, 0.1, size=5)
     state.beta.data = rng.normal(size=5)
 
     cases = {
-        "add": (lambda: a + b, [a, b]),
-        "matmul": (lambda: a @ c, [a, c]),
         "linear": (lambda: linear(a, w), [a, w]),
+        "linear_residual": (lambda: linear(a, w, r), [a, w, r]),
         "relu": (lambda: a.relu(), [a]),
         "softmax": (lambda: softmax_rows(a), [a]),
         "gather": (lambda: a.gather_rows([2, 0, 2]), [a]),
@@ -293,7 +303,6 @@ def test_grad_check_layers(op_name, rng):
                             [a, v, state.gamma, state.beta]),
         "batchnorm_eval": (lambda: linear_batchnorm_relu(a, v, state, train=False),
                            [a, v, state.gamma, state.beta]),
-        "transpose": (lambda: a.T @ b, [a, b]),
     }
     fn, params = cases[op_name]
     assert grad_check(fn, params) < 1e-4
@@ -304,8 +313,8 @@ def test_grad_check_layers(op_name, rng):
 # ---------------------------------------------------------------------------
 
 def squared_norm(x):
-    """``x @ x.T`` of a one-row ``x``: the (1, 1) sum of its squares."""
-    return x @ x.T
+    """``linear(x, x)`` of a one-row ``x``: the (1, 1) sum of its squares."""
+    return linear(x, x)
 
 
 def test_backward_twice_rejected():
@@ -325,15 +334,16 @@ def test_gradients_accumulate_across_separate_tapes():
 
 
 def test_first_gradient_is_a_copy_in_the_tensors_dtype():
-    # add hands one gradient array to both parents; neither may alias it
-    a = Tensor(np.zeros(3, dtype=np.float32), requires_grad=True)
-    b = Tensor(np.zeros(3, dtype=np.float32), requires_grad=True)
-    seed = np.ones(3, dtype=np.float32)
-    (a + b).backward(seed)
-    assert a.grad.dtype == b.grad.dtype == np.float32
-    assert not np.shares_memory(a.grad, b.grad) and not np.shares_memory(a.grad, seed)
-    a.grad += 1.0
-    np.testing.assert_array_equal(b.grad, 1.0)
+    # linear hands its output's gradient array on to the residual, which
+    # may alias neither that array nor the seed
+    x, r = (Tensor(np.zeros((1, 3), dtype=np.float32), requires_grad=True) for _ in range(2))
+    out = linear(x, Tensor(np.eye(3, dtype=np.float32)), r)
+    seed = np.ones((1, 3), dtype=np.float32)
+    out.backward(seed)
+    assert out.grad.dtype == r.grad.dtype == np.float32
+    assert not np.shares_memory(r.grad, out.grad) and not np.shares_memory(r.grad, seed)
+    r.grad += 1.0
+    np.testing.assert_array_equal(out.grad, 1.0)
     np.testing.assert_array_equal(seed, 1.0)
     incoming = np.full(3, 2.0)
     c = Tensor(np.zeros(3, dtype=np.float32), requires_grad=True)
@@ -342,9 +352,9 @@ def test_first_gradient_is_a_copy_in_the_tensors_dtype():
 
 
 def test_nonfinite_output_raises():
-    x = t([1e308, 1e308])
+    x = t([[1e308]])
     with np.errstate(over="ignore"), pytest.raises(NumericError):
-        x + x
+        linear(x, t([[1.0]]), x)
 
 
 @pytest.mark.parametrize("shape", [(), (1,), (1, 1)])
@@ -359,14 +369,17 @@ def test_item_of_a_tensor_of_another_size_is_a_shape_error_naming_the_shape(shap
 
 
 def test_shape_mismatch_add():
-    with pytest.raises(ShapeError):
-        t(np.zeros((2, 2))) + t(np.zeros((3, 2)))
+    # linear's residual must have the output's shape; nothing broadcasts
+    with pytest.raises(ShapeError, match="residual"):
+        linear(t(np.zeros((2, 2))), t(np.eye(2)), t(np.zeros((3, 2))))
+    with pytest.raises(ShapeError, match="residual"):
+        linear(t(np.zeros((2, 2))), t(np.eye(2)), t(np.zeros(2)))
 
 
 def test_grad_check_requires_float64():
-    x = Tensor(np.zeros(2, dtype=np.float32), requires_grad=True)
+    x = Tensor(np.zeros((1, 2), dtype=np.float32), requires_grad=True)
     with pytest.raises(ArgumentError):
-        grad_check(lambda: x + x, [x])
+        grad_check(lambda: linear(x, x), [x])
 
 
 def test_no_grad_records_no_tape():
@@ -382,7 +395,7 @@ def test_no_grad_recording_resumes_after_block_and_exception():
     x = t([[1.0, 2.0]])
     with ad.no_grad():
         pass
-    assert (x + x)._parents == (x, x)
+    assert linear(x, x)._parents == (x, x)
     with pytest.raises(ValueError), ad.no_grad():
         raise ValueError("inside the block")
     out = squared_norm(x)
@@ -392,11 +405,11 @@ def test_no_grad_recording_resumes_after_block_and_exception():
 
 def test_deep_chain_backward_is_iterative():
     # longer than the default recursion limit would allow recursively
-    x = t([1.0])
-    one = t([1.0], grad=False)
+    x = t([[1.0]])
+    one = t([[1.0]], grad=False)
     out = x
     for _ in range(3000):
-        out = out + one
+        out = linear(one, one, out)
     out.backward()
-    np.testing.assert_array_equal(out.data, [3001.0])
-    np.testing.assert_array_equal(x.grad, [1.0])
+    np.testing.assert_array_equal(out.data, [[3001.0]])
+    np.testing.assert_array_equal(x.grad, [[1.0]])

@@ -908,6 +908,25 @@ def test_eval_refuses_a_repeated_matcher_before_loading_anything(tmp_path, capsy
     assert not report.exists()
 
 
+def test_eval_ours_without_a_checkpoint_is_refused_before_loading_anything(tmp_path, capsys):
+    # a missing dataset would exit 3: the refusal comes before anything is read
+    report = tmp_path / "report"
+    assert main(["eval", "--data", str(tmp_path / "none"), "--matchers", "ours,nn",
+                 "--report", str(report)]) == 2
+    assert "requires --checkpoint" in capsys.readouterr().err
+    assert not report.exists()
+
+
+def test_eval_refuses_an_empty_dataset_and_writes_nothing(tmp_path, capsys):
+    data = run_synth(tmp_path, "data", num_pairs=0, seed=5)
+    capsys.readouterr()
+    report = tmp_path / "r"
+    assert main(["eval", "--data", str(data), "--matchers", "nn", "--report", str(report)]) == 2
+    captured = capsys.readouterr()
+    assert "no pairs" in captured.err and captured.out == ""
+    assert not report.exists()
+
+
 def test_eval_table_lists_a_matcher_whose_every_frame_failed(tmp_path, capsys):
     # no ground-truth matches: vm has nothing to fit, and ICP keeps no point in range
     data = run_synth(tmp_path, "data", num_pairs=2, seed=1, extra=["--match-radius", "1e-6"])

@@ -1,14 +1,14 @@
 import dataclasses
 import gc
 import weakref
-from functools import partial
+from functools import partial, reduce
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from conftest import synthetic_labels, toy_hyper, toy_pair
-from reference_ops import logsumexp, sub, total
+from reference_ops import add, logsumexp, sub, total
 
 from pillarmatch import autodiff as ad
 from pillarmatch import learn
@@ -253,7 +253,7 @@ def ref_nllp(log_p, labels, penalty_excludes_dustbin):
     if penalty_excludes_dustbin:
         rows = ref_first_columns(rows, m)
     dust = ref_gather_pairs(log_p, unmatched, np.full(len(unmatched), m, dtype=np.intp))
-    return base + total(sub(logsumexp(rows, axis=1), dust))
+    return add(base, total(sub(logsumexp(rows, axis=1), dust)))
 
 
 def ref_dce(log_p, labels):
@@ -272,7 +272,7 @@ def ref_dce(log_p, labels):
     if len(col_idx):
         terms.append(sub(total(logsumexp(log_p, axis=0).gather_rows(col_idx)),
                          total(ref_gather_pairs(log_p, col_cell_rows, col_idx))))
-    return terms[0] if len(terms) == 1 else terms[0] + terms[1]
+    return reduce(add, terms)
 
 
 REFERENCE_LOSSES = {
@@ -389,7 +389,7 @@ def test_step_equals_per_pair_reference(monkeypatch):
     assign = batch_assignments(params, pairs, train=True)
     matrices = [AssignmentMatrix(assign.log_p.gather_rows(b)) for b in range(len(pairs))]
     terms = [compute_loss("nllp", matrix, pair.labels) for matrix, pair in zip(matrices, pairs)]
-    total_loss = sum(terms[1:], terms[0])
+    total_loss = reduce(add, terms)
     params.zero_grad()
     total_loss.backward(1.0 / len(pairs))
     assert loss == pytest.approx(total_loss.item() / len(pairs), rel=1e-6)

@@ -23,7 +23,6 @@ from pillarmatch.network import (
     feature_stacks,
     final_projection,
     gnn_layer,
-    init_nodes,
     load_checkpoint,
     save_checkpoint,
 )
@@ -191,17 +190,16 @@ def test_positional_depth_default_is_paper_scale():
 # node init and attention
 # ---------------------------------------------------------------------------
 
-def test_init_nodes_is_elementwise_sum(rng):
-    a, b = rng.normal(size=(4, 8)), rng.normal(size=(4, 8))
-    out = init_nodes(Tensor(a), Tensor(b))
-    np.testing.assert_allclose(out.data, a + b)
-    np.testing.assert_allclose(init_nodes(Tensor(np.zeros((4, 8))), Tensor(b)).data, b)
-    np.testing.assert_allclose(init_nodes(Tensor(a), Tensor(np.zeros((4, 8)))).data, a)
-
-
-def test_init_nodes_shape_mismatch():
-    with pytest.raises(ShapeError):
-        init_nodes(Tensor(np.zeros((4, 8))), Tensor(np.zeros((3, 8))))
+def test_encode_positions_adds_a_residual_of_its_output_shape(rng):
+    # the node states: the positional encoding plus the pillar encoding
+    params = float64_params(toy_hyper())
+    coords = Tensor(rng.normal(size=(5, 3)))
+    residual = rng.normal(size=(5, params.hyper.feature_depth))
+    plain = encode_positions(coords, params, train=False)
+    out = encode_positions(coords, params, train=False, residual=Tensor(residual))
+    np.testing.assert_array_equal(out.data, plain.data + residual)
+    with pytest.raises(ShapeError, match="residual"):
+        encode_positions(coords, params, train=False, residual=Tensor(residual[:4]))
 
 
 def projections(q, k, v):
@@ -461,11 +459,11 @@ def count_nodes(monkeypatch):
     return counter
 
 
-@pytest.mark.parametrize("mlp,expected", [(False, 8), (True, 14)])
+@pytest.mark.parametrize("mlp,expected", [(False, 6), (True, 12)])
 def test_gnn_layer_node_budget(monkeypatch, rng, mlp, expected):
-    # one fused projection per graph; per side the attention node, the output
-    # projection and the residual add; the optional MLP adds linear, relu,
-    # linear per side
+    # one fused projection per graph; per side the attention node and the
+    # output projection, which adds the residual; the optional MLP adds
+    # linear, relu, linear per side, and its last linear adds the residual
     hyper = toy_hyper(post_attention_mlp=mlp)
     params = ModelParameters.initialize(hyper, seed=0)
     a, b = (Tensor(rng.normal(size=(4, hyper.feature_depth)).astype(np.float32))
@@ -478,14 +476,14 @@ def test_gnn_layer_node_budget(monkeypatch, rng, mlp, expected):
 
 
 def test_batch_assignments_node_budget(monkeypatch):
-    # encoders 1 + 3 (a node per block, one final linear) + init 1; for the
-    # batch's stack: gathers 2, two layers of 8, projections 2, scores 2,
-    # dustbin 1, sinkhorn 1; nothing per pair
+    # encoders 1 + 3 (a node per block, one final linear that adds the
+    # pillar encoding); for the batch's stack: gathers 2, two layers of 6,
+    # projections 2, scores 1, dustbin 1, sinkhorn 1; nothing per pair
     pair = toy_pair(seed=3)
     params = ModelParameters.initialize(toy_hyper(), seed=0)
     counter = count_nodes(monkeypatch)
     batch_assignments(params, [pair], train=True)
-    assert counter[0] == 5 + 2 + 2 * 8 + 2 + 2 + 1 + 1
+    assert counter[0] == 4 + 2 + 2 * 6 + 2 + 1 + 1 + 1
 
 
 def test_batch_assignments_stack_equals_per_pair_calls_in_input_order():
@@ -510,7 +508,8 @@ def test_batch_assignments_refuses_an_empty_or_mixed_shape_batch():
 
 def test_train_step_nodes_do_not_grow_with_batch_size(monkeypatch):
     # the desk network at toy key-point counts: the graph, transport and loss
-    # record once per batch whatever its size, and the loss node takes the mean
+    # record once per batch whatever its size, and the loss node takes the mean;
+    # every node is a layer, none an add or a transpose
     hyper = toy_hyper(attention_layers=6, positional_hidden=HyperParams().positional_hidden)
     pairs = [toy_pair(seed=s, hyper=hyper) for s in range(8)]
     params = ModelParameters.initialize(hyper, seed=0)
@@ -526,11 +525,13 @@ def test_train_step_nodes_do_not_grow_with_batch_size(monkeypatch):
         monkeypatch.undo()
         return ops
 
-    # encoder blocks 5, the positional output 1, init 1, gathers 2, six layers
-    # of 8, projections 2, scores 2, dustbin 1, sinkhorn 1, loss 1
+    # encoder blocks 5, the positional output 1, gathers 2, six layers of 6,
+    # projections 2, scores 1, dustbin 1, sinkhorn 1, loss 1
     for batch_size in (8, 4):
         ops = step_ops(batch_size)
-        assert len(ops) == 64 and ops[-1] == "assignment_loss" and "scale" not in ops
+        assert len(ops) == 50 and ops[-1] == "assignment_loss"
+        assert set(ops) == {"linear", "linear_batchnorm_relu", "gather_rows", "attention",
+                            "score_matrix", "augment_dustbin", "sinkhorn", "assignment_loss"}
 
 
 def test_finished_tape_is_freed_without_the_cycle_collector():
@@ -543,7 +544,7 @@ def test_finished_tape_is_freed_without_the_cycle_collector():
         loss = compute_loss("nllp", assign, [pair.labels])
         loss.backward()
         # every op output on the tape, from the loss back to the first encoder:
-        # the 29 nodes of test_batch_assignments_node_budget and the loss
+        # the 23 nodes of test_batch_assignments_node_budget and the loss
         intermediates, stack, seen = [], [loss], set()
         while stack:
             node = stack.pop()
@@ -551,7 +552,7 @@ def test_finished_tape_is_freed_without_the_cycle_collector():
                 seen.add(id(node))
                 intermediates.append(weakref.ref(node))
                 stack.extend(node._parents)
-        assert len(intermediates) == 30
+        assert len(intermediates) == 24
         del loss, assign, node, stack
         assert [ref for ref in intermediates if ref() is not None] == []
     finally:

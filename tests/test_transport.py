@@ -69,6 +69,18 @@ def test_score_matrix_depth_mismatch():
         score_matrix(t(np.zeros((3, 4))), t(np.zeros((3, 5))))
 
 
+def test_score_matrix_is_one_node_per_matrix_of_a_stack(rng):
+    a, b = t(rng.normal(size=(3, 4, 5)), grad=True), t(rng.normal(size=(3, 6, 5)), grad=True)
+    out = score_matrix(a, b)
+    assert out._parents == (a, b)
+    np.testing.assert_array_equal(out.data[1], a.data[1] @ b.data[1].T)
+    assert grad_check(lambda: score_matrix(a, b), [a, b]) < 1e-6
+    with pytest.raises(ShapeError):
+        score_matrix(a, t(rng.normal(size=(2, 6, 5))))
+    with pytest.raises(ShapeError):
+        score_matrix(t(rng.normal(size=(4, 5))), t(rng.normal(size=5)))
+
+
 def test_augment_dustbin_tiny():
     out = augment_dustbin(t([[7.0]]), t(0.0))
     np.testing.assert_array_equal(out.data, [[7.0, 0.0], [0.0, 0.0]])
